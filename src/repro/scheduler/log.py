@@ -51,6 +51,15 @@ class SchedulerLog:
         out.sort(key=lambda a: a.start_time_s)
         return out
 
+    def allocations_by_node(self) -> List[List[NodeAllocation]]:
+        """:meth:`allocations_for_node` of every node, in one pass."""
+        out: List[List[NodeAllocation]] = [[] for _ in range(self.n_nodes)]
+        for a in self.allocations:
+            out[a.node_id].append(a)
+        for allocs in out:
+            allocs.sort(key=lambda a: a.start_time_s)
+        return out
+
     def utilization(self) -> float:
         """Realized node-seconds allocated / available."""
         busy = sum(

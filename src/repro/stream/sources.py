@@ -8,8 +8,8 @@ pluggable ones:
   store (or an npz file loaded into one);
 * :func:`replay_generator` — time-ordered replay straight from a
   :class:`~repro.telemetry.generator.FleetTelemetryGenerator` without
-  materializing the fleet (node blocks are re-rendered per time slab:
-  a recompute-for-memory trade);
+  materializing the fleet (each allocation is rendered once, when its
+  first tick comes up, and dropped after its last);
 * :func:`file_source` — npz or CSV telemetry files;
 * :func:`simulated_fleet` — an in-process simulated fleet (scheduler +
   generator), the one-call entry used by ``repro stream``;
@@ -126,46 +126,18 @@ def replay_generator(
     gen: FleetTelemetryGenerator,
     *,
     chunk_ticks: int = DEFAULT_CHUNK_TICKS,
-    nodes_per_block: int = 16,
 ) -> Iterator[TelemetryChunk]:
-    """Time-ordered replay from a generator at bounded memory.
+    """Time-ordered replay straight from a generator.
 
     Out-of-band collectors poll the whole fleet each tick, so the
-    physical arrival order is time-major.  The generator renders
-    node-major, so each time slab re-renders node blocks and keeps only
-    the slab's rows: memory stays at one node block plus one slab of
-    the fleet, at the cost of ``n_slabs`` re-renders.  Use
-    :func:`replay_store` when the campaign fits in memory.
+    physical arrival order is time-major: each chunk holds
+    ``chunk_ticks`` ticks of every node in ``(time, node)`` order,
+    bitwise-equal to :func:`replay_store` over ``gen.generate()``.
+    Every allocation is rendered once, so the cost is linear in the
+    horizon, and memory is bounded by the allocations live in one
+    chunk (see :meth:`FleetTelemetryGenerator.time_chunks`).
     """
-    if chunk_ticks <= 0:
-        raise TelemetryError("chunk_ticks must be positive")
-    if nodes_per_block <= 0:
-        raise TelemetryError("nodes_per_block must be positive")
-    n_ticks = gen.n_samples
-    n_nodes = gen.log.n_nodes
-    for t_lo in range(0, n_ticks, chunk_ticks):
-        t_hi = min(t_lo + chunk_ticks, n_ticks)
-        parts = []
-        for n_lo in range(0, n_nodes, nodes_per_block):
-            n_hi = min(n_lo + nodes_per_block, n_nodes)
-            for nid in range(n_lo, n_hi):
-                node_rows = gen.node_chunk(nid)
-                parts.append(
-                    TelemetryChunk(
-                        time_s=node_rows.time_s[t_lo:t_hi],
-                        node_id=node_rows.node_id[t_lo:t_hi],
-                        gpu_power_w=node_rows.gpu_power_w[t_lo:t_hi],
-                        cpu_power_w=node_rows.cpu_power_w[t_lo:t_hi],
-                    )
-                )
-        slab = TelemetryChunk.concatenate(parts)
-        order = np.lexsort((slab.node_id, slab.time_s))
-        yield TelemetryChunk(
-            time_s=slab.time_s[order],
-            node_id=slab.node_id[order],
-            gpu_power_w=slab.gpu_power_w[order],
-            cpu_power_w=slab.cpu_power_w[order],
-        )
+    yield from gen.time_chunks(chunk_ticks)
 
 
 def file_source(

@@ -75,6 +75,12 @@ class TestSchedulerLog:
                     a.start_time_s <= t < a.end_time_s for a in allocs
                 )
 
+    def test_allocations_by_node_matches_per_node_lookup(self, log):
+        by_node = log.allocations_by_node()
+        assert len(by_node) == log.n_nodes
+        for node, allocs in enumerate(by_node):
+            assert allocs == log.allocations_for_node(node)
+
     def test_roundtrip_arrays(self, log):
         arrays = log.to_arrays()
         back = SchedulerLog.from_arrays(arrays)

@@ -32,7 +32,7 @@ def test_in_order_replay_is_bitwise(campaign, batch_cube, cubes_equal):
 def test_generator_replay_is_bitwise(campaign, batch_cube, cubes_equal):
     log, gen, _store = campaign
     engine = StreamEngine(log, window_s=WINDOW_S).run(
-        replay_generator(gen, chunk_ticks=20, nodes_per_block=5)
+        replay_generator(gen, chunk_ticks=20)
     )
     assert cubes_equal(engine.cube(), batch_cube)
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import units
 from repro.core import join_campaign
@@ -12,11 +14,13 @@ from repro.stream import (
     canonical_windows,
     file_source,
     perturb,
+    replay_generator,
     replay_store,
     simulated_fleet,
 )
 from repro.telemetry import FleetTelemetryGenerator, TelemetryStore
 from repro.telemetry.io_csv import write_telemetry_csv
+from repro.telemetry.profiles import PowerProfile
 from repro.telemetry.schema import TelemetryChunk
 
 from .conftest import LATENESS_S, WINDOW_S
@@ -123,6 +127,16 @@ def test_csv_file_source_canonicalizes_file_order(campaign, tmp_path):
     assert engine.stats.late_dropped == 0
 
 
+def assert_same_chunks(got, expected):
+    """Chunk-by-chunk bitwise equality of every column and dtype."""
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        for field in ("time_s", "node_id", "gpu_power_w", "cpu_power_w"):
+            x, y = getattr(a, field), getattr(b, field)
+            assert x.dtype == y.dtype, field
+            assert np.array_equal(x, y), field
+
+
 def test_simulated_fleet_matches_its_own_batch_join(cubes_equal):
     log, source = simulated_fleet(fleet_nodes=8, days=0.25, seed=2)
     chunks = list(source)
@@ -132,14 +146,57 @@ def test_simulated_fleet_matches_its_own_batch_join(cubes_equal):
     )
     assert cubes_equal(engine.cube(), batch)
     # Same construction as the batch campaign helper: the store route
-    # and the generator route describe the same fleet.
+    # and the generator route deliver the same rows.
     mix = default_mix(fleet_nodes=8)
     ref_log = SlurmSimulator(mix).run(units.days(0.25), rng=2)
     store = FleetTelemetryGenerator(ref_log, mix, seed=1002).generate()
-    assert np.array_equal(
-        TelemetryChunk.concatenate(chunks).time_s.sum(),
-        store.chunk.time_s.sum(),
+    assert_same_chunks(chunks, list(replay_store(store)))
+
+
+@given(
+    nodes=st.integers(min_value=1, max_value=6),
+    days=st.sampled_from([0.05, 0.1, 0.25]),
+    seed=st.integers(min_value=0, max_value=2**16),
+    chunk_ticks=st.sampled_from([1, 7, 20, 97, None]),
+)
+@settings(max_examples=20, deadline=None)
+def test_generator_replay_equals_store_replay(nodes, days, seed, chunk_ticks):
+    # Slabs of 1, 7, 20 and 97 ticks split allocations mid-trace; None
+    # stands for one slab longer than the horizon.
+    mix = default_mix(fleet_nodes=nodes)
+    log = SlurmSimulator(mix).run(units.days(days), rng=seed)
+    gen = FleetTelemetryGenerator(log, mix, seed=seed + 1000)
+    if chunk_ticks is None:
+        chunk_ticks = gen.n_samples + 1
+    assert_same_chunks(
+        list(replay_generator(gen, chunk_ticks=chunk_ticks)),
+        list(replay_store(gen.generate(), chunk_ticks=chunk_ticks)),
     )
+
+
+def test_generator_replay_renders_each_allocation_once(campaign, monkeypatch):
+    # Structural guard against re-rendering per slab: one sample_trace
+    # call per allocation that covers at least one tick.
+    log, gen, _store = campaign
+    calls = []
+    sample_trace = PowerProfile.sample_trace
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return sample_trace(self, *args, **kwargs)
+
+    monkeypatch.setattr(PowerProfile, "sample_trace", counted)
+    n = gen.n_samples
+    covering = sum(
+        min(int(np.ceil(a.end_time_s / gen.interval_s)), n)
+        > int(np.ceil(a.start_time_s / gen.interval_s))
+        for a in log.allocations
+    )
+    chunks = list(replay_generator(gen, chunk_ticks=7))
+    assert len(chunks) == -(-n // 7)
+    assert len(calls) == covering
+    with pytest.raises(TelemetryError):
+        list(replay_generator(gen, chunk_ticks=0))
 
 
 def test_file_source_rejects_missing_store(tmp_path):
