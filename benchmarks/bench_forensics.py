@@ -18,6 +18,18 @@ windows that arrive every ten minutes.  The gate therefore bounds both:
 ``ms_per_window`` is the deployment-facing budget, ``overhead_pct`` the
 drift tripwire.
 
+A second measurement streams the same campaign through a
+:class:`repro.serve.ControlPlane` (forensics on, its default) and times
+every ``Forensics.serve_doc()`` call, i.e. the forensics document each
+publish freezes into the served view.  It reports the median call
+(``serve_doc_ms_p50``) and ``growth_ratio``: the mean call over the last
+quarter of publishes divided by the mean over the first quarter.  An
+incremental document costs what changed since the last publish, so the
+ratio stays near 1; a from-scratch rebuild grows with the incident count
+and the recorder slices (~6.8 on this campaign before the document was
+made incremental).  Per-call times are the minimum over the rounds, so
+one noisy round does not move the ratio.
+
 The hard gate (``--check``) fails when:
 
 * the two runs' analytic outputs differ in any bit (the recorder is
@@ -28,7 +40,9 @@ The hard gate (``--check``) fails when:
   intentional changes);
 * the live overhead exceeds the disaster bound
   :data:`LIVE_OVERHEAD_LIMIT_PCT` (generous: shared CI runners are
-  noisy; slow drift is the history trail's job).
+  noisy; slow drift is the history trail's job);
+* the live or recorded publish ``growth_ratio`` reaches
+  :data:`GROWTH_LIMIT` (publish cost grows along the stream).
 
 Modes::
 
@@ -53,6 +67,7 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_forensics.json"
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro.obs.forensics import Forensics  # noqa: E402
+from repro.serve import ControlPlane  # noqa: E402
 from repro.stream import StreamEngine, simulated_fleet  # noqa: E402
 
 #: The recorded reference overhead must stay under these bounds.
@@ -60,6 +75,9 @@ OVERHEAD_LIMIT_PCT = 150.0
 MS_PER_WINDOW_LIMIT = 2.0
 #: Live disaster bound for --check (loose: CI runners are shared).
 LIVE_OVERHEAD_LIMIT_PCT = 300.0
+#: Publish cost, last quarter over first quarter of the stream's
+#: serve_doc calls, must stay under this (live and recorded).
+GROWTH_LIMIT = 2.0
 
 FLEET_NODES = 32
 DAYS = 1.0
@@ -76,6 +94,50 @@ def _one_pass(log, chunks, *, recorder: bool):
         engine.ingest(chunk)
     engine.drain()
     return (time.perf_counter() - t0) * 1e3, engine
+
+
+def _publish_pass(log, chunks) -> list:
+    """Wall time (ms) of every serve_doc call of one ControlPlane run."""
+    plane = ControlPlane(log, window_s=WINDOW_S)
+    serve_doc = plane.forensics.serve_doc
+    calls_ms = []
+
+    def timed(**kwargs):
+        t0 = time.perf_counter()
+        doc = serve_doc(**kwargs)
+        calls_ms.append((time.perf_counter() - t0) * 1e3)
+        return doc
+
+    plane.forensics.serve_doc = timed
+    try:
+        for chunk in chunks:
+            plane.ingest(chunk)
+        plane.drain()
+    finally:
+        plane.close()
+    return calls_ms
+
+
+def measure_publish(log, chunks, *, rounds: int) -> dict:
+    per_call = np.min(
+        [_publish_pass(log, chunks) for _ in range(rounds)], axis=0
+    )
+    quarter = max(len(per_call) // 4, 1)
+    first = float(per_call[:quarter].mean())
+    last = float(per_call[-quarter:].mean())
+    return {
+        "description": (
+            f"Forensics.serve_doc per ControlPlane publish, "
+            f"{FLEET_NODES} nodes x {DAYS:g} days ({len(chunks)} chunks, "
+            f"{WINDOW_S:.0f} s windows); per call the min over rounds"
+        ),
+        "rounds": rounds,
+        "publishes": int(len(per_call)),
+        "serve_doc_ms_p50": round(float(np.median(per_call)), 4),
+        "first_quarter_ms": round(first, 4),
+        "last_quarter_ms": round(last, 4),
+        "growth_ratio": round(last / first if first > 0 else 0.0, 3),
+    }
 
 
 def measure(*, rounds: int, seed: int = 0) -> dict:
@@ -130,6 +192,7 @@ def measure(*, rounds: int, seed: int = 0) -> dict:
             "findings_total": summary["findings_total"],
             "incidents_total": summary["incidents_total"],
         },
+        "forensics_publish": measure_publish(log, chunks, rounds=rounds),
     }
 
 
@@ -148,8 +211,26 @@ def check(results: dict) -> int:
             f"the {LIVE_OVERHEAD_LIMIT_PCT:.0f} % disaster bound"
         )
 
+    publish = results["forensics_publish"]
+    if publish["growth_ratio"] >= GROWTH_LIMIT:
+        failures.append(
+            f"live serve_doc cost grows {publish['growth_ratio']:.2f}x "
+            f"along the stream (>= {GROWTH_LIMIT:g}x)"
+        )
+
     if BASELINE_PATH.exists():
-        ref = json.loads(BASELINE_PATH.read_text())["forensics_overhead"]
+        recorded = json.loads(BASELINE_PATH.read_text())
+        ref = recorded["forensics_overhead"]
+        ref_publish = recorded.get("forensics_publish")
+        if ref_publish is None:
+            failures.append(
+                "baseline has no forensics_publish entry; run with --record"
+            )
+        elif ref_publish["growth_ratio"] >= GROWTH_LIMIT:
+            failures.append(
+                f"recorded serve_doc growth {ref_publish['growth_ratio']:.2f}x "
+                f"breaks the < {GROWTH_LIMIT:g}x budget"
+            )
         if ref["overhead_pct"] >= OVERHEAD_LIMIT_PCT:
             failures.append(
                 f"recorded overhead {ref['overhead_pct']:.1f} % breaks "
@@ -199,6 +280,9 @@ def main(argv=None) -> int:
         timings = {
             "forensics_plain_ms": load["plain_ms"],
             "forensics_recorded_ms": load["recorded_ms"],
+            "forensics_serve_doc_ms_p50": (
+                results["forensics_publish"]["serve_doc_ms_p50"]
+            ),
         }
         flags = bench_history.drift_flags(
             timings, bench_history.load_history()

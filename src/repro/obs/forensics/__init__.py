@@ -263,9 +263,7 @@ class Forensics:
             "forensics_incidents_total": float(
                 len(self.incidents.incidents)
             ),
-            "forensics_incidents_open": float(
-                len(self.incidents.open_incidents)
-            ),
+            "forensics_incidents_open": float(self.incidents.open_count),
         })
         return values
 
@@ -276,7 +274,7 @@ class Forensics:
             "records_evicted": self.recorder.evicted,
             "findings_total": self.incidents.findings_total,
             "incidents_total": len(self.incidents.incidents),
-            "incidents_open": len(self.incidents.open_incidents),
+            "incidents_open": self.incidents.open_count,
             "detectors": [d.name for d in self.detectors],
             "capacity": self.recorder.capacity,
         }
@@ -295,25 +293,19 @@ class Forensics:
         ``/v1/incidents`` and, per incident, the window records spanning
         its range (padded ``pad`` windows each side) so
         ``/v1/incidents/<id>`` serves a self-contained forensic slice.
+
+        Built incrementally: resolved incidents and resident records are
+        each rendered once and reused by every later publish, and each
+        slice is cut from the ring by index arithmetic, so publishing
+        does not slow down as the stream runs.
         """
         doc = self.snapshot()
-        records_by_id = {}
-        for incident in self.incidents.incidents:
-            records_by_id[incident.id] = [
-                r.to_dict() for r in self.recorder.window_range(
-                    incident.first_window - pad,
-                    incident.last_window + pad,
-                )
-            ]
-        doc["records_by_id"] = records_by_id
-        if self.event_log is not None:
-            doc["logs_by_id"] = {
-                incident.id: self.event_log.window_slice(
-                    incident.first_window - pad,
-                    incident.last_window + pad,
-                )
-                for incident in self.incidents.incidents
-            }
+        doc["records_by_id"] = {
+            incident.id: self.recorder.record_docs(
+                incident.first_window - pad, incident.last_window + pad,
+            )
+            for incident in self.incidents.incidents
+        }
         return doc
 
     def timeline(self) -> str:

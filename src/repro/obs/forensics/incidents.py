@@ -158,6 +158,11 @@ class IncidentEngine:
         self.interval_s = float(interval_s)
         self.incidents: List[Incident] = []
         self._open: Dict[str, Incident] = {}
+        #: ``to_dict(top_k=self.top_k)`` of resolved incidents by id.
+        #: Resolution is terminal (nothing extends a resolved incident),
+        #: so each is rendered once however often it is snapshotted;
+        #: every snapshot shares these dictionaries, read-only.
+        self._resolved_docs: Dict[str, dict] = {}
         self.findings_total = 0
         #: Optional lifecycle callback ``fn(transition, incident)`` with
         #: ``transition`` in ``("open", "resolve")`` — called after the
@@ -274,6 +279,11 @@ class IncidentEngine:
     def open_incidents(self) -> List[Incident]:
         return [i for i in self.incidents if i.open]
 
+    @property
+    def open_count(self) -> int:
+        """``len(open_incidents)`` without scanning every incident."""
+        return len(self._open)
+
     def get(self, incident_id: str) -> Optional[Incident]:
         for incident in self.incidents:
             if incident.id == incident_id:
@@ -284,10 +294,18 @@ class IncidentEngine:
         k = top_k if top_k is not None else self.top_k
         return {
             "total": len(self.incidents),
-            "open": len(self.open_incidents),
+            "open": self.open_count,
             "findings_total": self.findings_total,
-            "incidents": [i.to_dict(top_k=k) for i in self.incidents],
+            "incidents": [self._doc(i, k) for i in self.incidents],
         }
+
+    def _doc(self, incident: Incident, k: int) -> dict:
+        if incident.open or k != self.top_k:
+            return incident.to_dict(top_k=k)
+        doc = self._resolved_docs.get(incident.id)
+        if doc is None:
+            doc = self._resolved_docs[incident.id] = incident.to_dict(top_k=k)
+        return doc
 
 
 def render_timeline(incidents: Sequence, *,

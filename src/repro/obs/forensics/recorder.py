@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -201,10 +202,14 @@ def make_record(
 class FlightRecorder:
     """Bounded ring buffer of :class:`WindowRecord` entries.
 
-    Appends are O(1); once ``capacity`` records are held the oldest is
-    evicted (and counted in :attr:`evicted`), so memory stays bounded
-    however long the stream runs.  :meth:`window_range` slices by fold
-    index for incident bundles.
+    Appends are O(1) and must come in fold order (``record.index ==
+    windows_seen``), so the ring always holds the contiguous indices
+    ``windows_seen - len(ring)`` .. ``windows_seen - 1``.  Once
+    ``capacity`` records are held the oldest is evicted (and counted in
+    :attr:`evicted`), so memory stays bounded however long the stream
+    runs.  :meth:`window_range` slices by fold index for incident
+    bundles; :meth:`record_docs` does the same for the served form,
+    rendering each resident record's ``to_dict()`` once.
     """
 
     def __init__(self, *, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -214,10 +219,19 @@ class FlightRecorder:
         self._ring: deque = deque(maxlen=capacity)
         self.windows_seen = 0
         self.evicted = 0
+        #: ``to_dict()`` of resident records by fold index; an entry
+        #: leaves with its record, so it never outgrows the ring.
+        self._docs: Dict[int, dict] = {}
 
     def append(self, record: WindowRecord) -> None:
+        if record.index != self.windows_seen:
+            raise ForensicsError(
+                f"record index {record.index} out of fold order "
+                f"(expected {self.windows_seen})"
+            )
         if len(self._ring) == self.capacity:
             self.evicted += 1
+            self._docs.pop(self._ring[0].index, None)
         self._ring.append(record)
         self.windows_seen += 1
 
@@ -234,7 +248,26 @@ class FlightRecorder:
 
     def window_range(self, first: int, last: int) -> List[WindowRecord]:
         """Records with ``first <= index <= last`` still in the ring."""
-        return [r for r in self._ring if first <= r.index <= last]
+        oldest = self.windows_seen - len(self._ring)
+        lo = max(first - oldest, 0)
+        hi = max(last - oldest + 1, lo)
+        return list(islice(self._ring, lo, hi))
+
+    def record_docs(self, first: int, last: int) -> List[dict]:
+        """``to_dict()`` of :meth:`window_range`, each record rendered once.
+
+        Records are frozen and ``to_dict`` is pure, so the served slice
+        of a long-lived incident reuses the dictionaries of earlier
+        publishes instead of re-rendering them.
+        """
+        docs = self._docs
+        out = []
+        for record in self.window_range(first, last):
+            doc = docs.get(record.index)
+            if doc is None:
+                doc = docs[record.index] = record.to_dict()
+            out.append(doc)
+        return out
 
     def metric_values(self) -> Dict[str, float]:
         return {

@@ -367,18 +367,6 @@ class EventLog:
         with self._lock:
             return list(self._ring)
 
-    def window_slice(self, first: int, last: int) -> List[dict]:
-        """Window-correlated records with ``first <= window <= last``.
-
-        Only records carrying a ``window`` id are eligible: those are
-        the chunking- and rerun-invariant streams, so the slice a
-        forensic bundle embeds has deterministic event ids.
-        """
-        with self._lock:
-            return [r for r in self._ring
-                    if r.get("window") is not None
-                    and first <= r["window"] <= last]
-
     def reader_view(self) -> LogView:
         """Freeze the current ring for byte-stable serving."""
         with self._lock:

@@ -248,11 +248,10 @@ class ControlPlane:
                     objective=policy["objective"],
                     max_slowdown_pct=policy["max_slowdown_pct"],
                 )
-                incidents = (
-                    self.forensics.serve_doc()
-                    if self.forensics is not None
-                    else None
-                )
+                incidents = None
+                if self.forensics is not None:
+                    with _obs.span("forensics.serve_doc"):
+                        incidents = self.forensics.serve_doc()
                 history_view = (
                     self.history.reader_view()
                     if self.history is not None

@@ -12,19 +12,24 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import constants, units
 from repro.core import join_campaign
 from repro.errors import ForensicsError
+from repro.obs import runtime
 from repro.obs.forensics import (
     CapViolationDetector,
     EnergyRegressionDetector,
     FlightRecorder,
     Forensics,
+    Incident,
     IncidentEngine,
     ModeMixDetector,
     PublicationStallDetector,
     StragglerDetector,
+    WindowRecord,
     build_bundle,
     default_detectors,
     forensics_doc,
@@ -36,6 +41,7 @@ from repro.obs.forensics import (
 )
 from repro.obs.health.drift import DriftReference
 from repro.scheduler import SlurmSimulator, default_mix
+from repro.serve import ControlPlane
 from repro.stream import StreamEngine, canonical_windows, replay_store
 from repro.telemetry import FleetTelemetryGenerator
 from repro.telemetry.schema import TelemetryChunk
@@ -114,10 +120,18 @@ class TestFlightRecorder:
         assert [r.index for r in ring.window_range(3, 4)] == [3, 4]
         # Evicted indices are simply gone, not an error.
         assert ring.window_range(0, 1) == []
+        assert ring.window_range(4, 9) == ring.records[2:]
+        assert ring.window_range(5, 3) == []
         values = ring.metric_values()
         assert values["forensics_windows_recorded"] == 6.0
         assert values["forensics_records_resident"] == 4.0
         assert values["forensics_records_evicted"] == 2.0
+
+    def test_append_requires_fold_order(self):
+        ring = FlightRecorder(capacity=4)
+        ring.append(record_of(make_window(0), index=0))
+        with pytest.raises(ForensicsError, match="fold order"):
+            ring.append(record_of(make_window(2), index=2))
 
     def test_make_record_compacts_the_window(self):
         window = make_window(2, nodes=4, base_w=250.0,
@@ -454,3 +468,172 @@ class TestBundles:
         missing = tmp_path / "missing.json"
         with pytest.raises(ForensicsError, match="cannot read"):
             load_forensics(missing)
+
+
+#: Per-window faults for the incremental serve_doc tests, each tripping
+#: a different detector (straggler, cap_violation, mode_mix).
+FAULTS = {
+    "straggler": dict(node_w={3: 540.0}),
+    "hot_gcd": dict(node_w={5: (0, 600.0)}),
+    "surge": dict(base_w=450.0),
+}
+
+
+def forensics_under_test(**kwargs) -> Forensics:
+    return Forensics(
+        interval_s=INTERVAL_S,
+        detectors=default_detectors(
+            reference=DriftReference(
+                gpu_hours_pct=(0.0, 100.0, 0.0, 0.0), label="all MI"
+            ),
+            z_threshold=6.0,
+        ),
+        **kwargs,
+    )
+
+
+def reference_serve_doc(forensics, *, pad=1) -> dict:
+    """``serve_doc()`` rebuilt from scratch: no memo, ring scans."""
+    engine = forensics.incidents
+    records = forensics.recorder.records
+    summary = forensics.summary()
+    summary["incidents_open"] = len(engine.open_incidents)
+    return {
+        "total": len(engine.incidents),
+        "open": len(engine.open_incidents),
+        "findings_total": engine.findings_total,
+        "incidents": [i.to_dict(top_k=engine.top_k) for i in engine.incidents],
+        "summary": summary,
+        "records_by_id": {
+            i.id: [
+                r.to_dict() for r in records
+                if i.first_window - pad <= r.index <= i.last_window + pad
+            ]
+            for i in engine.incidents
+        },
+    }
+
+
+def canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True)
+
+
+class TestIncrementalServeDoc:
+    @given(
+        capacity=st.sampled_from([1, 2, 4, 7, 512]),
+        merge_gap=st.integers(min_value=0, max_value=2),
+        faults=st.lists(
+            st.sampled_from([None, None, *FAULTS]), min_size=1, max_size=24,
+        ),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_memoized_doc_equals_fresh_rebuild(
+        self, capacity, merge_gap, faults,
+    ):
+        forensics = forensics_under_test(
+            capacity=capacity, merge_gap=merge_gap,
+        )
+        published = []
+        for i, fault in enumerate(faults):
+            forensics.observe_window(make_window(i, **FAULTS.get(fault, {})))
+            doc = forensics.serve_doc()
+            assert canonical(doc) == canonical(reference_serve_doc(forensics))
+            published.append((doc, canonical(doc)))
+        forensics.finalize()
+        doc = forensics.serve_doc()
+        assert canonical(doc) == canonical(reference_serve_doc(forensics))
+        # Memoized parts are shared with later publishes, never mutated:
+        # every earlier document still reads as it did when published.
+        for doc, text in published:
+            assert canonical(doc) == text
+
+    def test_eviction_empties_a_resolved_incidents_slice(self):
+        forensics = forensics_under_test(capacity=4)
+        slices = []
+        for i in range(12):
+            fault = "straggler" if 2 <= i <= 3 else None
+            forensics.observe_window(make_window(i, **FAULTS.get(fault, {})))
+            doc = forensics.serve_doc()
+            assert canonical(doc) == canonical(reference_serve_doc(forensics))
+            slices.append([r["index"] for r in doc["records_by_id"].get(
+                "inc-001", [])])
+        assert forensics.incidents.incidents[0].status == "resolved"
+        assert slices[3] == [1, 2, 3]       # padded, still growing
+        assert slices[5] == [2, 3, 4]       # trimmed from below
+        assert slices[-1] == []             # evicted entirely
+        # The record memo leaves with its records: it never outgrows
+        # the ring.
+        resident = {r.index for r in forensics.recorder.records}
+        assert set(forensics.recorder._docs) <= resident
+
+    def test_open_count_matches_the_open_list_every_window(self, campaign):
+        log, store = campaign
+        forensics = forensics_under_test()
+        engine = StreamEngine(log, window_s=WINDOW_S)
+        engine.attach_recorder(forensics)
+        counts = []
+
+        def check(_window):
+            incidents = forensics.incidents
+            counts.append(len(incidents.open_incidents))
+            assert incidents.open_count == counts[-1]
+            assert forensics.summary()["incidents_open"] == counts[-1]
+            assert forensics.snapshot()["open"] == counts[-1]
+            assert (
+                forensics.metric_values()["forensics_incidents_open"]
+                == counts[-1]
+            )
+
+        engine.add_window_observer(check)
+        for chunk in replay_store(store, chunk_ticks=16):
+            engine.ingest(chunk)
+        engine.drain()
+        assert max(counts) > 0 and len(counts) > 10
+
+    def test_control_plane_renders_each_record_and_resolved_incident_once(
+        self, campaign, monkeypatch,
+    ):
+        log, store = campaign
+        record_calls, resolved_calls = {}, {}
+        record_to_dict = WindowRecord.to_dict
+        incident_to_dict = Incident.to_dict
+
+        def counted_record(self, *args, **kwargs):
+            record_calls[self.index] = record_calls.get(self.index, 0) + 1
+            return record_to_dict(self, *args, **kwargs)
+
+        def counted_incident(self, *args, **kwargs):
+            if not self.open:
+                resolved_calls[self.id] = resolved_calls.get(self.id, 0) + 1
+            return incident_to_dict(self, *args, **kwargs)
+
+        monkeypatch.setattr(WindowRecord, "to_dict", counted_record)
+        monkeypatch.setattr(Incident, "to_dict", counted_incident)
+        forensics = forensics_under_test(capacity=16)
+        plane = ControlPlane(log, window_s=WINDOW_S, forensics=forensics)
+        try:
+            for chunk in replay_store(store, chunk_ticks=16):
+                plane.ingest(chunk)
+            plane.drain()
+        finally:
+            plane.close()
+        assert plane.cache.view.version > 10
+        assert forensics.recorder.evicted > 0
+        assert record_calls and max(record_calls.values()) == 1
+        assert resolved_calls and max(resolved_calls.values()) == 1
+
+    def test_refresh_reports_serve_doc_as_its_own_span(self, campaign):
+        log, store = campaign
+        st_obs = runtime.enable()
+        plane = ControlPlane(log, window_s=WINDOW_S)
+        try:
+            for chunk in replay_store(store, chunk_ticks=16):
+                plane.ingest(chunk)
+            plane.drain()
+        finally:
+            plane.close()
+        spans = st_obs.tracer.finished
+        refresh = {s["span_id"] for s in spans if s["name"] == "serve.refresh"}
+        serve_doc = [s for s in spans if s["name"] == "forensics.serve_doc"]
+        assert len(serve_doc) == len(refresh) > 0
+        assert all(s["parent_id"] in refresh for s in serve_doc)

@@ -16,6 +16,7 @@ import threading
 import pytest
 
 from repro.errors import LogError
+from repro.obs.forensics import Forensics, forensics_doc
 from repro.obs.log import (
     EventLog,
     LogStore,
@@ -136,13 +137,13 @@ class TestEmission:
         assert 0 < len(ids_a) < 64
         assert log_a.sampled_out == 64 - len(ids_a)
 
-    def test_window_slice_only_sees_window_correlated_records(self):
+    def test_forensics_doc_embeds_only_window_correlated_records(self):
         log = EventLog()
         log.emit("info", "stream.window_seal", window=0, t_s=10.0)
         log.emit("debug", "serve.publish", t_s=11.0)       # cadence-driven
         log.emit("info", "stream.window_seal", window=1, t_s=20.0)
-        log.emit("warning", "forensics.finding", window=2, t_s=30.0)
-        ids = [r["id"] for r in log.window_slice(0, 1)]
+        doc = forensics_doc(Forensics().set_event_log(log))
+        ids = [r["id"] for r in doc["logs"]]
         assert ids == ["stream.window_seal:1", "stream.window_seal:2"]
 
     def test_reader_view_is_frozen_at_capture(self):
