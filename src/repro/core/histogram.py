@@ -9,7 +9,7 @@ O(bins) state and can absorb chunks of any size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import signal
@@ -57,15 +57,39 @@ class StreamingHistogram:
     def total_weight(self) -> float:
         return float(self.weight_sums.sum())
 
+    def bin_index(self, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(bins, clipped)`` of ``values``, binned in float64.
+
+        ``bins`` is each value's bin, clamped into range; ``clipped``
+        flags the values that fell outside it.  The one bin formula of
+        :meth:`add` and :func:`add_grouped`; a caller that folds the
+        same values into several histograms computes it once and passes
+        it as ``bins=``.
+        """
+        scaled = np.subtract(values, self.lo, dtype=np.float64)
+        scaled /= self.bin_width
+        idx = scaled.astype(np.int64)
+        # As unsigned, a negative index is huge: one compare flags both
+        # idx < 0 and idx >= n_bins.
+        clipped = idx.view(np.uint64) >= self.n_bins
+        if clipped.any():
+            np.clip(idx, 0, self.n_bins - 1, out=idx)
+        return idx, clipped
+
     def add(
-        self, values: np.ndarray, weights: Optional[np.ndarray] = None
+        self,
+        values: np.ndarray,
+        weights: Optional[np.ndarray] = None,
+        *,
+        bins: Optional[Tuple[np.ndarray, np.ndarray]] = None,
     ) -> None:
-        """Accumulate a chunk of samples (out-of-range values clip)."""
+        """Accumulate a chunk of samples (out-of-range values clip).
+
+        ``bins`` is :meth:`bin_index` of ``values``, if already known.
+        """
         values = np.asarray(values, dtype=float).reshape(-1)
-        idx = ((values - self.lo) / self.bin_width).astype(np.int64)
-        clipped = (idx < 0) | (idx >= self.n_bins)
-        self.n_clipped += int(clipped.sum())
-        idx = np.clip(idx, 0, self.n_bins - 1)
+        idx, clipped = self.bin_index(values) if bins is None else bins
+        self.n_clipped += int(np.count_nonzero(clipped))
         self.counts += np.bincount(idx, minlength=self.n_bins)
         if weights is None:
             self.weight_sums += np.bincount(
@@ -132,6 +156,8 @@ def add_grouped(
     group_idx: np.ndarray,
     values: np.ndarray,
     weights: Optional[np.ndarray] = None,
+    *,
+    bins: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> None:
     """Accumulate each sample into ``hists[group_idx[i]]`` in one pass.
 
@@ -139,7 +165,9 @@ def add_grouped(
     one masked :meth:`StreamingHistogram.add` call per group.  ``bincount``
     accumulates sequentially in array order — the same element order each
     per-group subset saw — so the resulting state is bitwise identical to
-    the per-group path.  All histograms must share their binning.
+    the per-group path.  All histograms must share their binning;
+    ``bins`` is their :meth:`~StreamingHistogram.bin_index` of
+    ``values``, if already known.
     """
     if not hists:
         raise TelemetryError("add_grouped needs at least one histogram")
@@ -161,10 +189,9 @@ def add_grouped(
         raise TelemetryError("group index out of range")
     n_groups, n_bins = len(hists), ref.n_bins
 
-    idx = ((values - ref.lo) / ref.bin_width).astype(np.int64)
-    clipped = (idx < 0) | (idx >= n_bins)
-    idx = np.clip(idx, 0, n_bins - 1)
-    key = group_idx * n_bins + idx
+    idx, clipped = ref.bin_index(values) if bins is None else bins
+    key = group_idx * n_bins
+    key += idx
     minlength = n_groups * n_bins
     counts = np.bincount(key, minlength=minlength).reshape(n_groups, n_bins)
     if weights is None:
@@ -176,7 +203,11 @@ def add_grouped(
     wsums = np.bincount(key, weights=w, minlength=minlength).reshape(
         n_groups, n_bins
     )
-    n_clip = np.bincount(group_idx[clipped], minlength=n_groups)
+    n_clip = (
+        np.bincount(group_idx[clipped], minlength=n_groups)
+        if clipped.any()
+        else np.zeros(n_groups, dtype=np.int64)
+    )
     for g, h in enumerate(hists):
         h.counts += counts[g]
         h.weight_sums += wsums[g]

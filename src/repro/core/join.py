@@ -48,11 +48,17 @@ def region_index(power_w: np.ndarray) -> np.ndarray:
     """Table IV region (0..3) of each power sample.
 
     Boundary samples go to the upper region: 200 W is memory-intensive,
-    560 W is boosted (the paper's ">= 560" region 4).
+    560 W is boosted (the paper's ">= 560" region 4).  The index is the
+    number of bounds at or below the sample, summed from three compares
+    in the sample's own dtype (the bounds are exact in float32).
+    Samples are finite (telemetry chunks reject NaN).
     """
-    return np.searchsorted(
-        np.asarray(REGION_BOUNDS), np.asarray(power_w), side="right"
-    )
+    power_w = np.asarray(power_w)
+    reg = np.empty(power_w.shape, dtype=np.int64)
+    np.greater_equal(power_w, REGION_BOUNDS[0], out=reg, casting="unsafe")
+    for bound in REGION_BOUNDS[1:]:
+        reg += power_w >= bound
+    return reg
 
 
 @dataclass
@@ -271,13 +277,16 @@ class CampaignAccumulator:
             n_d, n_c, 4
         ) * (interval / 3600.0)
 
-        self.histogram.add(flat_p)
-        # Per-domain histograms in one composite-key bincount pass; the
-        # repeat aligns row labels with the row-major sample flattening.
+        # One bin index for the system histogram and the per-domain ones
+        # (one composite-key bincount pass); the repeat aligns row labels
+        # with the row-major sample flattening.
+        bins = self.histogram.bin_index(flat_p)
+        self.histogram.add(flat_p, bins=bins)
         add_grouped(
             [self.domain_histograms[name] for name in self.domains],
             np.repeat(d_row, power.shape[1]),
             flat_p,
+            bins=bins,
         )
 
     def cube(self, *, copy: bool = False) -> CampaignCube:

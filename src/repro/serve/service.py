@@ -182,7 +182,9 @@ class ControlPlane:
             if self.forensics is not None:
                 self.forensics.set_event_log(self.event_log)
         self._req_seq = 0
-        self._refresh_lock = threading.Lock()
+        #: Serializes folds (with their window observers) and publishes;
+        #: reentrant because ingest and drain republish while holding it.
+        self._refresh_lock = threading.RLock()
         self._policy_lock = threading.Lock()
         self.stop_event = threading.Event()
         self._server: Optional[ControlPlaneServer] = None
@@ -190,16 +192,24 @@ class ControlPlane:
     # -- ingest -------------------------------------------------------------------
 
     def ingest(self, chunk: TelemetryChunk) -> int:
-        """Absorb one arrival chunk; republish if windows sealed."""
-        folded = self.engine.ingest(chunk)
-        if folded:
-            self.refresh()
+        """Absorb one arrival chunk; republish if windows sealed.
+
+        The fold, its window observers and the republish hold the
+        refresh lock, so a :meth:`set_policy` from the HTTP thread never
+        snapshots the engine mid-fold or renders a flight-recorder ring
+        an observer is appending to.
+        """
+        with self._refresh_lock:
+            folded = self.engine.ingest(chunk)
+            if folded:
+                self.refresh()
         return folded
 
     def drain(self) -> int:
         """Seal and fold everything buffered, then republish."""
-        folded = self.engine.drain()
-        self.refresh()
+        with self._refresh_lock:
+            folded = self.engine.drain()
+            self.refresh()
         return folded
 
     def run(

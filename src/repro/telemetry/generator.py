@@ -248,7 +248,8 @@ class _Renderer:
             n_streams=constants.GPUS_PER_NODE,
         )
         trace += rng.normal(0.0, self._noise, size=trace.shape)
-        return lo, hi, j, np.maximum(trace.T, 0.0), rng.uniform(0.2, 0.55)
+        np.maximum(trace, 0.0, out=trace)
+        return lo, hi, j, trace.T, rng.uniform(0.2, 0.55)
 
     def render(self, t_lo: int, t_hi: int):
         """``(gpu, cpu)`` float32 power of ticks ``[t_lo, t_hi)``.

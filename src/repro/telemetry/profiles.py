@@ -16,6 +16,7 @@ GPU-hour distribution reproduces Table IV (29.8 / 49.5 / 19.5 / 1.1 %).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Tuple
 
 import numpy as np
@@ -64,6 +65,22 @@ class PowerProfile:
         means = np.array([p.mean_w for p in self.phases])
         return float(np.dot(self.weights, means))
 
+    @cached_property
+    def _walk(self) -> tuple:
+        """``(draw_p, mean_dwell, dwell_means, means, stds)`` of the walk.
+
+        ``weight`` is the stationary *time* share; with unequal dwell
+        times the draw frequency must be weight / dwell (a short-dwell
+        phase needs more visits to hold the same time share).
+        """
+        dwell_means = np.array([p.dwell_mean_s for p in self.phases])
+        draw_p = self.weights / dwell_means
+        draw_p = draw_p / draw_p.sum()
+        mean_dwell = float(np.dot(draw_p, dwell_means))
+        means = np.array([p.mean_w for p in self.phases])
+        stds = np.array([p.std_w for p in self.phases])
+        return draw_p, mean_dwell, dwell_means, means, stds
+
     def sample_trace(
         self,
         n_samples: int,
@@ -76,19 +93,14 @@ class PowerProfile:
         Each stream is an independent semi-Markov phase walk: phase
         indices are drawn by stationary weight, dwell times are
         exponential, and samples take the active phase's mean plus
-        Gaussian spread.  Fully vectorized.
+        Gaussian spread.  Fully vectorized: the per-segment mean and
+        spread are expanded by run length (:func:`dwell_runs`).
         """
         if n_samples <= 0 or n_streams <= 0:
             raise TelemetryError("need positive n_samples and n_streams")
         gen = ensure_rng(rng)
+        draw_p, mean_dwell, dwell_means, means, stds = self._walk
         total_t = n_samples * interval_s
-        # `weight` is the stationary *time* share; with unequal dwell
-        # times the draw frequency must be weight / dwell (a short-dwell
-        # phase needs more visits to hold the same time share).
-        dwell_means = np.array([p.dwell_mean_s for p in self.phases])
-        draw_p = self.weights / dwell_means
-        draw_p = draw_p / draw_p.sum()
-        mean_dwell = float(np.dot(draw_p, dwell_means))
         # Enough dwell draws to cover the horizon with margin.
         n_draws = max(4, int(np.ceil(total_t / mean_dwell * 2.5)) + 8)
         phase_idx = gen.choice(
@@ -100,17 +112,28 @@ class PowerProfile:
         edges[:, -1] = np.maximum(edges[:, -1], total_t + interval_s)
 
         t = (np.arange(n_samples) + 0.5) * interval_s
-        # For each stream, which dwell segment is active at each time.
-        seg = np.empty((n_streams, n_samples), dtype=np.int64)
-        for s in range(n_streams):  # rows are few; searchsorted is the hot op
-            seg[s] = np.searchsorted(edges[s], t, side="right")
-        seg = np.minimum(seg, n_draws - 1)
-        active = np.take_along_axis(phase_idx, seg, axis=1)
+        runs = dwell_runs(edges, t).reshape(-1)
+        active = phase_idx.reshape(-1)
+        out = gen.normal(0.0, 1.0, size=(n_streams, n_samples))
+        out *= np.repeat(stds[active], runs).reshape(out.shape)
+        out += np.repeat(means[active], runs).reshape(out.shape)
+        return np.maximum(out, 0.0, out=out)
 
-        means = np.array([p.mean_w for p in self.phases])[active]
-        stds = np.array([p.std_w for p in self.phases])[active]
-        out = means + gen.normal(0.0, 1.0, size=means.shape) * stds
-        return np.maximum(out, 0.0)
+
+def dwell_runs(edges: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Ticks spent in each dwell segment, shaped like ``edges``.
+
+    ``edges`` holds each stream's (row's) ascending segment end times,
+    the last one past ``t[-1]``; ``t`` holds the ascending tick times.
+    Tick ``i`` lies in segment ``#{k : edges[k] <= t[i]}``, which is
+    ``#{k : below[k] <= i}`` with ``below[k]`` the number of ticks
+    before ``edges[k]``.  So segment ``k`` covers ticks
+    ``below[k-1] <= i < below[k]``, and each row sums to ``len(t)``:
+    one search per edge instead of one per tick.
+    """
+    runs = np.searchsorted(t, edges, side="left")
+    runs[:, 1:] -= runs[:, :-1].copy()
+    return runs
 
 
 def _profile(name: str, *rows: Tuple[float, float, float, float]) -> PowerProfile:

@@ -7,6 +7,7 @@ from repro import constants
 from repro.core.join import (
     IDLE_CLASS,
     IDLE_DOMAIN,
+    REGION_BOUNDS,
     join_campaign,
     region_index,
 )
@@ -19,6 +20,39 @@ class TestRegionIndex:
         np.testing.assert_array_equal(
             region_index(p), [0, 0, 1, 1, 2, 2, 3, 3]
         )
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(0,), (97,), (41, 4), (3, 5, 4)])
+    def test_matches_searchsorted_oracle(self, dtype, shape):
+        bounds = np.asarray(REGION_BOUNDS)
+        exact = np.array(REGION_BOUNDS, dtype=dtype)
+        edge_values = np.concatenate(
+            [
+                exact,
+                np.nextafter(exact, dtype(0)),
+                np.nextafter(exact, dtype(np.inf)),
+                np.array([0.0, 650.0, 1e4], dtype=dtype),
+            ]
+        )
+        rng = np.random.default_rng(shape[0])
+        p = rng.uniform(0.0, 700.0, size=shape).astype(dtype)
+        flat = p.reshape(-1)
+        k = min(len(edge_values), flat.size)
+        flat[:k] = edge_values[:k]
+        got = region_index(p)
+        want = np.searchsorted(bounds, p, side="right")
+        assert got.dtype == np.int64
+        assert got.shape == p.shape
+        np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bound_neighbours(self, dtype):
+        exact = np.array(REGION_BOUNDS, dtype=dtype)
+        below = np.nextafter(exact, dtype(0))
+        above = np.nextafter(exact, dtype(np.inf))
+        np.testing.assert_array_equal(region_index(below), [0, 1, 2])
+        np.testing.assert_array_equal(region_index(exact), [1, 2, 3])
+        np.testing.assert_array_equal(region_index(above), [1, 2, 3])
 
 
 class TestJoin:

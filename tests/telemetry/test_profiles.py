@@ -8,6 +8,7 @@ from repro.telemetry.profiles import (
     PROFILES,
     PowerProfile,
     ProfilePhase,
+    dwell_runs,
     region_shares,
 )
 
@@ -86,3 +87,48 @@ class TestSampleTrace:
             p.sample_trace(0, 15.0)
         with pytest.raises(TelemetryError):
             p.sample_trace(10, 15.0, n_streams=0)
+
+
+def _segment_oracle(edges, t):
+    """Active segment of every tick by one search per tick and stream."""
+    seg = np.stack([np.searchsorted(e, t, side="right") for e in edges])
+    return np.minimum(seg, edges.shape[1] - 1)
+
+
+class TestDwellRuns:
+    def _check(self, edges, t):
+        runs = dwell_runs(edges.copy(), t)
+        assert runs.shape == edges.shape
+        assert (runs >= 0).all() and (runs.sum(axis=1) == len(t)).all()
+        segments = np.arange(edges.shape[1])
+        expanded = np.stack([np.repeat(segments, r) for r in runs])
+        np.testing.assert_array_equal(expanded, _segment_oracle(edges, t))
+
+    def test_edges_on_tick_times(self):
+        # Ties: an edge equal to a tick time starts the next segment on
+        # that tick; repeated edges give empty segments.
+        interval = 15.0
+        t = (np.arange(10) + 0.5) * interval
+        edges = np.array(
+            [
+                [t[0], t[0], t[3], t[3] + 1e-9, t[9], 11 * interval],
+                [0.1, t[2], t[2], t[5], t[8], 12 * interval],
+                [t[9] + 1.0, 20 * interval, 21 * interval,
+                 22 * interval, 23 * interval, 24 * interval],
+            ]
+        )
+        self._check(edges, t)
+
+    def test_random_walks_with_snapped_edges(self):
+        rng = np.random.default_rng(3)
+        interval = 15.0
+        for n in (1, 2, 7, 100, 999):
+            t = (np.arange(n) + 0.5) * interval
+            edges = np.cumsum(rng.exponential(40.0, size=(4, n + 8)), axis=1)
+            # Snap a third of the edges onto the nearest tick time.
+            snap = rng.random(edges.shape) < 1 / 3
+            ticks = np.clip(np.rint(edges / interval - 0.5), 0, n - 1)
+            edges[snap] = ((ticks + 0.5) * interval)[snap]
+            edges = np.maximum.accumulate(edges, axis=1)
+            edges[:, -1] = np.maximum(edges[:, -1], (n + 1) * interval)
+            self._check(edges, t)
