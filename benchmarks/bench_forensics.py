@@ -87,13 +87,13 @@ WINDOW_S = 600.0
 
 def _one_pass(log, chunks, *, recorder: bool):
     engine = StreamEngine(log, window_s=WINDOW_S)
-    if recorder:
-        engine.attach_recorder(Forensics())
+    forensics = Forensics() if recorder else None
+    engine.attach(forensics=forensics)
     t0 = time.perf_counter()
     for chunk in chunks:
         engine.ingest(chunk)
     engine.drain()
-    return (time.perf_counter() - t0) * 1e3, engine
+    return (time.perf_counter() - t0) * 1e3, engine, forensics
 
 
 def _publish_pass(log, chunks) -> list:
@@ -152,8 +152,8 @@ def measure(*, rounds: int, seed: int = 0) -> dict:
     summary = None
     for _ in range(rounds):
         # Alternate order so cache warmth cannot bias one side.
-        t_plain, plain = _one_pass(log, chunks, recorder=False)
-        t_rec, rec = _one_pass(log, chunks, recorder=True)
+        t_plain, plain, _ = _one_pass(log, chunks, recorder=False)
+        t_rec, rec, forensics = _one_pass(log, chunks, recorder=True)
         plain_ms.append(t_plain)
         recorded_ms.append(t_rec)
         a, b = plain.cube(copy=False), rec.cube(copy=False)
@@ -162,7 +162,7 @@ def measure(*, rounds: int, seed: int = 0) -> dict:
             and np.array_equal(a.gpu_hours, b.gpu_hours)
             and a.cpu_energy_j == b.cpu_energy_j
         )
-        summary = rec.forensics.summary()
+        summary = forensics.summary()
 
     best_plain = min(plain_ms)
     best_recorded = min(recorded_ms)

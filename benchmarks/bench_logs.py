@@ -82,7 +82,7 @@ QUERY_SPAN_S = 120.0
 def _one_pass(log, chunks, *, eventlog=None):
     engine = StreamEngine(log, window_s=WINDOW_S)
     if eventlog is not None:
-        engine.attach_log(eventlog)
+        engine.attach(event_log=eventlog)
     t0 = time.perf_counter()
     for chunk in chunks:
         engine.ingest(chunk)

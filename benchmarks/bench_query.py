@@ -194,7 +194,7 @@ def invisibility_smoke(*, seed: int = 0) -> bool:
         )
         engine = StreamEngine(log, interval_s=WINDOW_S, window_s=WINDOW_S)
         if attach:
-            engine.attach_history(History())
+            engine.attach(history=History())
         for chunk in source:
             engine.ingest(chunk)
         engine.drain()

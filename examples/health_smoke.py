@@ -47,7 +47,7 @@ def main() -> int:
     monitor = HealthMonitor()
     engine = StreamEngine(
         log, window_s=jitter_s / 4, lateness_s=0.0
-    ).attach_health(monitor)
+    ).attach(health=monitor)
 
     with HealthServer(monitor=monitor) as srv:
         print(f"health exporter on {srv.url}")

@@ -1077,7 +1077,6 @@ def _stream(args) -> int:
     monitor = server = dashboard = None
     if args.watch or args.serve is not None or args.rules is not None:
         monitor, server = _build_health(args)
-        engine.attach_health(monitor)
         if server is not None:
             print(
                 f"health exporter on {server.url} "
@@ -1087,9 +1086,11 @@ def _stream(args) -> int:
             from .obs.health import Dashboard
 
             dashboard = Dashboard()
-    # The flight recorder rides along whenever someone is watching or
-    # artifacts were requested; it never changes the fold itself.
-    forensics = None
+    # The window sinks ride along whenever someone is watching or
+    # artifacts were requested; none of them changes the fold itself.
+    # Stores persist when --history-dir/--log-dir name a directory and
+    # stay in memory for the --watch panes.
+    forensics = history = eventlog = None
     if args.watch or args.obs or args.obs_dir:
         from .obs.forensics import Forensics
         from .serve.jobs import JobStateIndex
@@ -1099,32 +1100,17 @@ def _stream(args) -> int:
             if monitor is not None and monitor.drift is not None
             else None
         )
-        forensics = Forensics(
-            reference=reference,
-            tagger=JobStateIndex(log),
-            monitor=monitor,
-        )
-        engine.attach_recorder(forensics)
-    # The history store likewise rides the window-observer hook:
-    # persistent when --history-dir names a directory, in-memory for
-    # the --watch SLO pane.
-    history = None
+        forensics = Forensics(reference=reference, tagger=JobStateIndex(log))
     if args.watch or args.history_dir:
         from .obs.history import History
 
-        history = History(dir=args.history_dir, monitor=monitor)
-        engine.attach_history(history)
-    # The structured event log attaches last on the same hook:
-    # persistent when --log-dir names a directory, in-memory for the
-    # --watch tail pane.
-    eventlog = None
+        history = History(dir=args.history_dir)
     if args.watch or args.log_dir:
         eventlog = _open_event_log(args.log_dir)
-        engine.attach_log(eventlog)
-        if monitor is not None:
-            monitor.alerts.add_listener(eventlog.alert_transition)
-        if forensics is not None:
-            forensics.set_event_log(eventlog)
+    engine.attach(
+        health=monitor, forensics=forensics, history=history,
+        event_log=eventlog,
+    )
     # --watch refreshes at the snapshot cadence; plain snapshots stay
     # opt-in via --snapshot-every as before.
     watch_every = args.snapshot_every or 20

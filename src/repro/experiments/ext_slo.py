@@ -107,7 +107,7 @@ def _run_history(store, log, *, chunk_ticks: int, dir=None):
         window_s=WINDOW_S,
     )
     history = History(dir=dir)
-    engine.attach_history(history)
+    engine.attach(history=history)
     for chunk in replay_store(store, chunk_ticks=chunk_ticks):
         engine.ingest(chunk)
     engine.drain()

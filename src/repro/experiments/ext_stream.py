@@ -145,7 +145,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     broken_window_s = lateness_s / 4
     broken = StreamEngine(
         log, window_s=broken_window_s, lateness_s=0.0
-    ).attach_health(monitor)
+    ).attach(health=monitor)
     broken.run(perturb(
         store,
         seed=config.seed + 2,

@@ -5,7 +5,9 @@ profiles → health → **forensics**): it remembers what the fleet did
 per sealed window, notices when a window misbehaves, and packages the
 evidence.  :class:`Forensics` is the facade that ties the pieces to a
 :class:`~repro.stream.engine.StreamEngine` via
-``engine.attach_recorder(forensics)``:
+``engine.attach(forensics=forensics)``, the first of the engine's
+window sinks (forensics, history, log), which all share the one
+:class:`~.recorder.WindowRecord` the engine builds per sealed window:
 
 * :class:`~.recorder.FlightRecorder` — bounded ring of per-window
   :class:`~.recorder.WindowRecord` entries (fleet/per-node energy, cap
@@ -24,7 +26,7 @@ incident ids, whatever the delivery order or chunking.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ... import constants
 from .bundle import (
@@ -76,31 +78,22 @@ __all__ = [
     "write_forensics_artifacts",
 ]
 
-#: ``decision_feed() -> (cap, objective, published_version, frontier_s)``
-DecisionFeed = Callable[
-    [], Tuple[Optional[float], Optional[str], Optional[int], Optional[float]]
-]
-
-
 class Forensics:
     """Recorder + detectors + incident engine behind one observer.
 
-    Attach to an engine with ``engine.attach_recorder(forensics)``;
+    Attach to an engine with ``engine.attach(forensics=forensics)``;
     every sealed window then flows through :meth:`observe_window` in
-    canonical fold order.  A control plane additionally wires
-    :meth:`set_decision_feed` so records carry the decision in force,
-    and :meth:`set_monitor` so records carry alert-state deltas.
+    canonical fold order, with the engine's record of it (ingest and
+    alert deltas, the decision in force).
     """
 
     def __init__(
         self,
         *,
         capacity: int = DEFAULT_CAPACITY,
-        power_limit_w: float = constants.GCD_MAX_POWER_W,
         detectors: Optional[List[Detector]] = None,
         reference=None,
         tagger=None,
-        monitor=None,
         merge_gap: int = 2,
         top_k: int = 5,
         interval_s: float = constants.TELEMETRY_INTERVAL_S,
@@ -114,34 +107,17 @@ class Forensics:
             merge_gap=merge_gap, top_k=top_k,
             tagger=tagger, interval_s=interval_s,
         )
-        self.power_limit_w = float(power_limit_w)
         self.interval_s = float(interval_s)
-        self.monitor = monitor
         self.event_log = None
-        self._decision_feed: Optional[DecisionFeed] = None
-        self._prev_samples_in = 0
-        self._prev_late = 0
-        self._prev_dup = 0
-        self._prev_transitions = 0
-        self._engine = None
 
     # -- wiring -------------------------------------------------------------------
 
     def bind_engine(self, engine) -> "Forensics":
-        """Adopt the engine's stream geometry (called by attach_recorder)."""
-        self._engine = engine
+        """Adopt the engine's stream geometry (called by its attach)."""
         self.interval_s = float(engine.buffer.interval_s)
         self.incidents.interval_s = self.interval_s
         for detector in self.detectors:
             detector.bind(window_s=float(engine.buffer.window_s))
-        return self
-
-    def set_decision_feed(self, feed: DecisionFeed) -> "Forensics":
-        self._decision_feed = feed
-        return self
-
-    def set_monitor(self, monitor) -> "Forensics":
-        self.monitor = monitor
         return self
 
     def set_tagger(self, tagger) -> "Forensics":
@@ -188,44 +164,19 @@ class Forensics:
 
     # -- the window observer ------------------------------------------------------
 
-    def observe_window(self, window) -> None:
-        """Record one sealed window, run detectors, fold incidents."""
-        cap = objective = version = frontier = None
-        if self._decision_feed is not None:
-            cap, objective, version, frontier = self._decision_feed()
-        samples_in = late = dup = 0
-        if self._engine is not None:
-            buf = self._engine.buffer
-            samples_in = buf.samples_in - self._prev_samples_in
-            late = buf.late_dropped - self._prev_late
-            dup = buf.duplicates - self._prev_dup
-            self._prev_samples_in = buf.samples_in
-            self._prev_late = buf.late_dropped
-            self._prev_dup = buf.duplicates
-        firing = transitions = 0
-        if self.monitor is not None:
-            alerts = self.monitor.alerts
-            firing = sum(
-                1 for row in alerts.rule_states()
-                if row["state"] == "firing"
+    def observe_window(self, window, record=None) -> None:
+        """Record one sealed window, run detectors, fold incidents.
+
+        ``record`` is the engine's record of the window; without one
+        (offline replay) it is built here with zero deltas and no
+        decision.
+        """
+        if record is None:
+            record = make_record(
+                window,
+                index=self.recorder.windows_seen,
+                interval_s=self.interval_s,
             )
-            transitions = alerts.transitions - self._prev_transitions
-            self._prev_transitions = alerts.transitions
-        record = make_record(
-            window,
-            index=self.recorder.windows_seen,
-            interval_s=self.interval_s,
-            power_limit_w=self.power_limit_w,
-            cap=cap,
-            objective=objective,
-            published_version=version,
-            published_frontier_s=frontier,
-            samples_in_delta=samples_in,
-            late_dropped_delta=late,
-            duplicates_delta=dup,
-            alerts_firing=firing,
-            alert_transitions_delta=transitions,
-        )
         self.recorder.append(record)
         findings: List[Finding] = []
         for detector in self.detectors:

@@ -13,14 +13,17 @@ Everything is clock-free by construction: evaluation is driven by the
 stream's event-time watermark, so a replayed campaign yields the
 identical alert timeline, and the whole layer is read-only with respect
 to the pipeline — outputs stay bitwise identical with health monitoring
-on (asserted in ``tests/obs/``).
+on (asserted in ``tests/obs/``).  Attached with the window sinks in one
+``engine.attach(health=monitor, ...)`` call, the monitor's alert state
+is stamped on every window record, and an attached event log hears its
+alert transitions.
 
 Usage::
 
     from repro.obs.health import HealthMonitor, HealthServer
 
     monitor = HealthMonitor()           # default ruleset + paper reference
-    engine.attach_health(monitor)       # evaluated per drained window
+    engine.attach(health=monitor)       # evaluated per drained window
     with HealthServer(monitor=monitor, port=9109) as srv:
         engine.run(source)              # scrape srv.url + "/metrics"
     print(monitor.to_health_dict()["status"])

@@ -8,7 +8,9 @@ memmap segments with deterministic multi-resolution rollups, so
 "what did fleet energy look like last week?" is a < 50 ms range query
 instead of a campaign replay.  :class:`History` is the facade that
 ties the pieces to a :class:`~repro.stream.engine.StreamEngine` via
-``engine.attach_history(history)``:
+``engine.attach(history=history)``; each row is derived from the
+:class:`~repro.obs.forensics.recorder.WindowRecord` the engine builds
+once per sealed window and shares with every sink:
 
 * :class:`~.store.HistoryStore` — append-only out-of-core columnar
   segments + rollup levels (see ``docs/observability.md``);
@@ -32,7 +34,6 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
 from ... import constants
-from ..forensics.recorder import make_record
 from ..health.rules import AlertEngine, render_events
 from .query import QueryResult, auto_level, select, verify_rollups
 from .slo import (
@@ -128,13 +129,12 @@ def history_columns() -> List[Tuple[str, str]]:
 class History:
     """Store + SLO evaluation behind one engine observer.
 
-    Attach to an engine with ``engine.attach_history(history)``; every
-    sealed window is compacted to one columnar row, appended to the
-    store (rolling up as buckets complete), and the SLO burn rates are
-    re-evaluated at the window's end time.  A control plane
-    additionally wires :meth:`set_decision_feed` (rows carry the cap
-    in force) and :meth:`set_registry` (per-window serve-latency
-    good/bad counts for the ``serve_latency`` SLO).
+    Attach to an engine with ``engine.attach(history=history)``;
+    every sealed window's record is compacted to one columnar row,
+    appended to the store (rolling up as buckets complete), and the
+    SLO burn rates are re-evaluated at the window's end time.  A
+    control plane additionally wires :meth:`set_registry` (per-window
+    serve-latency good/bad counts for the ``serve_latency`` SLO).
     """
 
     def __init__(
@@ -143,8 +143,6 @@ class History:
         dir: Optional[Union[str, Path]] = None,
         store: Optional[HistoryStore] = None,
         slos: Optional[List[SLO]] = None,
-        monitor=None,
-        power_limit_w: float = constants.GCD_MAX_POWER_W,
         power_budget_w: float = DEFAULT_POWER_BUDGET_W,
         slow_request_s: float = DEFAULT_SLOW_REQUEST_S,
         interval_s: float = constants.TELEMETRY_INTERVAL_S,
@@ -154,8 +152,6 @@ class History:
         self._dir = None if dir is None else Path(dir)
         self.store = store
         self.slos = list(slos) if slos is not None else default_slos()
-        self.monitor = monitor
-        self.power_limit_w = float(power_limit_w)
         self.power_budget_w = float(power_budget_w)
         self.slow_request_s = float(slow_request_s)
         self.interval_s = float(interval_s)
@@ -163,22 +159,15 @@ class History:
         self.rollup_factors = tuple(rollup_factors)
         self.evaluator = SLOEvaluator(self.slos)
         self.slo_alerts = AlertEngine(slo_rules(self.slos))
-        self._decision_feed = None
         self._registry = None
         self._registry_lock = None
-        self._engine = None
         self._index = 0
-        self._prev_samples_in = 0
-        self._prev_late = 0
-        self._prev_dup = 0
-        self._prev_transitions = 0
         self._prev_serve = (0.0, 0.0)
 
     # -- wiring -------------------------------------------------------------------
 
     def bind_engine(self, engine) -> "History":
-        """Adopt the engine's stream geometry (via attach_history)."""
-        self._engine = engine
+        """Adopt the engine's stream geometry (called by its attach)."""
         self.interval_s = float(engine.buffer.interval_s)
         if self.store is None:
             self.store = HistoryStore(
@@ -190,18 +179,10 @@ class History:
                 meta={
                     "schema": "window-record",
                     "interval_s": self.interval_s,
-                    "power_limit_w": self.power_limit_w,
+                    "power_limit_w": constants.GCD_MAX_POWER_W,
                     "power_budget_w": self.power_budget_w,
                 },
             )
-        return self
-
-    def set_decision_feed(self, feed) -> "History":
-        self._decision_feed = feed
-        return self
-
-    def set_monitor(self, monitor) -> "History":
-        self.monitor = monitor
         return self
 
     def set_registry(self, registry, lock=None) -> "History":
@@ -228,46 +209,8 @@ class History:
             "serve_request_seconds", self.slow_request_s
         )
 
-    def observe_window(self, window) -> None:
+    def observe_window(self, window, record) -> None:
         """Append one sealed window's row; re-evaluate the SLOs."""
-        if len(window) == 0:
-            return
-        cap = objective = version = frontier = None
-        if self._decision_feed is not None:
-            cap, objective, version, frontier = self._decision_feed()
-        samples_in = late = dup = 0
-        if self._engine is not None:
-            buf = self._engine.buffer
-            samples_in = buf.samples_in - self._prev_samples_in
-            late = buf.late_dropped - self._prev_late
-            dup = buf.duplicates - self._prev_dup
-            self._prev_samples_in = buf.samples_in
-            self._prev_late = buf.late_dropped
-            self._prev_dup = buf.duplicates
-        firing = transitions = 0
-        if self.monitor is not None:
-            alerts = self.monitor.alerts
-            firing = sum(
-                1 for row in alerts.rule_states()
-                if row["state"] == "firing"
-            )
-            transitions = alerts.transitions - self._prev_transitions
-            self._prev_transitions = alerts.transitions
-        record = make_record(
-            window,
-            index=self._index,
-            interval_s=self.interval_s,
-            power_limit_w=self.power_limit_w,
-            cap=cap,
-            objective=objective,
-            published_version=version,
-            published_frontier_s=frontier,
-            samples_in_delta=samples_in,
-            late_dropped_delta=late,
-            duplicates_delta=dup,
-            alerts_firing=firing,
-            alert_transitions_delta=transitions,
-        )
         self._index += 1
         gpus = window.gpu_power_w.shape[1]
         gpu_samples = float(record.samples * gpus)
@@ -289,15 +232,20 @@ class History:
             "gpu_hours": record.gpu_hours,
             "max_gpu_power_w": record.max_gpu_power_w,
             "over_limit_samples": float(record.over_limit_samples),
-            "cap_w": float("nan") if cap is None else float(cap),
-            "published_version": (
-                float("nan") if version is None else float(version)
+            "cap_w": (
+                float("nan") if record.cap is None else float(record.cap)
             ),
-            "samples_in_delta": float(samples_in),
-            "late_dropped_delta": float(late),
-            "duplicates_delta": float(dup),
-            "alerts_firing": float(firing),
-            "alert_transitions_delta": float(transitions),
+            "published_version": (
+                float("nan") if record.published_version is None
+                else float(record.published_version)
+            ),
+            "samples_in_delta": float(record.samples_in_delta),
+            "late_dropped_delta": float(record.late_dropped_delta),
+            "duplicates_delta": float(record.duplicates_delta),
+            "alerts_firing": float(record.alerts_firing),
+            "alert_transitions_delta": float(
+                record.alert_transitions_delta
+            ),
             "energy_budget_j": budget_j,
             "energy_over_budget_j": over_j,
             "serve_requests": serve_delta,

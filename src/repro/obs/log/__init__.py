@@ -13,7 +13,9 @@ Completes the metrics/traces/logs observability triad.  The pieces:
   behind ``/v1/logs`` and ``repro obs logs``.
 
 Attach an :class:`EventLog` to a stream engine with
-``engine.attach_log(log)``, pass one to the control plane as
+``engine.attach(event_log=log)`` — the last of its window sinks, after
+forensics and history, each fed the one record the engine builds per
+sealed window — pass one to the control plane as
 ``ControlPlane(..., event_log=log)``, or hand it to
 ``repro.obs.enable(log=log)`` so worker-process emissions fold back
 through :func:`repro.parallel.chunked_map` payloads in canonical chunk

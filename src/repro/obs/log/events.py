@@ -31,7 +31,7 @@ from __future__ import annotations
 import threading
 import zlib
 from collections import deque
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from ...errors import LogError
 from .. import runtime as _runtime
@@ -54,11 +54,6 @@ DEFAULT_RATE_LIMITS = {
 #: stored under the same key when not ``None``.
 _CORRELATION_KEYS = ("trace_id", "span_id", "window", "node", "job",
                      "shard", "unit", "incident", "cap_version")
-
-#: Feed signature shared with forensics/history:
-#: () -> (cap_w, objective, published_version, frontier_s).
-DecisionFeed = Callable[[], Tuple[Optional[float], Optional[str],
-                                  Optional[int], Optional[float]]]
 
 
 class TokenBucket:
@@ -121,10 +116,11 @@ class EventLog:
     Thread-safe: one lock serializes emission, so request handlers,
     the ingest loop, and the refresh thread can all emit concurrently.
     Attach to a :class:`~repro.stream.engine.StreamEngine` via
-    ``engine.attach_log(log)`` — the facade then emits window-seal and
-    late-drop/duplicate-spike events per sealed window and contributes
-    ``log_*`` metric values.  An optional :class:`LogStore` persists
-    every kept record to rotated JSONL segments.
+    ``engine.attach(event_log=log)`` — the facade then emits window-seal
+    and late-drop/duplicate-spike events from each sealed window's
+    record and contributes ``log_*`` metric values.  An optional
+    :class:`LogStore` persists every kept record to rotated JSONL
+    segments.
     """
 
     def __init__(self, *, capacity: int = 4096, level: str = "debug",
@@ -157,13 +153,6 @@ class EventLog:
         self.sampled_out = 0
         self.evicted = 0
         self.filtered = 0
-        # Engine-facade state.
-        self._decision_feed: Optional[DecisionFeed] = None
-        self._interval_s = 1.0
-        self._windows = 0
-        self._prev_late = 0
-        self._prev_dup = 0
-        self._engine = None
 
     # -- emission -----------------------------------------------------
 
@@ -289,46 +278,29 @@ class EventLog:
 
     # -- engine facade ------------------------------------------------
 
-    def bind_engine(self, engine) -> None:
-        """Adopt engine geometry and counter baselines (attach-time)."""
-        self._engine = engine
-        self._interval_s = engine.buffer.interval_s
-        self._prev_late = engine.buffer.late_dropped
-        self._prev_dup = engine.buffer.duplicates
+    def observe_window(self, window, record) -> None:
+        """Per sealed window: a seal event plus late/duplicate spikes.
 
-    def set_decision_feed(self, feed: Optional[DecisionFeed]) -> None:
-        """Wire the control-plane feed that stamps ``cap_version``."""
-        self._decision_feed = feed
-
-    def observe_window(self, window) -> None:
-        """Per sealed window: a seal event plus late/duplicate spikes."""
-        index = self._windows
-        self._windows += 1
-        t_end = float(window.time_s.max()) + self._interval_s
-        cap = version = None
-        if self._decision_feed is not None:
-            cap, _objective, version, _frontier = self._decision_feed()
+        Everything is read from the engine's ``record`` of the window:
+        its fold index, the decision in force and the ingest deltas.
+        """
+        index, t_end = record.index, record.t_end_s
         self.emit(
             "info", "stream.window_seal",
-            f"window {index} sealed ({window.time_s.shape[0]} samples)",
-            t_s=t_end, window=index, cap_version=version,
-            samples=int(window.time_s.shape[0]),
-            **({} if cap is None else {"cap_w": float(cap)}),
+            f"window {index} sealed ({record.samples} samples)",
+            t_s=t_end, window=index, cap_version=record.published_version,
+            samples=record.samples,
+            **({} if record.cap is None else {"cap_w": float(record.cap)}),
         )
-        if self._engine is not None:
-            buf = self._engine.buffer
-            late = buf.late_dropped - self._prev_late
-            dup = buf.duplicates - self._prev_dup
-            self._prev_late = buf.late_dropped
-            self._prev_dup = buf.duplicates
-            if late > 0:
-                self.emit("warning", "stream.late_drop",
-                          f"{late} late samples dropped", t_s=t_end,
-                          window=index, dropped=int(late))
-            if dup > 0:
-                self.emit("warning", "stream.duplicates",
-                          f"{dup} duplicate samples discarded", t_s=t_end,
-                          window=index, duplicates=int(dup))
+        late, dup = record.late_dropped_delta, record.duplicates_delta
+        if late > 0:
+            self.emit("warning", "stream.late_drop",
+                      f"{late} late samples dropped", t_s=t_end,
+                      window=index, dropped=int(late))
+        if dup > 0:
+            self.emit("warning", "stream.duplicates",
+                      f"{dup} duplicate samples discarded", t_s=t_end,
+                      window=index, duplicates=int(dup))
 
     def alert_transition(self, event: dict) -> None:
         """AlertEngine transition listener -> one log record."""

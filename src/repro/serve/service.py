@@ -128,25 +128,13 @@ class ControlPlane:
         self.engine.add_window_observer(self.job_acc.update)
         self.engine.add_metric_source(self.serve_metric_values)
         self.monitor = monitor
-        if monitor is not None:
-            self.engine.attach_health(monitor)
-        # The flight recorder rides the same window-observer hook,
-        # *after* the per-job fold, so a record sees the decision that
-        # was in force while its window's samples were charged (window
-        # observers run before refresh() republishes).
         if forensics is True:
             from ..obs.forensics import Forensics
 
-            forensics = Forensics(
-                tagger=self.index, monitor=monitor, interval_s=interval_s,
-            )
+            forensics = Forensics()
         self.forensics = forensics if forensics else None
         if self.forensics is not None:
             self.forensics.set_tagger(self.index)
-            if monitor is not None and self.forensics.monitor is None:
-                self.forensics.set_monitor(monitor)
-            self.forensics.set_decision_feed(self._decision_feed)
-            self.engine.attach_recorder(self.forensics)
         self.registry = (
             registry
             if registry is not None
@@ -157,30 +145,25 @@ class ControlPlane:
         #: Guards metric writes vs /metrics renders (the registry's own
         #: lock only covers family creation, not series iteration).
         self.metrics_lock = threading.Lock()
-        # The history store rides the window-observer hook after the
-        # per-job fold and the flight recorder, so its rows see the
-        # same decision-in-force the recorder stamps.
         self.history = history if history else None
         if self.history is not None:
-            if monitor is not None and self.history.monitor is None:
-                self.history.set_monitor(monitor)
-            self.history.set_decision_feed(self._decision_feed)
             self.history.set_registry(
                 self.registry, lock=self.metrics_lock
             )
-            self.engine.attach_history(self.history)
-        # The structured event log attaches last on the same hook, so a
-        # window-seal record sees state every earlier fold has already
-        # advanced; serving-side events (decide_cap, publish, policy,
-        # shutdown) are emitted by the methods below.
+        # Serving-side events (decide_cap, publish, policy, shutdown)
+        # are emitted by the methods below.
         self.event_log = event_log if event_log else None
-        if self.event_log is not None:
-            self.event_log.set_decision_feed(self._decision_feed)
-            self.engine.attach_log(self.event_log)
-            if monitor is not None:
-                monitor.alerts.add_listener(self.event_log.alert_transition)
-            if self.forensics is not None:
-                self.forensics.set_event_log(self.event_log)
+        # The window sinks ride the engine *after* the per-job fold, so
+        # each window's record stamps the decision that was in force
+        # while its samples were charged (window observers run before
+        # refresh() republishes).
+        self.engine.decision_feed = self._decision_feed
+        self.engine.attach(
+            health=monitor,
+            forensics=self.forensics,
+            history=self.history,
+            event_log=self.event_log,
+        )
         self._req_seq = 0
         #: Serializes folds (with their window observers) and publishes;
         #: reentrant because ingest and drain republish while holding it.
@@ -385,7 +368,7 @@ class ControlPlane:
         self.close()
 
     def _decision_feed(self):
-        """What the flight recorder stamps on each sealed window.
+        """The decision every sealed window's record stamps.
 
         Reads the *published* view — the decision a live fleet was
         acting on while the window's samples were generated — not the

@@ -28,8 +28,9 @@ from ..core.heatmap import table6_selection
 from ..core.join import CampaignAccumulator, CampaignCube
 from ..core.modes import ModeTable, decompose_modes
 from ..core.projection import ProjectionTable, project_savings
-from ..errors import ProjectionError
+from ..errors import ObservabilityError, ProjectionError
 from ..obs import runtime as _obs
+from ..obs.forensics.recorder import make_record
 from ..policy.live import FleetRecommendation, recommend_fleet_cap
 from ..scheduler.log import SchedulerLog
 from ..telemetry.schema import TelemetryChunk
@@ -172,17 +173,16 @@ class StreamEngine:
         #: Optional :class:`repro.obs.health.HealthMonitor`, evaluated
         #: after every ingest call that folded windows (and at drain).
         self.health = None
-        #: Optional :class:`repro.obs.forensics.Forensics` facade,
-        #: attached via :meth:`attach_recorder`.
-        self.forensics = None
-        #: Optional :class:`repro.obs.history.History` facade,
-        #: attached via :meth:`attach_history`.
-        self.history = None
-        #: Optional :class:`repro.obs.log.EventLog`,
-        #: attached via :meth:`attach_log`.
-        self.eventlog = None
+        #: Optional ``() -> (cap, objective, published_version,
+        #: frontier_s)``: the decision in force, stamped on every
+        #: window record (a control plane sets it).
+        self.decision_feed = None
         self._window_observers: List = []
         self._metric_sources: List = []
+        #: Window sinks attached via :meth:`attach`, in fold order.
+        self._sinks: List = []
+        self._sink_windows = 0
+        self._sink_counters = (0, 0, 0, 0)
 
     def add_window_observer(self, fn) -> "StreamEngine":
         """Call ``fn(window)`` for every sealed window, in fold order.
@@ -208,67 +208,102 @@ class StreamEngine:
         self._metric_sources.append(fn)
         return self
 
-    def attach_recorder(self, forensics) -> "StreamEngine":
-        """Attach a flight-recorder facade (:mod:`repro.obs.forensics`).
+    def attach(
+        self, *, health=None, forensics=None, history=None, event_log=None
+    ) -> "StreamEngine":
+        """Attach a health monitor and the window sinks.
 
-        The facade rides the window-observer hook — every sealed window
-        is compacted into its bounded ring and run through the anomaly
-        detectors, in canonical fold order — and its gauges
-        (``forensics_*``) ride the metric-source hook.  Like the health
-        monitor, the recorder only *reads* windows, so attaching one
+        The sinks — a flight recorder (:mod:`repro.obs.forensics`), a
+        long-horizon history (:mod:`repro.obs.history`) and a structured
+        event log (:mod:`repro.obs.log`) — see every sealed window in
+        that fixed order, as ``sink.observe_window(window, record)``
+        with one shared :class:`~repro.obs.forensics.WindowRecord`
+        built once per window: its index counts windows since attach,
+        its ingest deltas are taken against the buffer counters at
+        attach time, its alert counts read :attr:`health`, and its
+        decision comes from :attr:`decision_feed`.  The sinks ride one
+        window observer queued behind any added before, their gauges
+        ride the metric-source hook, and :meth:`drain` finalizes them in
+        the same order.  The event log also hears the monitor's alert
+        transitions and the recorder's findings and incidents.
+
+        Every attachment only *reads* windows and engine state, so it
         leaves every analytic output bitwise unchanged (asserted in
-        ``tests/obs/test_forensics.py``).
+        ``tests/obs/``).  Sinks attach once per engine.
         """
-        forensics.bind_engine(self)
-        self.forensics = forensics
-        self.add_window_observer(forensics.observe_window)
-        self.add_metric_source(forensics.metric_values)
+        if health is not None:
+            self.health = health
+        sinks = [s for s in (forensics, history, event_log) if s is not None]
+        if not sinks:
+            return self
+        if self._sinks:
+            raise ObservabilityError("window sinks are already attached")
+        for sink in (forensics, history):
+            if sink is not None:
+                sink.bind_engine(self)
+        if event_log is not None:
+            if self.health is not None:
+                self.health.alerts.add_listener(event_log.alert_transition)
+            if forensics is not None:
+                forensics.set_event_log(event_log)
+        self._sinks = sinks
+        self._sink_counters = self._counters()
+        self.add_window_observer(self._observe_sinks)
+        for sink in sinks:
+            self.add_metric_source(sink.metric_values)
         return self
 
-    def attach_history(self, history) -> "StreamEngine":
-        """Attach a long-horizon history (:mod:`repro.obs.history`).
+    def _counters(self) -> Tuple[int, int, int, int]:
+        """Cumulative (samples in, late, duplicates, alert transitions)."""
+        buf = self.buffer
+        transitions = (
+            0 if self.health is None else self.health.alerts.transitions
+        )
+        return (buf.samples_in, buf.late_dropped, buf.duplicates,
+                transitions)
 
-        The facade rides the window-observer hook — every sealed window
-        is compacted into one columnar store row (rolling up as buckets
-        complete) and the SLO burn rates are re-evaluated at the
-        window's end — and its gauges (``history_*``, ``slo_*``) ride
-        the metric-source hook.  Like the recorder, the history only
-        *reads* windows, so attaching one leaves every analytic output
-        bitwise unchanged (asserted in ``tests/obs/test_history.py``).
+    def _observe_sinks(self, window) -> None:
+        """Build the window's record once; hand it to every live sink.
+
+        A disabled event log reads nothing, so a window whose only sink
+        is one builds no record: attaching it stays near free (the
+        disabled-path budget ``benchmarks/bench_logs.py`` gates).
         """
-        history.bind_engine(self)
-        self.history = history
-        self.add_window_observer(history.observe_window)
-        self.add_metric_source(history.metric_values)
-        return self
-
-    def attach_log(self, eventlog) -> "StreamEngine":
-        """Attach a structured event log (:mod:`repro.obs.log`).
-
-        The log rides the window-observer hook — one ``stream.window_seal``
-        record per sealed window (stamped with the window index and the
-        published cap version when a decision feed is wired), plus
-        rate-limited ``stream.late_drop``/``stream.duplicates`` spike
-        records — and its ``log_*`` gauges ride the metric-source hook.
-        Like every other facade, the log only *reads* engine state, so
-        attaching one leaves the cube and every served byte bitwise
-        unchanged (asserted in ``tests/obs/test_log.py``).
-        """
-        eventlog.bind_engine(self)
-        self.eventlog = eventlog
-        self.add_window_observer(eventlog.observe_window)
-        self.add_metric_source(eventlog.metric_values)
-        return self
-
-    def attach_health(self, monitor) -> "StreamEngine":
-        """Attach a health monitor; evaluated per drained window.
-
-        The monitor only *reads* engine state (counters and a copied
-        cube), so attaching one leaves every analytic output bitwise
-        unchanged (asserted in ``tests/obs/``).
-        """
-        self.health = monitor
-        return self
+        counters = self._counters()
+        samples_in, late, dup, transitions = (
+            now - prev for now, prev in zip(counters, self._sink_counters)
+        )
+        self._sink_counters = counters
+        index = self._sink_windows
+        self._sink_windows += 1
+        sinks = [s for s in self._sinks if getattr(s, "enabled", True)]
+        if not sinks:
+            return
+        firing = 0
+        if self.health is not None:
+            firing = sum(
+                1 for row in self.health.alerts.rule_states()
+                if row["state"] == "firing"
+            )
+        cap = objective = version = frontier = None
+        if self.decision_feed is not None:
+            cap, objective, version, frontier = self.decision_feed()
+        record = make_record(
+            window,
+            index=index,
+            interval_s=self.buffer.interval_s,
+            cap=cap,
+            objective=objective,
+            published_version=version,
+            published_frontier_s=frontier,
+            samples_in_delta=samples_in,
+            late_dropped_delta=late,
+            duplicates_delta=dup,
+            alerts_firing=firing,
+            alert_transitions_delta=transitions,
+        )
+        for sink in sinks:
+            sink.observe_window(window, record)
 
     # -- ingestion ----------------------------------------------------------------
 
@@ -305,12 +340,8 @@ class StreamEngine:
                     self.accumulator.update(window)
                 for observer in self._window_observers:
                     observer(window)
-        if self.forensics is not None:
-            self.forensics.finalize()
-        if self.history is not None:
-            self.history.finalize()
-        if self.eventlog is not None:
-            self.eventlog.finalize()
+        for sink in self._sinks:
+            sink.finalize()
         st = _obs.state()
         if st is not None:
             self.export_metrics(st.registry)

@@ -361,7 +361,8 @@ class TestForensicsFacade:
         log, store = campaign
         plain = StreamEngine(log, window_s=WINDOW_S)
         recorded = StreamEngine(log, window_s=WINDOW_S)
-        recorded.attach_recorder(self.build())
+        forensics = self.build()
+        recorded.attach(forensics=forensics)
         for engine in (plain, recorded):
             for chunk in replay_store(store, chunk_ticks=16):
                 engine.ingest(chunk)
@@ -370,7 +371,7 @@ class TestForensicsFacade:
         assert np.array_equal(a.energy_j, b.energy_j)
         assert np.array_equal(a.gpu_hours, b.gpu_hours)
         assert a.cpu_energy_j == b.cpu_energy_j
-        assert recorded.forensics.recorder.windows_seen > 0
+        assert forensics.recorder.windows_seen > 0
         # The facade's gauges ride the engine's metric export.
         assert "forensics_windows_recorded" in recorded.metric_values()
 
@@ -380,7 +381,7 @@ class TestForensicsFacade:
         def one_pass(chunk_ticks):
             forensics = self.build(tagger=None)
             engine = StreamEngine(log, window_s=WINDOW_S)
-            engine.attach_recorder(forensics)
+            engine.attach(forensics=forensics)
             for chunk in replay_store(store, chunk_ticks=chunk_ticks):
                 engine.ingest(chunk)
             engine.drain()
@@ -400,7 +401,7 @@ class TestForensicsFacade:
         log, store = campaign
         streamed = self.build(tagger=None)
         engine = StreamEngine(log, window_s=WINDOW_S)
-        engine.attach_recorder(streamed)
+        engine.attach(forensics=streamed)
         for chunk in replay_store(store, chunk_ticks=16):
             engine.ingest(chunk)
         engine.drain()
@@ -570,7 +571,7 @@ class TestIncrementalServeDoc:
         log, store = campaign
         forensics = forensics_under_test()
         engine = StreamEngine(log, window_s=WINDOW_S)
-        engine.attach_recorder(forensics)
+        engine.attach(forensics=forensics)
         counts = []
 
         def check(_window):

@@ -51,7 +51,7 @@ def fleet():
 def _drained(log, chunks, monitor=None) -> StreamEngine:
     engine = StreamEngine(log, interval_s=constants.TELEMETRY_INTERVAL_S)
     if monitor is not None:
-        engine.attach_health(monitor)
+        engine.attach(health=monitor)
     for chunk in chunks:
         engine.ingest(chunk)
     engine.drain()

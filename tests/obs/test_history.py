@@ -288,7 +288,7 @@ class TestHistoryFacade:
             window_s=4 * constants.TELEMETRY_INTERVAL_S,
         )
         if history is not None:
-            engine.attach_history(history)
+            engine.attach(history=history)
         for chunk in replay_store(store, chunk_ticks=4):
             engine.ingest(chunk)
         engine.drain()

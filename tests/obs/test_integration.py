@@ -130,7 +130,7 @@ class TestStreamIdentity:
         monitor = HealthMonitor()
         watched_engine = StreamEngine(
             log, interval_s=constants.TELEMETRY_INTERVAL_S,
-        ).attach_health(monitor)
+        ).attach(health=monitor)
         for chunk in chunks:
             watched_engine.ingest(chunk)
         watched_engine.drain()
