@@ -20,6 +20,18 @@ from .errors import ReproError
 from .experiments import EXPERIMENT_IDS, ExperimentConfig, run
 
 
+class _UsageError(Exception):
+    """A flag combination argparse cannot express; ``main`` returns 2."""
+
+
+def _require_one(args, local, what: str) -> None:
+    """Exactly one of a local source and ``--url`` must be given."""
+    if (local is None) == (args.url is None):
+        raise _UsageError(
+            f"obs {args.obs_command} needs exactly one of {what}"
+        )
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -204,14 +216,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="directory for manifest.json + metrics.prom (default 'obs')",
     )
 
-    stream_p = sub.add_parser(
-        "stream",
-        help=(
-            "run the incremental ingestion engine over a telemetry "
-            "source and print live Table IV/V/VI snapshots"
-        ),
-    )
-    stream_p.add_argument(
+    # The flags `repro stream` and `repro serve` share.
+    run_flags = argparse.ArgumentParser(add_help=False)
+    run_flags.add_argument(
         "--from-file", default=None, metavar="PATH",
         help=(
             "ingest telemetry from an .npz store or CSV file "
@@ -219,26 +226,94 @@ def _build_parser() -> argparse.ArgumentParser:
             "in-process simulated fleet"
         ),
     )
-    stream_p.add_argument(
+    run_flags.add_argument(
         "--sacct", default=None,
         help="sacct-style job log to join against (with --from-file)",
     )
-    stream_p.add_argument(
+    run_flags.add_argument(
         "--nodes", type=int, default=32,
         help="simulated fleet size (default 32)",
     )
-    stream_p.add_argument(
+    run_flags.add_argument(
         "--days", type=float, default=1.0,
         help="simulated campaign length in days (default 1)",
     )
-    stream_p.add_argument("--seed", type=int, default=0)
-    stream_p.add_argument(
+    run_flags.add_argument("--seed", type=int, default=0)
+    run_flags.add_argument(
         "--window-s", type=float, default=600.0,
         help="event-time window (seconds, default 600)",
     )
-    stream_p.add_argument(
+    run_flags.add_argument(
         "--lateness-s", type=float, default=120.0,
         help="allowed lateness behind the newest event (default 120 s)",
+    )
+    run_flags.add_argument(
+        "--max-chunks", type=int, default=None,
+        help="stop ingest after N arrival chunks (live snapshot, no drain)",
+    )
+    run_flags.add_argument(
+        "--max-slowdown", type=float, default=5.0,
+        help="slowdown budget for the cap advice (default 5 %%)",
+    )
+    run_flags.add_argument(
+        "--campaign-energy-mwh", type=float, default=None,
+        help=(
+            "normalize MWh columns to this campaign total (default: "
+            "the paper's 16820 for simulated fleets, raw for files)"
+        ),
+    )
+    run_flags.add_argument(
+        "--rules", default=None, metavar="FILE",
+        help=(
+            "alert rules file (JSON, or TOML on python >= 3.11); "
+            "default: the shipped ruleset "
+            "(src/repro/obs/health/default_rules.json)"
+        ),
+    )
+    run_flags.add_argument(
+        "--drift-ref", default="paper", metavar="REF",
+        help=(
+            "power-mode drift reference: 'paper' (Table IV), 'off', or "
+            "a JSON file with gpu_hours_pct (default paper)"
+        ),
+    )
+    run_flags.add_argument(
+        "--obs", action="store_true",
+        help=(
+            "enable observability: ingest-lag gauges, late-drop/dedup "
+            "counters, spans, and a run manifest"
+        ),
+    )
+    run_flags.add_argument(
+        "--obs-dir", default=None, metavar="DIR",
+        help="directory for manifest.json + metrics.prom (default 'obs')",
+    )
+    run_flags.add_argument(
+        "--history-dir", default=None, metavar="DIR",
+        help=(
+            "persist every sealed window into an out-of-core columnar "
+            "history store at DIR, in memory if DIR is '-' (query it "
+            "later with 'repro obs query --dir DIR'; serve answers "
+            "/v1/query + /v1/series from it)"
+        ),
+    )
+    run_flags.add_argument(
+        "--log-dir", default=None, metavar="DIR",
+        help=(
+            "keep the structured event log (window seals, alerts, "
+            "incidents, cap decisions) as rotated JSONL segments at "
+            "DIR, in memory if DIR is '-' (query it later with 'repro "
+            "obs logs --dir DIR'; serve answers /v1/logs from it)"
+        ),
+    )
+
+    stream_p = sub.add_parser(
+        "stream",
+        parents=[run_flags],
+        help=(
+            "run the incremental ingestion engine over a telemetry "
+            "source and print live Table IV/V/VI snapshots"
+        ),
     )
     stream_p.add_argument(
         "--shuffle", action="store_true",
@@ -261,10 +336,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="process-pool width for --shards (default serial)",
     )
     stream_p.add_argument(
-        "--max-chunks", type=int, default=None,
-        help="stop after N arrival chunks (live snapshot, no drain)",
-    )
-    stream_p.add_argument(
         "--snapshot-every", type=int, default=0, metavar="N",
         help="print a live snapshot every N ingested chunks",
     )
@@ -274,36 +345,18 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     stream_p.add_argument(
         "--resume", default=None, metavar="PATH",
-        help="resume from a checkpoint written by --checkpoint",
-    )
-    stream_p.add_argument(
-        "--max-slowdown", type=float, default=5.0,
-        help="slowdown budget for the fleet cap advice (default 5 %%)",
-    )
-    stream_p.add_argument(
-        "--campaign-energy-mwh", type=float, default=None,
         help=(
-            "normalize MWh columns to this campaign total (default: "
-            "the paper's 16820 for simulated fleets, raw for files)"
+            "resume from a checkpoint written by --checkpoint: feed "
+            "only the chunks it had not ingested and reopen the "
+            "--history-dir/--log-dir stores"
         ),
-    )
-    stream_p.add_argument(
-        "--obs", action="store_true",
-        help=(
-            "enable observability: ingest-lag gauges, late-drop/dedup "
-            "counters, spans, and a run manifest"
-        ),
-    )
-    stream_p.add_argument(
-        "--obs-dir", default=None, metavar="DIR",
-        help="directory for manifest.json + metrics.prom (default 'obs')",
     )
     stream_p.add_argument(
         "--watch", action="store_true",
         help=(
             "render the live health dashboard in place (ingest, mode "
             "shares vs reference, savings, alerts) instead of plain "
-            "snapshots"
+            "snapshots; keeps in-memory history and event-log panes"
         ),
     )
     stream_p.add_argument(
@@ -313,45 +366,12 @@ def _build_parser() -> argparse.ArgumentParser:
             "streaming (0 picks an ephemeral port)"
         ),
     )
-    stream_p.add_argument(
-        "--rules", default=None, metavar="FILE",
-        help=(
-            "alert rules file (JSON, or TOML on python >= 3.11); "
-            "default: the shipped ruleset "
-            "(src/repro/obs/health/default_rules.json)"
-        ),
-    )
-    stream_p.add_argument(
-        "--drift-ref", default="paper", metavar="REF",
-        help=(
-            "power-mode drift reference: 'paper' (Table IV), 'off', or "
-            "a JSON file with gpu_hours_pct (default paper)"
-        ),
-    )
-    stream_p.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help=(
-            "persist every sealed window into an out-of-core columnar "
-            "history store at DIR (queryable later with 'repro obs "
-            "query --dir DIR'); --watch alone keeps an in-memory one "
-            "for the SLO pane"
-        ),
-    )
-    stream_p.add_argument(
-        "--log-dir", default=None, metavar="DIR",
-        help=(
-            "persist the structured event log (window seals, alert "
-            "transitions, incident lifecycles) to rotated JSONL "
-            "segments at DIR (query later with 'repro obs logs --dir "
-            "DIR'); --watch alone keeps an in-memory ring for the "
-            "live tail pane"
-        ),
-    )
 
     from .serve.objectives import objective_names
 
     serve_p = sub.add_parser(
         "serve",
+        parents=[run_flags],
         help=(
             "run the closed-loop control plane: ingest telemetry, tag "
             "it with job state, and serve live cap decisions over HTTP "
@@ -367,52 +387,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="listen port (default 9188; 0 picks an ephemeral port)",
     )
     serve_p.add_argument(
-        "--from-file", default=None, metavar="PATH",
-        help=(
-            "ingest telemetry from an .npz store or CSV file "
-            "(requires --sacct); default is an in-process simulated "
-            "fleet"
-        ),
-    )
-    serve_p.add_argument(
-        "--sacct", default=None,
-        help="sacct-style job log to join against (with --from-file)",
-    )
-    serve_p.add_argument(
-        "--nodes", type=int, default=32,
-        help="simulated fleet size (default 32)",
-    )
-    serve_p.add_argument(
-        "--days", type=float, default=1.0,
-        help="simulated campaign length in days (default 1)",
-    )
-    serve_p.add_argument("--seed", type=int, default=0)
-    serve_p.add_argument(
-        "--window-s", type=float, default=600.0,
-        help="event-time window (seconds, default 600)",
-    )
-    serve_p.add_argument(
-        "--lateness-s", type=float, default=120.0,
-        help="allowed lateness behind the newest event (default 120 s)",
-    )
-    serve_p.add_argument(
         "--objective", default="slowdown", choices=objective_names(),
         help="cap-decision objective (default slowdown)",
-    )
-    serve_p.add_argument(
-        "--max-slowdown", type=float, default=5.0,
-        help="slowdown budget, percent (default 5)",
-    )
-    serve_p.add_argument(
-        "--campaign-energy-mwh", type=float, default=None,
-        help=(
-            "normalize MWh columns to this campaign total (default: "
-            "the paper's 16820 for simulated fleets, raw for files)"
-        ),
-    )
-    serve_p.add_argument(
-        "--max-chunks", type=int, default=None,
-        help="stop ingest after N arrival chunks (no drain)",
     )
     serve_p.add_argument(
         "--chunk-delay-s", type=float, default=0.0,
@@ -423,45 +399,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help=(
             "exit once the source is drained instead of serving until "
             "POST /v1/admin/shutdown"
-        ),
-    )
-    serve_p.add_argument(
-        "--rules", default=None, metavar="FILE",
-        help=(
-            "alert rules file (JSON, or TOML on python >= 3.11); "
-            "default: the shipped ruleset"
-        ),
-    )
-    serve_p.add_argument(
-        "--drift-ref", default="paper", metavar="REF",
-        help=(
-            "power-mode drift reference: 'paper' (Table IV), 'off', or "
-            "a JSON file with gpu_hours_pct (default paper)"
-        ),
-    )
-    serve_p.add_argument(
-        "--obs", action="store_true",
-        help="enable observability spans/counters and a run manifest",
-    )
-    serve_p.add_argument(
-        "--obs-dir", default=None, metavar="DIR",
-        help="directory for manifest.json + metrics.prom (default 'obs')",
-    )
-    serve_p.add_argument(
-        "--history-dir", default=None, metavar="DIR",
-        help=(
-            "retain every sealed window in an out-of-core columnar "
-            "history store at DIR and serve /v1/query + /v1/series "
-            "from it (in-memory if DIR is '-')"
-        ),
-    )
-    serve_p.add_argument(
-        "--log-dir", default=None, metavar="DIR",
-        help=(
-            "keep a structured event log (cap decisions, policy "
-            "changes, alerts, incidents) and serve /v1/logs from it; "
-            "persisted as JSONL segments at DIR (in-memory if DIR "
-            "is '-')"
         ),
     )
 
@@ -830,14 +767,59 @@ def _advise(args) -> int:
     return 0
 
 
+def _open_run(args, *, shuffle=False, resume=None):
+    """The scheduler log, telemetry source, campaign MWh and engine.
+
+    ``--from-file`` with ``--sacct`` reads recorded telemetry; anything
+    else streams a simulated fleet, whose MWh columns default to the
+    paper's campaign total.  ``shuffle`` delivers the source out of
+    order.  With a
+    ``resume`` checkpoint the engine is reloaded from it and the source
+    skips the chunks that engine already ingested; otherwise the
+    returned engine is ``None``.
+    """
+    from . import constants
+    from .errors import TelemetryError
+    from .stream import file_source, load_checkpoint, perturb, simulated_fleet
+
+    if args.from_file is not None:
+        if args.sacct is None:
+            raise TelemetryError(
+                "--from-file needs --sacct for the scheduler log"
+            )
+        from .scheduler.sacct import read_sacct
+
+        log = read_sacct(args.sacct)
+        source = file_source(args.from_file)
+        campaign_mwh = args.campaign_energy_mwh
+    else:
+        log, source = simulated_fleet(
+            fleet_nodes=args.nodes, days=args.days, seed=args.seed
+        )
+        campaign_mwh = (
+            args.campaign_energy_mwh
+            if args.campaign_energy_mwh is not None
+            else constants.CAMPAIGN_GPU_ENERGY_MWH
+        )
+    if shuffle:
+        source = perturb(
+            source,
+            seed=args.seed,
+            lateness_s=args.lateness_s,
+            dup_fraction=args.dup_fraction,
+        )
+    engine = None
+    if resume is not None:
+        import itertools
+
+        engine = load_checkpoint(resume, log)
+        source = itertools.islice(source, engine.chunks_in, None)
+    return log, source, campaign_mwh, engine
+
+
 def _build_health(args):
-    """A HealthMonitor (+ optional HealthServer) from the stream flags."""
-    from .obs.health import (
-        DriftReference,
-        HealthMonitor,
-        HealthServer,
-        load_rules,
-    )
+    """A HealthMonitor from the --rules and --drift-ref flags."""
+    from .obs.health import DriftReference, HealthMonitor, load_rules
 
     rules = load_rules(args.rules) if args.rules else None
     drift = args.drift_ref != "off"
@@ -847,51 +829,46 @@ def _build_health(args):
         reference = DriftReference.paper()
     else:
         reference = DriftReference.from_file(args.drift_ref)
-    monitor = HealthMonitor(rules, reference=reference, drift=drift)
-    server = None
-    if args.serve is not None:
-        server = HealthServer(monitor=monitor, port=args.serve).start()
-    return monitor, server
+    return HealthMonitor(rules, reference=reference, drift=drift)
 
 
-def _open_event_log(log_dir):
-    """An :class:`EventLog`, persisted at ``log_dir`` when given.
+def _store_dir(path):
+    """The directory a --history-dir/--log-dir value persists to."""
+    return None if path in (None, "", "-") else path
 
-    An existing store (manifest present) is reopened and appended to —
-    reopen-resume leaves segments bitwise-identical to one continuous
-    run.  ``None`` or ``'-'`` keeps the ring in memory only.
+
+def _open_stores(args, *, in_memory=False, resume=False):
+    """The History and EventLog sinks a run asked for, or ``None``.
+
+    A sink exists when its --history-dir/--log-dir flag is given, or
+    always with ``in_memory``; '-' keeps it in memory.  A resumed run
+    reopens both stores, any other run creates them — so an existing
+    store is never appended to by accident.
     """
-    from pathlib import Path
-
+    from .obs.history import History, HistoryStore
     from .obs.log import EventLog, LogStore
-    from .obs.log.store import MANIFEST_NAME
 
-    store = None
-    if log_dir and log_dir != "-":
-        path = Path(log_dir)
-        store = (
-            LogStore.open(path)
-            if (path / MANIFEST_NAME).exists()
-            else LogStore(path)
+    history = eventlog = None
+    if in_memory or args.history_dir is not None:
+        path = _store_dir(args.history_dir)
+        history = (
+            History(store=HistoryStore.open(path))
+            if resume and path else History(dir=path)
         )
-    return EventLog(store=store)
+    if in_memory or args.log_dir is not None:
+        path = _store_dir(args.log_dir)
+        store = None
+        if path:
+            store = LogStore.open(path) if resume else LogStore(path)
+        eventlog = EventLog(store=store)
+    return history, eventlog
 
 
-def _print_event_log_summary(eventlog, log_dir) -> None:
-    """The end-of-run structured-log summary block."""
-    summary = eventlog.summary()
-    print(
-        f"\nevents: {summary['events_total']} emitted "
-        f"({summary['suppressed_total']} suppressed, "
-        f"{summary['evicted_total']} evicted from the ring)"
-    )
-    if log_dir and log_dir != "-":
-        store = summary["store"]
-        print(
-            f"event log written to {log_dir} "
-            f"({store['records']} records in {store['segments']} "
-            f"segment(s); query with 'repro obs logs --dir {log_dir}')"
-        )
+def _finalize_stores(history, eventlog) -> None:
+    """Flush the stores of a run that stopped without draining."""
+    for sink in (history, eventlog):
+        if sink is not None:
+            sink.finalize()
 
 
 def _write_health_state(monitor, obs_dir) -> None:
@@ -911,41 +888,129 @@ def _write_health_state(monitor, obs_dir) -> None:
     print(f"health state written to {path}")
 
 
-def _run_campaign(
-    *, nodes, days, seed, shards, workers, unit_nodes, window_s,
-    lateness_s, shuffle_s, dup_fraction, checkpoint_dir, resume,
-    checkpoint_every, max_units, max_slowdown, campaign_energy_mwh,
-) -> int:
-    """Shared body of ``repro campaign`` and ``repro stream --shards``."""
+def _report_sinks(args, command, monitor, forensics, history, eventlog,
+                  *, packed=False) -> None:
+    """End-of-run sink summaries, plus the --obs/--obs-dir artifacts.
+
+    ``repro stream`` opens each summary with a blank line, lists the
+    SLO budgets and writes each artifact after its summary; ``repro
+    serve`` (``packed``) prints the summaries back to back and writes
+    the artifacts last.
+    """
+    gap = "" if packed else "\n"
+    obs_dir = (args.obs_dir or "obs") if (args.obs or args.obs_dir) else None
+    artifacts = []
+
+    def artifact(write):
+        if obs_dir is None:
+            return
+        if packed:
+            artifacts.append(write)
+        else:
+            write()
+
+    def write_incidents():
+        from .obs.forensics import write_forensics_artifacts
+
+        paths = write_forensics_artifacts(
+            obs_dir, forensics, command=command, monitor=monitor,
+            registry=monitor.registry if monitor is not None else None,
+        )
+        print(f"incidents written to {paths['incidents'][0]}")
+
+    if monitor is not None:
+        doc = monitor.to_health_dict()
+        print(
+            f"{gap}health: {doc['status']} ({doc['firing']} firing / "
+            f"{len(doc['rules'])} rules, {doc['evaluations']} evaluations)"
+        )
+        artifact(lambda: _write_health_state(monitor, obs_dir))
+    if forensics is not None:
+        summary = forensics.summary()
+        print(
+            f"{gap}incidents: {summary['incidents_open']} open / "
+            f"{summary['incidents_total']} total "
+            f"({summary['findings_total']} findings over "
+            f"{summary['windows_recorded']} windows)"
+        )
+        if summary["incidents_total"]:
+            print(forensics.timeline())
+        artifact(write_incidents)
+    if history is not None:
+        summary = history.summary()
+        print(
+            f"{gap}history: {summary['windows_recorded']} windows "
+            f"recorded, {summary['slo_transitions']} SLO transitions"
+        )
+        for row in summary["slos"] if not packed else ():
+            print(
+                f"  {row['name']:<16} budget "
+                f"{100 * row['budget_remaining']:6.2f}% left  "
+                f"burn {row['burn_fast']:.2f} (5m/1h) / "
+                f"{row['burn_slow']:.2f} (6h/3d)"
+            )
+        if history.events():
+            print(history.timeline())
+        path = _store_dir(args.history_dir)
+        if path and packed:
+            print(f"history store written to {path}")
+        elif path:
+            print(
+                f"history store written to {path} "
+                f"({history.store.total_bytes():,} column bytes; "
+                f"query with 'repro obs query --dir {path}')"
+            )
+    if eventlog is not None:
+        summary = eventlog.summary()
+        print(
+            f"\nevents: {summary['events_total']} emitted "
+            f"({summary['suppressed_total']} suppressed, "
+            f"{summary['evicted_total']} evicted from the ring)"
+        )
+        path = _store_dir(args.log_dir)
+        if path:
+            store = summary["store"]
+            print(
+                f"event log written to {path} "
+                f"({store['records']} records in {store['segments']} "
+                f"segment(s); query with 'repro obs logs --dir {path}')"
+            )
+    for write in artifacts:
+        write()
+
+
+def _campaign(args) -> int:
+    """``repro campaign``, and ``repro stream --shards`` via
+    :func:`_stream_sharded`."""
     from . import constants
     from .stream.shard import ShardConfig, run_sharded_campaign
 
     cfg = ShardConfig(
-        window_s=window_s,
-        lateness_s=lateness_s,
-        unit_nodes=unit_nodes,
-        checkpoint_every=checkpoint_every,
-        shuffle_s=shuffle_s,
-        dup_fraction=dup_fraction,
+        window_s=args.window_s,
+        lateness_s=args.lateness_s,
+        unit_nodes=args.unit_nodes,
+        checkpoint_every=args.checkpoint_every,
+        shuffle_s=args.shuffle_s,
+        dup_fraction=args.dup_fraction,
     )
     result = run_sharded_campaign(
-        fleet_nodes=nodes,
-        days=days,
-        seed=seed,
-        shards=shards,
-        workers=workers,
+        fleet_nodes=args.nodes,
+        days=args.days,
+        seed=args.seed,
+        shards=args.shards,
+        workers=args.workers,
         cfg=cfg,
-        checkpoint_dir=checkpoint_dir,
-        resume=resume,
-        max_units_per_shard=max_units,
+        checkpoint_dir=args.checkpoint_dir,
+        resume=args.resume,
+        max_units_per_shard=args.max_units,
     )
     campaign_mwh = (
-        campaign_energy_mwh
-        if campaign_energy_mwh is not None
+        args.campaign_energy_mwh
+        if args.campaign_energy_mwh is not None
         else constants.CAMPAIGN_GPU_ENERGY_MWH
     )
     snap = result.snapshot(
-        max_slowdown_pct=max_slowdown, campaign_energy_mwh=campaign_mwh,
+        max_slowdown_pct=args.max_slowdown, campaign_energy_mwh=campaign_mwh,
     )
     state = (
         "complete"
@@ -960,24 +1025,12 @@ def _run_campaign(
         f"{result.wall_s:.1f} s "
         f"({result.samples_per_s / 1e6:.2f}M GPU-samples/s)"
     )
-    if not result.complete and checkpoint_dir is not None:
-        print(f"rerun with --resume to continue from {checkpoint_dir}")
+    if not result.complete and args.checkpoint_dir is not None:
+        print(
+            f"rerun with --resume to continue from {args.checkpoint_dir}"
+        )
     print(snap.render())
     return 0
-
-
-def _campaign(args) -> int:
-    return _run_campaign(
-        nodes=args.nodes, days=args.days, seed=args.seed,
-        shards=args.shards, workers=args.workers,
-        unit_nodes=args.unit_nodes, window_s=args.window_s,
-        lateness_s=args.lateness_s, shuffle_s=args.shuffle_s,
-        dup_fraction=args.dup_fraction,
-        checkpoint_dir=args.checkpoint_dir, resume=args.resume,
-        checkpoint_every=args.checkpoint_every,
-        max_units=args.max_units, max_slowdown=args.max_slowdown,
-        campaign_energy_mwh=args.campaign_energy_mwh,
-    )
 
 
 def _stream_sharded(args) -> int:
@@ -993,6 +1046,7 @@ def _stream_sharded(args) -> int:
         ("--serve", args.serve is not None),
         ("--rules", args.rules is not None),
         ("--history-dir", args.history_dir is not None),
+        ("--log-dir", args.log_dir is not None),
     ]
     bad = [flag for flag, used in blocked if used]
     if bad:
@@ -1004,69 +1058,28 @@ def _stream_sharded(args) -> int:
             file=sys.stderr,
         )
         return 2
-    return _run_campaign(
-        nodes=args.nodes, days=args.days, seed=args.seed,
-        shards=args.shards, workers=args.workers,
-        unit_nodes=8, window_s=args.window_s,
-        lateness_s=args.lateness_s,
-        shuffle_s=args.lateness_s if args.shuffle else 0.0,
-        dup_fraction=args.dup_fraction,
-        checkpoint_dir=None, resume=False, checkpoint_every=1,
-        max_units=None, max_slowdown=args.max_slowdown,
-        campaign_energy_mwh=args.campaign_energy_mwh,
-    )
+    # The campaign-only flags, fixed to one unattended pass.
+    return _campaign(argparse.Namespace(**{
+        **vars(args), "unit_nodes": 8, "checkpoint_dir": None,
+        "resume": False, "checkpoint_every": 1, "max_units": None,
+        "shuffle_s": args.lateness_s if args.shuffle else 0.0,
+    }))
 
 
 def _stream(args) -> int:
     if args.shards is not None:
         return _stream_sharded(args)
-
-    from . import constants
-    from .stream import (
-        StreamEngine,
-        file_source,
-        load_checkpoint,
-        perturb,
-        save_checkpoint,
-        simulated_fleet,
-    )
-
-    if args.from_file is not None:
-        if args.sacct is None:
-            print(
-                "--from-file needs --sacct for the scheduler log",
-                file=sys.stderr,
-            )
-            return 1
-        from .scheduler.sacct import read_sacct
-
-        log = read_sacct(args.sacct)
-        source = file_source(args.from_file)
-        campaign_mwh = args.campaign_energy_mwh
-    else:
-        log, source = simulated_fleet(
-            fleet_nodes=args.nodes, days=args.days, seed=args.seed
-        )
-        campaign_mwh = (
-            args.campaign_energy_mwh
-            if args.campaign_energy_mwh is not None
-            else constants.CAMPAIGN_GPU_ENERGY_MWH
-        )
-
-    if args.shuffle:
-        source = perturb(
-            source,
-            seed=args.seed,
-            lateness_s=args.lateness_s,
-            dup_fraction=args.dup_fraction,
-        )
-    elif args.dup_fraction:
+    if args.dup_fraction and not args.shuffle:
         print("--dup-fraction needs --shuffle", file=sys.stderr)
         return 1
 
-    if args.resume is not None:
-        engine = load_checkpoint(args.resume, log)
-    else:
+    from . import constants
+    from .stream import StreamEngine, save_checkpoint
+
+    log, source, campaign_mwh, engine = _open_run(
+        args, shuffle=args.shuffle, resume=args.resume
+    )
+    if engine is None:
         engine = StreamEngine(
             log,
             interval_s=constants.TELEMETRY_INTERVAL_S,
@@ -1076,12 +1089,7 @@ def _stream(args) -> int:
 
     monitor = server = dashboard = None
     if args.watch or args.serve is not None or args.rules is not None:
-        monitor, server = _build_health(args)
-        if server is not None:
-            print(
-                f"health exporter on {server.url} "
-                "(/metrics /health /alerts)"
-            )
+        monitor = _build_health(args)
         if args.watch:
             from .obs.health import Dashboard
 
@@ -1090,7 +1098,7 @@ def _stream(args) -> int:
     # artifacts were requested; none of them changes the fold itself.
     # Stores persist when --history-dir/--log-dir name a directory and
     # stay in memory for the --watch panes.
-    forensics = history = eventlog = None
+    forensics = None
     if args.watch or args.obs or args.obs_dir:
         from .obs.forensics import Forensics
         from .serve.jobs import JobStateIndex
@@ -1101,16 +1109,18 @@ def _stream(args) -> int:
             else None
         )
         forensics = Forensics(reference=reference, tagger=JobStateIndex(log))
-    if args.watch or args.history_dir:
-        from .obs.history import History
-
-        history = History(dir=args.history_dir)
-    if args.watch or args.log_dir:
-        eventlog = _open_event_log(args.log_dir)
+    history, eventlog = _open_stores(
+        args, in_memory=args.watch, resume=args.resume is not None
+    )
     engine.attach(
         health=monitor, forensics=forensics, history=history,
         event_log=eventlog,
     )
+    if args.serve is not None:
+        from .obs.health import HealthServer
+
+        server = HealthServer(monitor=monitor, port=args.serve).start()
+        print(f"health exporter on {server.url} (/metrics /health /alerts)")
     # --watch refreshes at the snapshot cadence; plain snapshots stay
     # opt-in via --snapshot-every as before.
     watch_every = args.snapshot_every or 20
@@ -1143,12 +1153,7 @@ def _stream(args) -> int:
             # Completed sources drain: every buffered window seals.
             engine.drain()
         else:
-            # Paused streams don't drain; flush the stores explicitly
-            # so --history-dir/--log-dir leave consistent manifests.
-            if history is not None:
-                history.finalize()
-            if eventlog is not None:
-                eventlog.finalize()
+            _finalize_stores(history, eventlog)
 
         if args.checkpoint is not None:
             save_checkpoint(engine, args.checkpoint)
@@ -1168,63 +1173,9 @@ def _stream(args) -> int:
         )
         print(f"===== {label} snapshot =====")
         print(snap.render())
-        if monitor is not None:
-            doc = monitor.to_health_dict()
-            print(
-                f"\nhealth: {doc['status']} ({doc['firing']} firing / "
-                f"{len(doc['rules'])} rules, "
-                f"{doc['evaluations']} evaluations)"
-            )
-            if args.obs or args.obs_dir:
-                _write_health_state(monitor, args.obs_dir or "obs")
-        if forensics is not None:
-            summary = forensics.summary()
-            print(
-                f"\nincidents: {summary['incidents_open']} open / "
-                f"{summary['incidents_total']} total "
-                f"({summary['findings_total']} findings over "
-                f"{summary['windows_recorded']} windows)"
-            )
-            if summary["incidents_total"]:
-                print(forensics.timeline())
-            if args.obs or args.obs_dir:
-                from .obs.forensics import write_forensics_artifacts
-
-                paths = write_forensics_artifacts(
-                    args.obs_dir or "obs",
-                    forensics,
-                    command="repro stream",
-                    registry=(
-                        monitor.registry if monitor is not None else None
-                    ),
-                    monitor=monitor,
-                )
-                print(f"incidents written to {paths['incidents'][0]}")
-        if history is not None:
-            summary = history.summary()
-            print(
-                f"\nhistory: {summary['windows_recorded']} windows "
-                f"recorded, {summary['slo_transitions']} SLO "
-                f"transitions"
-            )
-            for row in summary["slos"]:
-                print(
-                    f"  {row['name']:<16} budget "
-                    f"{100 * row['budget_remaining']:6.2f}% left  "
-                    f"burn {row['burn_fast']:.2f} (5m/1h) / "
-                    f"{row['burn_slow']:.2f} (6h/3d)"
-                )
-            if history.events():
-                print(history.timeline())
-            if args.history_dir:
-                print(
-                    f"history store written to {args.history_dir} "
-                    f"({history.store.total_bytes():,} column bytes; "
-                    f"query with 'repro obs query --dir "
-                    f"{args.history_dir}')"
-                )
-        if eventlog is not None:
-            _print_event_log_summary(eventlog, args.log_dir)
+        _report_sinks(
+            args, "repro stream", monitor, forensics, history, eventlog
+        )
     finally:
         if server is not None:
             server.close()
@@ -1233,55 +1184,11 @@ def _stream(args) -> int:
 
 def _serve(args) -> int:
     """``repro serve``: the closed-loop control-plane service."""
-    from . import constants
-    from .obs.health import DriftReference, HealthMonitor, load_rules
     from .serve import ControlPlane
-    from .stream import file_source, simulated_fleet
 
-    if args.from_file is not None:
-        if args.sacct is None:
-            print(
-                "--from-file needs --sacct for the scheduler log",
-                file=sys.stderr,
-            )
-            return 1
-        from .scheduler.sacct import read_sacct
-
-        log = read_sacct(args.sacct)
-        source = file_source(args.from_file)
-        campaign_mwh = args.campaign_energy_mwh
-    else:
-        log, source = simulated_fleet(
-            fleet_nodes=args.nodes, days=args.days, seed=args.seed
-        )
-        campaign_mwh = (
-            args.campaign_energy_mwh
-            if args.campaign_energy_mwh is not None
-            else constants.CAMPAIGN_GPU_ENERGY_MWH
-        )
-
-    rules = load_rules(args.rules) if args.rules else None
-    drift = args.drift_ref != "off"
-    if not drift:
-        reference = None
-    elif args.drift_ref == "paper":
-        reference = DriftReference.paper()
-    else:
-        reference = DriftReference.from_file(args.drift_ref)
-    monitor = HealthMonitor(rules, reference=reference, drift=drift)
-
-    history = None
-    if args.history_dir is not None:
-        from .obs.history import History
-
-        history = History(
-            dir=None if args.history_dir == "-" else args.history_dir,
-        )
-    eventlog = (
-        _open_event_log(args.log_dir)
-        if args.log_dir is not None
-        else None
-    )
+    log, source, campaign_mwh, _ = _open_run(args)
+    monitor = _build_health(args)
+    history, eventlog = _open_stores(args)
     plane = ControlPlane(
         log,
         objective=args.objective,
@@ -1323,6 +1230,8 @@ def _serve(args) -> int:
         plane.request_stop()
     finally:
         plane.close()
+    # Idempotent after a drain; covers runs stopped before it.
+    _finalize_stores(plane.history, plane.event_log)
 
     view = plane.cache.view
     stats = plane.engine.stats
@@ -1346,52 +1255,10 @@ def _serve(args) -> int:
             print(
                 f"final advice [{decision.objective}]: leave uncapped"
             )
-    doc = monitor.to_health_dict()
-    print(
-        f"health: {doc['status']} ({doc['firing']} firing / "
-        f"{len(doc['rules'])} rules, {doc['evaluations']} evaluations)"
+    _report_sinks(
+        args, "repro serve", monitor, plane.forensics, plane.history,
+        plane.event_log, packed=True,
     )
-    if plane.forensics is not None:
-        summary = plane.forensics.summary()
-        print(
-            f"incidents: {summary['incidents_open']} open / "
-            f"{summary['incidents_total']} total "
-            f"({summary['findings_total']} findings over "
-            f"{summary['windows_recorded']} windows)"
-        )
-        if summary["incidents_total"]:
-            print(plane.forensics.timeline())
-    if plane.history is not None:
-        # Idempotent when the drain already synced; covers --max-chunks
-        # runs that stop before the source is drained.
-        plane.history.finalize()
-        summary = plane.history.summary()
-        print(
-            f"history: {summary['windows_recorded']} windows recorded, "
-            f"{summary['slo_transitions']} SLO transitions"
-        )
-        if plane.history.events():
-            print(plane.history.timeline())
-        if args.history_dir and args.history_dir != "-":
-            print(f"history store written to {args.history_dir}")
-    if plane.event_log is not None:
-        # Idempotent when the drain already synced; covers --max-chunks
-        # runs that stop before the source is drained.
-        plane.event_log.finalize()
-        _print_event_log_summary(plane.event_log, args.log_dir)
-    if args.obs or args.obs_dir:
-        _write_health_state(monitor, args.obs_dir or "obs")
-        if plane.forensics is not None:
-            from .obs.forensics import write_forensics_artifacts
-
-            paths = write_forensics_artifacts(
-                args.obs_dir or "obs",
-                plane.forensics,
-                command="repro serve",
-                registry=plane.registry,
-                monitor=monitor,
-            )
-            print(f"incidents written to {paths['incidents'][0]}")
     return 0
 
 
@@ -1402,12 +1269,7 @@ def _obs_alerts(args) -> int:
     from .errors import HealthError
     from .obs.health import fetch_url, render_events
 
-    if (args.source is None) == (args.url is None):
-        print(
-            "obs alerts needs exactly one of a health.json path or --url",
-            file=sys.stderr,
-        )
-        return 2
+    _require_one(args, args.source, "a health.json path or --url")
     if args.url is not None:
         base = args.url.rstrip("/")
         health = json.loads(fetch_url(base + "/health")[1])
@@ -1441,19 +1303,38 @@ def _obs_alerts(args) -> int:
     return 1 if (args.check and firing) else 0
 
 
-def _fetch_incidents(base: str) -> dict:
+def _get_json(args, route: str, *params: str, flags=()) -> dict:
+    """GET ``route`` from the live ``--url`` server and parse its JSON.
+
+    ``params`` plus each of ``flags`` that was given form the query
+    string; any answer but 200 raises.
+    """
+    import json
+
+    from .errors import ObservabilityError
+    from .obs.health import fetch_url
+
+    params += tuple(
+        f"{key}={getattr(args, key)}" for key in flags
+        if getattr(args, key) is not None
+    )
+    url = args.url.rstrip("/") + route
+    if params:
+        url += "?" + "&".join(params)
+    status, body = fetch_url(url)
+    if status != 200:
+        raise ObservabilityError(f"GET {url} -> {status}: {body.strip()}")
+    return json.loads(body)
+
+
+def _fetch_incidents(args) -> dict:
     """One live /v1/incidents poll, reshaped like an incidents.json."""
     import json
 
-    from .errors import ForensicsError
     from .obs.health import fetch_url
 
-    status, body = fetch_url(base + "/v1/incidents")
-    if status != 200:
-        raise ForensicsError(
-            f"GET {base}/v1/incidents -> {status}: {body.strip()}"
-        )
-    doc = json.loads(body)
+    base = args.url.rstrip("/")
+    doc = _get_json(args, "/v1/incidents")
     # Per-incident recorder slices live behind /v1/incidents/{id}; fold
     # them into a "records" list so bundle slicing works identically on
     # live and file sources.
@@ -1477,19 +1358,13 @@ def _obs_incidents(args) -> int:
     from .obs.forensics import build_bundle, load_forensics, render_doc
     from .obs.forensics import render_timeline
 
-    if (args.source is None) == (args.url is None):
-        print(
-            "obs incidents needs exactly one of --from FILE or --url",
-            file=sys.stderr,
-        )
-        return 2
+    _require_one(args, args.source, "--from FILE or --url")
     if args.action == "show" and args.incident is None:
-        print("obs incidents show needs an incident id", file=sys.stderr)
-        return 2
+        raise _UsageError("obs incidents show needs an incident id")
 
     if args.url is not None:
         origin = args.url.rstrip("/")
-        doc = _fetch_incidents(origin)
+        doc = _fetch_incidents(args)
     else:
         origin = args.source
         doc = load_forensics(args.source)
@@ -1578,45 +1453,20 @@ def _obs_query(args) -> int:
     import json
 
     if args.check and args.store_dir is None:
-        print("obs query --check needs --dir", file=sys.stderr)
-        return 2
-    if (args.store_dir is None) == (args.url is None):
-        print(
-            "obs query needs exactly one of --dir DIR or --url URL",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError("obs query --check needs --dir")
+    _require_one(args, args.store_dir, "--dir DIR or --url URL")
 
     if args.url is not None:
-        from .obs.health import fetch_url
-
-        base = args.url.rstrip("/")
         if args.series is None:
-            status, body = fetch_url(base + "/v1/series")
-            if status != 200:
-                print(
-                    f"GET {base}/v1/series -> {status}", file=sys.stderr
-                )
-                return 1
-            doc = json.loads(body)
-            print(f"series @ {base} ({len(doc['series'])}):")
+            doc = _get_json(args, "/v1/series")
+            print(f"series @ {args.url.rstrip('/')} ({len(doc['series'])}):")
             for row in doc["series"]:
                 print(f"  {row['name']:<28} [{row['agg']}]")
             return 0
-        params = [f"series={args.series}"]
-        for key in ("t0", "t1", "step", "agg", "level"):
-            value = getattr(args, key)
-            if value is not None:
-                params.append(f"{key}={value}")
-        status, body = fetch_url(base + "/v1/query?" + "&".join(params))
-        doc = json.loads(body)
-        if status != 200:
-            print(
-                f"query FAILED ({status}): {doc.get('error', body)}",
-                file=sys.stderr,
-            )
-            return 1
-        result = doc["query"]
+        result = _get_json(
+            args, "/v1/query", f"series={args.series}",
+            flags=("t0", "t1", "step", "agg", "level"),
+        )["query"]
         print(json.dumps(result) if args.json
               else _render_query_result(result))
         return 0
@@ -1683,14 +1533,8 @@ def _obs_logs(args) -> int:
     import json
 
     if args.check and args.store_dir is None:
-        print("obs logs --check needs --dir", file=sys.stderr)
-        return 2
-    if (args.store_dir is None) == (args.url is None):
-        print(
-            "obs logs needs exactly one of --dir DIR or --url URL",
-            file=sys.stderr,
-        )
-        return 2
+        raise _UsageError("obs logs --check needs --dir")
+    _require_one(args, args.store_dir, "--dir DIR or --url URL")
     limit = (
         args.limit if args.limit is not None
         else (20 if args.action == "tail" else 200)
@@ -1699,22 +1543,10 @@ def _obs_logs(args) -> int:
     from .obs.log import render_records
 
     if args.url is not None:
-        from .obs.health import fetch_url
-
-        base = args.url.rstrip("/")
-        params = [f"limit={limit}"]
-        for key in ("t0", "t1", "severity", "event", "window"):
-            value = getattr(args, key)
-            if value is not None:
-                params.append(f"{key}={value}")
-        status, body = fetch_url(base + "/v1/logs?" + "&".join(params))
-        doc = json.loads(body)
-        if status != 200:
-            print(
-                f"logs FAILED ({status}): {doc.get('error', body)}",
-                file=sys.stderr,
-            )
-            return 1
+        doc = _get_json(
+            args, "/v1/logs", f"limit={limit}",
+            flags=("t0", "t1", "severity", "event", "window"),
+        )
         records = doc["logs"]
         if args.json:
             for rec in records:
@@ -1722,7 +1554,7 @@ def _obs_logs(args) -> int:
             return 0
         summary = doc["summary"]
         print(
-            f"events @ {base}: {summary['emitted']} emitted "
+            f"events @ {args.url.rstrip('/')}: {summary['emitted']} emitted "
             f"({summary['suppressed']} suppressed, "
             f"{summary['evicted']} evicted); showing {len(records)}"
         )
@@ -1809,8 +1641,7 @@ def _obs_history(args) -> int:
             return 0
         # gc
         if args.keep_s is None:
-            print("obs history gc needs --keep-s", file=sys.stderr)
-            return 2
+            raise _UsageError("obs history gc needs --keep-s")
         result = store.gc(args.keep_s)
         store.sync()
         dropped = sum(result["dropped_rows"].values())
@@ -1949,34 +1780,21 @@ def _obs_profile(args) -> int:
         obs_runtime.disable()
 
 
-def _obs_command(args) -> int:
+def _obs_summary(args) -> int:
     from .obs import manifest as obs_manifest
 
-    if args.obs_command == "alerts":
-        return _obs_alerts(args)
-    if args.obs_command == "incidents":
-        return _obs_incidents(args)
-    if args.obs_command == "profile":
-        return _obs_profile(args)
-    if args.obs_command == "query":
-        return _obs_query(args)
-    if args.obs_command == "history":
-        return _obs_history(args)
-    if args.obs_command == "logs":
-        return _obs_logs(args)
-    if args.obs_command == "summary":
-        if args.url is not None:
-            return _obs_summary_url(args.url)
-        if args.manifest is None:
-            print(
-                "obs summary needs a manifest path or --url",
-                file=sys.stderr,
-            )
-            return 2
-        doc = obs_manifest.load_manifest(args.manifest)
-        print(obs_manifest.summarize_manifest(doc, top=args.top))
-        return 0
-    # diff
+    if args.url is not None:
+        return _obs_summary_url(args.url)
+    if args.manifest is None:
+        raise _UsageError("obs summary needs a manifest path or --url")
+    doc = obs_manifest.load_manifest(args.manifest)
+    print(obs_manifest.summarize_manifest(doc, top=args.top))
+    return 0
+
+
+def _obs_diff(args) -> int:
+    from .obs import manifest as obs_manifest
+
     diff = obs_manifest.diff_manifests(
         obs_manifest.load_manifest(args.a),
         obs_manifest.load_manifest(args.b),
@@ -1984,6 +1802,62 @@ def _obs_command(args) -> int:
     )
     print(diff.render())
     return 0 if diff.clean else 1
+
+
+_OBS_COMMANDS = {
+    "alerts": _obs_alerts,
+    "diff": _obs_diff,
+    "history": _obs_history,
+    "incidents": _obs_incidents,
+    "logs": _obs_logs,
+    "profile": _obs_profile,
+    "query": _obs_query,
+    "summary": _obs_summary,
+}
+
+#: The run commands sharing ``main``'s observability wrapper: each
+#: one's handler, the flags its manifest records as ``config``, and the
+#: flags naming files it lists as outputs.
+_RUN_COMMANDS = {
+    "campaign": (_campaign, (
+        "nodes", "days", "seed", "shards", "workers", "unit_nodes",
+        "window_s", "lateness_s", "shuffle_s", "dup_fraction",
+    ), ()),
+    "stream": (_stream, (
+        "nodes", "days", "seed", "window_s", "lateness_s", "shuffle",
+        "dup_fraction",
+    ), ("checkpoint",)),
+    "serve": (_serve, (
+        "nodes", "days", "seed", "window_s", "lateness_s", "objective",
+        "max_slowdown",
+    ), ()),
+}
+
+
+def _run_command(args) -> int:
+    """Run one ``_RUN_COMMANDS`` entry; with --obs, write its manifest."""
+    from .obs import runtime as obs_runtime
+
+    handler, config_keys, output_keys = _RUN_COMMANDS[args.command]
+    outputs = [getattr(args, key) for key in output_keys]
+    if args.obs:
+        obs_runtime.enable()
+    wall0, cpu0 = time.perf_counter(), time.process_time()
+    try:
+        return handler(args)
+    except (ReproError, OSError) as exc:
+        print(f"{args.command} FAILED: {exc}", file=sys.stderr)
+        return 1
+    finally:
+        if args.obs and obs_runtime.enabled():
+            _finish_obs(
+                f"repro {args.command}",
+                {key: getattr(args, key) for key in config_keys},
+                [path for path in outputs if path],
+                args.obs_dir or "obs",
+                wall0, cpu0,
+            )
+            obs_runtime.disable()
 
 
 def _finish_obs(command: str, config: dict, outputs, obs_dir,
@@ -2043,7 +1917,10 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "obs":
         try:
-            return _obs_command(args)
+            return _OBS_COMMANDS[args.obs_command](args)
+        except _UsageError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         except ReproError as exc:
             print(f"obs FAILED: {exc}", file=sys.stderr)
             return 1
@@ -2055,95 +1932,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"advise FAILED: {exc}", file=sys.stderr)
             return 1
 
-    if args.command == "campaign":
-        from .obs import runtime as obs_runtime
-
-        if args.obs:
-            obs_runtime.enable()
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-        try:
-            status = _campaign(args)
-        except (ReproError, OSError) as exc:
-            print(f"campaign FAILED: {exc}", file=sys.stderr)
-            return 1
-        finally:
-            if args.obs and obs_runtime.enabled():
-                _finish_obs(
-                    "repro campaign",
-                    {
-                        "nodes": args.nodes, "days": args.days,
-                        "seed": args.seed, "shards": args.shards,
-                        "workers": args.workers,
-                        "unit_nodes": args.unit_nodes,
-                        "window_s": args.window_s,
-                        "lateness_s": args.lateness_s,
-                        "shuffle_s": args.shuffle_s,
-                        "dup_fraction": args.dup_fraction,
-                    },
-                    [],
-                    args.obs_dir or "obs",
-                    wall0, cpu0,
-                )
-                obs_runtime.disable()
-        return status
-
-    if args.command == "stream":
-        from .obs import runtime as obs_runtime
-
-        if args.obs:
-            obs_runtime.enable()
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-        try:
-            status = _stream(args)
-        except (ReproError, OSError) as exc:
-            print(f"stream FAILED: {exc}", file=sys.stderr)
-            return 1
-        finally:
-            if args.obs and obs_runtime.enabled():
-                _finish_obs(
-                    "repro stream",
-                    {
-                        "nodes": args.nodes, "days": args.days,
-                        "seed": args.seed, "window_s": args.window_s,
-                        "lateness_s": args.lateness_s,
-                        "shuffle": args.shuffle,
-                        "dup_fraction": args.dup_fraction,
-                    },
-                    [args.checkpoint] if args.checkpoint else [],
-                    args.obs_dir or "obs",
-                    wall0, cpu0,
-                )
-                obs_runtime.disable()
-        return status
-
-    if args.command == "serve":
-        from .obs import runtime as obs_runtime
-
-        if args.obs:
-            obs_runtime.enable()
-        wall0, cpu0 = time.perf_counter(), time.process_time()
-        try:
-            status = _serve(args)
-        except (ReproError, OSError) as exc:
-            print(f"serve FAILED: {exc}", file=sys.stderr)
-            return 1
-        finally:
-            if args.obs and obs_runtime.enabled():
-                _finish_obs(
-                    "repro serve",
-                    {
-                        "nodes": args.nodes, "days": args.days,
-                        "seed": args.seed, "window_s": args.window_s,
-                        "lateness_s": args.lateness_s,
-                        "objective": args.objective,
-                        "max_slowdown": args.max_slowdown,
-                    },
-                    [],
-                    args.obs_dir or "obs",
-                    wall0, cpu0,
-                )
-                obs_runtime.disable()
-        return status
+    if args.command in _RUN_COMMANDS:
+        return _run_command(args)
 
     if args.command == "report":
         from .experiments.bundle import write_report

@@ -144,7 +144,8 @@ class EventLog:
         self._sample = {k: int(n) for k, n in (sample or {}).items()}
         self._lock = threading.Lock()
         self._ring: deque = deque(maxlen=self.capacity)
-        self._seq = 0
+        # A reopened store continues its seq order.
+        self._seq = store.next_seq() if store is not None else 0
         self._attempts: dict = {}      # event -> emission attempts (ids)
         self._buckets: dict = {}       # event -> TokenBucket
         self._pending_suppressed: dict = {}

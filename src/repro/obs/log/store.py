@@ -244,6 +244,13 @@ class LogStore:
     def records_resident(self) -> int:
         return sum(seg["records"] for seg in self.segments)
 
+    def next_seq(self) -> int:
+        """The ``seq`` that follows the newest stored record (0 if none)."""
+        for seg in reversed(self.segments):
+            if seg.get("seq1") is not None:
+                return seg["seq1"] + 1
+        return 0
+
     def segment_count(self) -> int:
         return len(self.segments)
 
