@@ -20,15 +20,16 @@ drift tripwire.
 
 A second measurement streams the same campaign through a
 :class:`repro.serve.ControlPlane` (forensics on, its default) and times
-every ``Forensics.serve_doc()`` call, i.e. the forensics document each
-publish freezes into the served view.  It reports the median call
-(``serve_doc_ms_p50``) and ``growth_ratio``: the mean call over the last
-quarter of publishes divided by the mean over the first quarter.  An
-incremental document costs what changed since the last publish, so the
-ratio stays near 1; a from-scratch rebuild grows with the incident count
-and the recorder slices (~6.8 on this campaign before the document was
-made incremental).  Per-call times are the minimum over the rounds, so
-one noisy round does not move the ratio.
+every ``Forensics.reader_view()`` call, i.e. the forensics state each
+publish freezes into the served view (record documents render later,
+on first read).  It reports the median call (``reader_view_ms_p50``)
+and ``growth_ratio``: the mean call over the last quarter of publishes
+divided by the mean over the first quarter.  An incremental freeze
+costs what changed since the last publish, so the ratio stays near 1; a
+from-scratch rebuild grows with the incident count and the recorder
+slices (~6.8 on this campaign before the document was made
+incremental).  Per-call times are the minimum over the rounds, so one
+noisy round does not move the ratio.
 
 The hard gate (``--check``) fails when:
 
@@ -76,7 +77,7 @@ MS_PER_WINDOW_LIMIT = 2.0
 #: Live disaster bound for --check (loose: CI runners are shared).
 LIVE_OVERHEAD_LIMIT_PCT = 300.0
 #: Publish cost, last quarter over first quarter of the stream's
-#: serve_doc calls, must stay under this (live and recorded).
+#: reader_view calls, must stay under this (live and recorded).
 GROWTH_LIMIT = 2.0
 
 FLEET_NODES = 32
@@ -97,18 +98,18 @@ def _one_pass(log, chunks, *, recorder: bool):
 
 
 def _publish_pass(log, chunks) -> list:
-    """Wall time (ms) of every serve_doc call of one ControlPlane run."""
+    """Wall time (ms) of every reader_view call of one ControlPlane run."""
     plane = ControlPlane(log, window_s=WINDOW_S)
-    serve_doc = plane.forensics.serve_doc
+    reader_view = plane.forensics.reader_view
     calls_ms = []
 
-    def timed(**kwargs):
+    def timed():
         t0 = time.perf_counter()
-        doc = serve_doc(**kwargs)
+        view = reader_view()
         calls_ms.append((time.perf_counter() - t0) * 1e3)
-        return doc
+        return view
 
-    plane.forensics.serve_doc = timed
+    plane.forensics.reader_view = timed
     try:
         for chunk in chunks:
             plane.ingest(chunk)
@@ -127,13 +128,13 @@ def measure_publish(log, chunks, *, rounds: int) -> dict:
     last = float(per_call[-quarter:].mean())
     return {
         "description": (
-            f"Forensics.serve_doc per ControlPlane publish, "
+            f"Forensics.reader_view per ControlPlane publish, "
             f"{FLEET_NODES} nodes x {DAYS:g} days ({len(chunks)} chunks, "
             f"{WINDOW_S:.0f} s windows); per call the min over rounds"
         ),
         "rounds": rounds,
         "publishes": int(len(per_call)),
-        "serve_doc_ms_p50": round(float(np.median(per_call)), 4),
+        "reader_view_ms_p50": round(float(np.median(per_call)), 4),
         "first_quarter_ms": round(first, 4),
         "last_quarter_ms": round(last, 4),
         "growth_ratio": round(last / first if first > 0 else 0.0, 3),
@@ -214,7 +215,7 @@ def check(results: dict) -> int:
     publish = results["forensics_publish"]
     if publish["growth_ratio"] >= GROWTH_LIMIT:
         failures.append(
-            f"live serve_doc cost grows {publish['growth_ratio']:.2f}x "
+            f"live reader_view cost grows {publish['growth_ratio']:.2f}x "
             f"along the stream (>= {GROWTH_LIMIT:g}x)"
         )
 
@@ -228,7 +229,8 @@ def check(results: dict) -> int:
             )
         elif ref_publish["growth_ratio"] >= GROWTH_LIMIT:
             failures.append(
-                f"recorded serve_doc growth {ref_publish['growth_ratio']:.2f}x "
+                f"recorded reader_view growth "
+                f"{ref_publish['growth_ratio']:.2f}x "
                 f"breaks the < {GROWTH_LIMIT:g}x budget"
             )
         if ref["overhead_pct"] >= OVERHEAD_LIMIT_PCT:
@@ -280,8 +282,8 @@ def main(argv=None) -> int:
         timings = {
             "forensics_plain_ms": load["plain_ms"],
             "forensics_recorded_ms": load["recorded_ms"],
-            "forensics_serve_doc_ms_p50": (
-                results["forensics_publish"]["serve_doc_ms_p50"]
+            "forensics_reader_view_ms_p50": (
+                results["forensics_publish"]["reader_view_ms_p50"]
             ),
         }
         flags = bench_history.drift_flags(

@@ -169,10 +169,15 @@ class CampaignAccumulator:
         log: SchedulerLog,
         *,
         interval_s: float = constants.TELEMETRY_INTERVAL_S,
+        tagger=None,
     ) -> None:
         jobs = log.job_by_id()
         self.log = log
         self.interval_s = interval_s
+        #: Optional ``tagger.tag(chunk) -> job ids`` shared with other
+        #: folds of the same chunks (a control plane's job index), so a
+        #: sealed window is labelled once; ``None`` asks the log.
+        self.tagger = tagger
         self.domains = sorted({j.domain for j in jobs.values()}) + [
             IDLE_DOMAIN
         ]
@@ -214,6 +219,7 @@ class CampaignAccumulator:
         new = object.__new__(CampaignAccumulator)
         new.log = self.log
         new.interval_s = self.interval_s
+        new.tagger = self.tagger
         new.domains = self.domains
         new.classes = self.classes
         new.energy_j = np.zeros_like(self.energy_j)
@@ -254,7 +260,10 @@ class CampaignAccumulator:
         )
         # Label each row with (domain, class) via the scheduler log: one
         # composite-key searchsorted over the whole chunk (no node loop).
-        jid = self.log.job_id_table(chunk.time_s, chunk.node_id)
+        jid = (
+            self.log.job_id_table(chunk.time_s, chunk.node_id)
+            if self.tagger is None else self.tagger.tag(chunk)
+        )
         d_row = self._dom_of_job[jid]
         c_row = self._cls_of_job[jid]
 

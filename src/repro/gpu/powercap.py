@@ -26,19 +26,11 @@ import numpy as np
 
 from ..errors import CapError
 from .kernel import KernelBatch, KernelSpec
-from .perf import (
-    BatchProfile,
-    ExecutionProfile,
-    execute,
-    execute_batch,
-    power_activities_batch,
-)
+from .perf import ExecutionProfile, execute, power_activities_batch
 from .power import (
     metered_power,
-    metered_power_batch,
     metered_power_from_activities,
     steady_power,
-    steady_power_batch,
 )
 from .specs import MI250XSpec
 
@@ -128,26 +120,6 @@ def _enforce_power_cap_cached(
 # -- batched (array-in/array-out) path ------------------------------------------
 
 
-@dataclass(frozen=True)
-class BatchCapSolution:
-    """Outcome of power-cap enforcement for every point of a batch."""
-
-    f_core_hz: np.ndarray
-    profile: BatchProfile
-    power_w: np.ndarray      # actual module power (may exceed the cap)
-    metered_w: np.ndarray    # what the controller's meter reads
-    breached: np.ndarray     # actual power exceeds the cap (bool)
-
-
-def _solve_batch(spec: MI250XSpec, batch: KernelBatch, f_hz: np.ndarray):
-    profile = execute_batch(spec, batch, f_hz)
-    metered = metered_power_batch(spec, profile, f_hz)
-    actual = steady_power_batch(
-        spec, profile, f_core_hz=f_hz, uncore_capped=False
-    )
-    return profile, metered, actual
-
-
 def _metered_batch(
     spec: MI250XSpec, batch: KernelBatch, f_hz: np.ndarray
 ) -> np.ndarray:
@@ -155,26 +127,6 @@ def _metered_batch(
     bound labels, or achieved rates, so it runs the lean activity pass."""
     core, hbm, l2, stall = power_activities_batch(spec, batch, f_hz)
     return metered_power_from_activities(spec, f_hz, core, hbm, l2, stall)
-
-
-def enforce_power_cap_batch(
-    spec: MI250XSpec, batch: KernelBatch, caps_w: np.ndarray
-) -> BatchCapSolution:
-    """Solve the power-cap operating point for every grid point at once.
-
-    Wraps :func:`solve_power_cap_frequencies` (the frequency search) with
-    a full profile/power evaluation at the solved clocks — the batched
-    :func:`enforce_power_cap`.
-    """
-    caps, f = solve_power_cap_frequencies(spec, batch, caps_w)
-    profile, metered, actual = _solve_batch(spec, batch, f)
-    return BatchCapSolution(
-        f_core_hz=f,
-        profile=profile,
-        power_w=actual,
-        metered_w=metered,
-        breached=actual > caps + _BREACH_TOL_W,
-    )
 
 
 def solve_power_cap_frequencies(

@@ -26,6 +26,7 @@ incident ids, whatever the delivery order or chunking.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Dict, List, Optional
 
 from ... import constants
@@ -62,6 +63,7 @@ __all__ = [
     "Finding",
     "FlightRecorder",
     "Forensics",
+    "ForensicsView",
     "Incident",
     "IncidentEngine",
     "ModeMixDetector",
@@ -134,33 +136,11 @@ class Forensics:
         re-chunking (asserted by ``ext_incidents``).
         """
         self.event_log = event_log
-        self.incidents.on_event = self._incident_event
+        # A partial over the log, not a bound method: the incident
+        # engine must not point back at this facade, so a dropped plane
+        # is freed on refcount alone.
+        self.incidents.on_event = partial(_emit_incident_event, event_log)
         return self
-
-    def _incident_event(self, transition, incident) -> None:
-        if transition == "open":
-            severity = (
-                "error" if incident.severity in ("critical", "page")
-                else "warning"
-            )
-            self.event_log.emit(
-                severity, "incident.open",
-                incident.peak_summary or incident.detector,
-                t_s=incident.t_start_s,
-                window=incident.first_window,
-                incident=incident.id,
-                detector=incident.detector,
-            )
-        else:
-            self.event_log.emit(
-                "info", "incident.resolve",
-                f"{incident.detector} quiet since window "
-                f"{incident.last_window}",
-                t_s=incident.t_end_s,
-                window=incident.last_window,
-                incident=incident.id,
-                detector=incident.detector,
-            )
 
     # -- the window observer ------------------------------------------------------
 
@@ -236,28 +216,91 @@ class Forensics:
         doc["summary"] = self.summary()
         return doc
 
+    def reader_view(self) -> "ForensicsView":
+        """Freeze what the served incident routes read, for one publish.
+
+        Resolved incidents' documents are memoized and shared, only the
+        few open ones render here, and the ring is frozen as a tuple of
+        record references: the records' documents render on first read.
+        """
+        return ForensicsView(
+            self.snapshot(), tuple(self.recorder.records), self.recorder
+        )
+
     def serve_doc(self, *, pad: int = 1) -> dict:
         """The snapshot plus per-incident recorder slices.
 
-        The shape the control plane freezes into a published
-        :class:`~repro.serve.cache.ServeView`: the incident list for
-        ``/v1/incidents`` and, per incident, the window records spanning
-        its range (padded ``pad`` windows each side) so
-        ``/v1/incidents/<id>`` serves a self-contained forensic slice.
-
-        Built incrementally: resolved incidents and resident records are
-        each rendered once and reused by every later publish, and each
-        slice is cut from the ring by index arithmetic, so publishing
-        does not slow down as the stream runs.
+        :meth:`ForensicsView.serve_doc` of a view taken now: the
+        incident list and, per incident, the window records spanning its
+        range (padded ``pad`` windows each side).
         """
-        doc = self.snapshot()
-        doc["records_by_id"] = {
-            incident.id: self.recorder.record_docs(
-                incident.first_window - pad, incident.last_window + pad,
-            )
-            for incident in self.incidents.incidents
-        }
-        return doc
+        return self.reader_view().serve_doc(pad=pad)
 
     def timeline(self) -> str:
         return render_timeline(self.incidents.incidents)
+
+
+class ForensicsView:
+    """A frozen read handle on the flight recorder, taken at publish.
+
+    ``doc`` is :meth:`Forensics.snapshot` at publish time; ``records``
+    the resident :class:`~.recorder.WindowRecord` refs, oldest first.
+    Both stay as published however far ingest advances, so the served
+    ``/v1/incidents`` bodies are byte-stable per view, and nothing here
+    renders until a reader asks.
+    """
+
+    def __init__(self, doc: dict, records: tuple, recorder) -> None:
+        self.doc = doc
+        self.records = records
+        self._recorder = recorder
+
+    def incident_records(self, incident: dict, *, pad: int = 1) -> List[dict]:
+        """Record documents spanning one incident, ``pad`` windows wide.
+
+        Cut from the frozen ring by index arithmetic; each record's
+        document renders once (see :meth:`FlightRecorder.record_doc`).
+        """
+        oldest = self.records[0].index if self.records else 0
+        lo = max(incident["first_window"] - pad - oldest, 0)
+        hi = max(incident["last_window"] + pad - oldest + 1, lo)
+        return [
+            self._recorder.record_doc(record)
+            for record in self.records[lo:hi]
+        ]
+
+    def serve_doc(self, *, pad: int = 1) -> dict:
+        """The snapshot plus every incident's recorder slice by id."""
+        doc = dict(self.doc)
+        doc["records_by_id"] = {
+            incident["id"]: self.incident_records(incident, pad=pad)
+            for incident in doc["incidents"]
+        }
+        return doc
+
+
+def _emit_incident_event(event_log, transition, incident) -> None:
+    """Log one incident lifecycle transition (``open`` or ``resolve``)."""
+    if transition == "open":
+        severity = (
+            "error" if incident.severity in ("critical", "page")
+            else "warning"
+        )
+        event_log.emit(
+            severity, "incident.open",
+            incident.peak_summary or incident.detector,
+            t_s=incident.t_start_s,
+            window=incident.first_window,
+            incident=incident.id,
+            detector=incident.detector,
+        )
+    else:
+        event_log.emit(
+            "info", "incident.resolve",
+            f"{incident.detector} quiet since window "
+            f"{incident.last_window}",
+            t_s=incident.t_end_s,
+            window=incident.last_window,
+            incident=incident.id,
+            detector=incident.detector,
+        )

@@ -25,6 +25,7 @@ from typing import Dict, List, Optional
 
 from ...errors import ForensicsError
 from ..manifest import _git_revision, _package_versions
+from ..metrics import WALL_CLOCK_METRICS
 
 SCHEMA_VERSION = 1
 
@@ -44,7 +45,10 @@ def forensics_doc(
     monitor=None,
 ) -> dict:
     """The full forensic state of one run as a JSON-ready document."""
-    metrics_text = registry.to_prometheus() if registry is not None else None
+    metrics_text = (
+        registry.to_prometheus(skip=WALL_CLOCK_METRICS)
+        if registry is not None else None
+    )
     alerts = monitor.to_alerts_dict() if monitor is not None else None
     event_log = getattr(forensics, "event_log", None)
     return {

@@ -24,6 +24,7 @@ dictionaries, which is what makes incident bundles diffable artifacts.
 
 from __future__ import annotations
 
+import threading
 from collections import deque
 from dataclasses import dataclass
 from itertools import islice
@@ -208,8 +209,9 @@ class FlightRecorder:
     ``capacity`` records are held the oldest is evicted (and counted in
     :attr:`evicted`), so memory stays bounded however long the stream
     runs.  :meth:`window_range` slices by fold index for incident
-    bundles; :meth:`record_docs` does the same for the served form,
-    rendering each resident record's ``to_dict()`` once.
+    bundles; :meth:`record_doc` renders each resident record's
+    ``to_dict()`` once for the served form, from whichever thread reads
+    it first.
     """
 
     def __init__(self, *, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -220,8 +222,10 @@ class FlightRecorder:
         self.windows_seen = 0
         self.evicted = 0
         #: ``to_dict()`` of resident records by fold index; an entry
-        #: leaves with its record, so it never outgrows the ring.
+        #: leaves with its record, so it never outgrows the ring.  The
+        #: lock orders eviction against a serving thread's insert.
         self._docs: Dict[int, dict] = {}
+        self._docs_lock = threading.Lock()
 
     def append(self, record: WindowRecord) -> None:
         if record.index != self.windows_seen:
@@ -229,11 +233,12 @@ class FlightRecorder:
                 f"record index {record.index} out of fold order "
                 f"(expected {self.windows_seen})"
             )
-        if len(self._ring) == self.capacity:
-            self.evicted += 1
-            self._docs.pop(self._ring[0].index, None)
-        self._ring.append(record)
-        self.windows_seen += 1
+        with self._docs_lock:
+            if len(self._ring) == self.capacity:
+                self.evicted += 1
+                self._docs.pop(self._ring[0].index, None)
+            self._ring.append(record)
+            self.windows_seen += 1
 
     def __len__(self) -> int:
         return len(self._ring)
@@ -253,21 +258,22 @@ class FlightRecorder:
         hi = max(last - oldest + 1, lo)
         return list(islice(self._ring, lo, hi))
 
-    def record_docs(self, first: int, last: int) -> List[dict]:
-        """``to_dict()`` of :meth:`window_range`, each record rendered once.
+    def record_doc(self, record: WindowRecord) -> dict:
+        """``record.to_dict()``, rendered once while the record is resident.
 
         Records are frozen and ``to_dict`` is pure, so the served slice
         of a long-lived incident reuses the dictionaries of earlier
-        publishes instead of re-rendering them.
+        reads instead of re-rendering them.  A record already evicted
+        renders without being memoized.
         """
-        docs = self._docs
-        out = []
-        for record in self.window_range(first, last):
-            doc = docs.get(record.index)
-            if doc is None:
-                doc = docs[record.index] = record.to_dict()
-            out.append(doc)
-        return out
+        doc = self._docs.get(record.index)
+        if doc is not None:
+            return doc
+        doc = record.to_dict()
+        with self._docs_lock:
+            if record.index >= self.windows_seen - len(self._ring):
+                doc = self._docs.setdefault(record.index, doc)
+        return doc
 
     def metric_values(self) -> Dict[str, float]:
         return {

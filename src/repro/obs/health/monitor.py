@@ -21,8 +21,6 @@ from typing import List, Mapping, Optional
 
 import numpy as np
 
-from ...core.modes import decompose_modes
-from ...errors import ProjectionError
 from .. import runtime as _obs
 from ..metrics import MetricsRegistry
 from .drift import DriftDetector, DriftReference
@@ -79,16 +77,14 @@ class HealthMonitor:
         """Evaluate against a live :class:`~repro.stream.engine.StreamEngine`.
 
         Reads the engine's ingest counters and (when windows have been
-        folded) the live Table IV decomposition; never mutates engine
-        state beyond reading a copied cube.
+        folded) the live Table IV decomposition of the engine's
+        :meth:`~repro.stream.engine.StreamEngine.frame`, which a snapshot
+        after the same ingest reuses; never mutates engine state.
         """
         stats = engine.stats
         values = dict(engine.metric_values())
         if self.drift is not None and stats.windows_folded > 0:
-            try:
-                table4 = decompose_modes(engine.cube(copy=True))
-            except ProjectionError:
-                table4 = None
+            table4 = engine.frame().table4
             if table4 is not None:
                 report = self.drift.check(table4)
                 values.update(report.gauges())

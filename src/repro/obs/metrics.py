@@ -28,6 +28,14 @@ from ..errors import ObservabilityError
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
 
+#: Cumulative wall seconds each window sink spent observing windows
+#: (``sink`` label), exported by ``StreamEngine.export_metrics``.
+SINK_SECONDS = "stream_sink_seconds_total"
+
+#: Series that time this process, not the fleet: they differ run to
+#: run, so reproducible artifacts render the registry without them.
+WALL_CLOCK_METRICS = (SINK_SECONDS,)
+
 #: Default histogram buckets, in seconds (timings are the common case).
 DEFAULT_BUCKETS = (
     0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 10.0, 30.0, 60.0, 300.0,
@@ -208,6 +216,14 @@ class MetricsRegistry:
         return series[key]
 
     def gauge(self, name: str, help_text: str = "", **labels) -> Gauge:
+        if not labels:
+            # Fast path for the per-window mirrors: an existing
+            # unlabelled gauge needs no name check and no lock.
+            fam = self._families.get(name)
+            if fam is not None and fam["kind"] == "gauge":
+                series = fam["series"].get(())
+                if series is not None:
+                    return series
         fam = self._family(name, "gauge", help_text)
         key = _labels_key(labels)
         series = fam["series"]
@@ -254,7 +270,9 @@ class MetricsRegistry:
             }
         return out
 
-    def to_prometheus(self, *, exemplars: bool = False) -> str:
+    def to_prometheus(
+        self, *, exemplars: bool = False, skip: Iterable[str] = ()
+    ) -> str:
         """Prometheus text exposition format (version 0.0.4).
 
         With ``exemplars=True``, histogram bucket lines that captured an
@@ -262,10 +280,14 @@ class MetricsRegistry:
         ``# {trace_id="..."} value timestamp`` (timestamp omitted when
         the exemplar has none).  Exemplar labels are rendered sorted,
         so the opt-in output is as byte-stable as the default form, and
-        both round-trip through :func:`parse_prometheus_text`.
+        both round-trip through :func:`parse_prometheus_text`.  Families
+        named in ``skip`` are left out.
         """
+        skip = frozenset(skip)
         lines = []
         for name, fam in sorted(self._families.items()):
+            if name in skip:
+                continue
             if fam["help"]:
                 lines.append(f"# HELP {name} {fam['help']}")
             lines.append(f"# TYPE {name} {fam['kind']}")

@@ -12,10 +12,12 @@ The contract here:
 * Responses are **read-through cached as serialized bytes** on the
   view: the first request for a route renders JSON (sorted keys,
   deterministic float repr) and every later request for the same route
-  and view returns the identical byte string.  Hot fleet routes are
-  pre-rendered at publish, so the steady-state request path is one
-  attribute read and one dict lookup — the sub-millisecond budget in
-  ``benchmarks/bench_serve.py``.
+  and view returns the identical byte string.  A publish pre-renders
+  only the routes a request read on the previous view, so pollers find
+  their bodies ready (the steady-state request path is one attribute
+  read and one dict lookup — the sub-millisecond budget in
+  ``benchmarks/bench_serve.py``) and a view nobody reads renders
+  nothing.
 * Version numbers increase by one per publish; a response's ``version``
   field tells a poller whether anything changed since its last poll.
 
@@ -28,7 +30,7 @@ import json
 import math
 import threading
 import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Set, Tuple
 
 from ..errors import HistoryError, LogError
 from ..obs.log.query import select as select_logs
@@ -36,10 +38,6 @@ from ..stream.engine import StreamSnapshot
 from .analytics import JobStats
 from .jobs import JobStateIndex
 from .objectives import OBJECTIVES, CapDecision, decide_cap
-
-#: Routes rendered eagerly at publish time (the load-test hot path).
-HOT_ROUTES = ("fleet/cap", "fleet/savings", "policy", "jobs")
-
 
 def _finite(value: float) -> Optional[float]:
     """JSON-safe float: non-finite sentinels become null."""
@@ -73,7 +71,7 @@ class ServeView:
         decision: CapDecision,
         policy_version: int = 1,
         published_wall_s: Optional[float] = None,
-        incidents: Optional[dict] = None,
+        incidents=None,
         history=None,
         logs=None,
     ) -> None:
@@ -85,7 +83,9 @@ class ServeView:
         self.factors = factors
         self.decision = decision
         self.policy_version = policy_version
-        #: Frozen forensics snapshot (``Forensics.serve_doc()`` shape);
+        #: Frozen flight-recorder read handle
+        #: (:class:`~repro.obs.forensics.ForensicsView`): the incident
+        #: documents, summary and resident records at publish time.
         #: ``None`` when the plane runs without a flight recorder.
         self.incidents = incidents
         #: Frozen history read handle
@@ -105,29 +105,50 @@ class ServeView:
         self.sealed_until_s = snap.stats.sealed_until_s
         self.watermark_s = snap.stats.watermark_s
         self._bodies: Dict[str, Tuple[int, bytes]] = {}
+        #: Memoized routes a request has read (the next publish
+        #: pre-renders exactly these); grows only under the lock.
+        self._read: Set[str] = set()
         self._render_lock = threading.Lock()
 
     # -- request path -------------------------------------------------------------
 
     def body(self, route: str) -> Tuple[int, bytes]:
-        """(status, bytes) for one canonical route key, memoized."""
+        """(status, bytes) for one canonical route key, memoized.
+
+        A memoized route is marked read, so the next publish pre-renders
+        it.
+        """
         hit = self._bodies.get(route)
-        if hit is not None:
-            return hit
+        if hit is None:
+            return self._render(route, read=True)
+        if route not in self._read:
+            with self._render_lock:
+                self._read.add(route)
+        return hit
+
+    def _render(self, route: str, *, read: bool) -> Tuple[int, bytes]:
         status, doc = self._build(route)
         payload = render_body(doc)
-        if status == 200 and len(self._bodies) < 8192:
+        if status != 200 or len(self._bodies) >= 8192:
             # Only successful bodies are memoized (404 routes are
             # request-controlled and would grow the cache without
             # bound); the size guard caps worst-case memory per view.
-            with self._render_lock:
-                self._bodies.setdefault(route, (status, payload))
-            return self._bodies[route]
-        return status, payload
+            return status, payload
+        with self._render_lock:
+            hit = self._bodies.setdefault(route, (status, payload))
+            if read:
+                self._read.add(route)
+        return hit
 
-    def prerender(self) -> "ServeView":
-        for route in HOT_ROUTES:
-            self.body(route)
+    def read_routes(self) -> Tuple[str, ...]:
+        """The memoized routes requests have read so far."""
+        with self._render_lock:
+            return tuple(self._read)
+
+    def prerender(self, routes) -> "ServeView":
+        """Render ``routes`` ahead of any request (not marked as read)."""
+        for route in routes:
+            self._render(route, read=False)
         return self
 
     # -- document builders --------------------------------------------------------
@@ -286,22 +307,18 @@ class ServeView:
         return doc
 
     def _incidents_doc(self) -> dict:
+        frozen = self.incidents.doc
         doc = self._head()
-        doc["summary"] = self.incidents.get("summary", {})
-        doc["open"] = self.incidents.get("open", 0)
-        doc["total"] = self.incidents.get("total", 0)
-        doc["incidents"] = self.incidents.get("incidents", [])
+        for key in ("summary", "open", "total", "incidents"):
+            doc[key] = frozen[key]
         return doc
 
     def _incident_doc(self, incident_id: str) -> Tuple[int, dict]:
-        for incident in self.incidents.get("incidents", []):
+        for incident in self.incidents.doc["incidents"]:
             if incident["id"] == incident_id:
                 doc = self._head()
                 doc["incident"] = incident
-                doc["records"] = (
-                    self.incidents.get("records_by_id", {})
-                    .get(incident_id, [])
-                )
+                doc["records"] = self.incidents.incident_records(incident)
                 return 200, doc
         return 404, {"error": f"no incident {incident_id}"}
 
@@ -431,11 +448,16 @@ class SnapshotCache:
         return self._version
 
     def publish(self, build) -> ServeView:
-        """Build and swap in the next view; ``build(version) -> ServeView``."""
+        """Build and swap in the next view; ``build(version) -> ServeView``.
+
+        The new view pre-renders the routes requests read on the view it
+        replaces; every other route renders on its first request.
+        """
         with self._publish_lock:
             version = self._version + 1
             view = build(version)
-            view.prerender()
+            if self._view is not None:
+                view.prerender(self._view.read_routes())
             self._version = version
             self._view = view
             return view

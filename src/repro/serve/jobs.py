@@ -19,7 +19,7 @@ served documents stay bitwise-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -84,6 +84,7 @@ class JobStateIndex:
     def __init__(self, log: SchedulerLog) -> None:
         self.log = log
         self._meta: Dict[int, JobMeta] = {}
+        self._last: Optional[Tuple[TelemetryChunk, np.ndarray]] = None
         for job in log.jobs:
             partition = PARTITION_BY_CLASS.get(job.size_class)
             if partition is None:
@@ -123,5 +124,16 @@ class JobStateIndex:
         return sorted(self._meta)
 
     def tag(self, chunk: TelemetryChunk) -> np.ndarray:
-        """Job id of every row in ``chunk`` (0 = idle node)."""
-        return self.log.job_id_table(chunk.time_s, chunk.node_id)
+        """Job id of every row in ``chunk`` (0 = idle node), read-only.
+
+        Memoized for the last chunk tagged: a control plane's campaign
+        join, per-job fold and incident attribution all tag the same
+        sealed window in turn, so each window is labelled once.
+        """
+        last = self._last
+        if last is not None and last[0] is chunk:
+            return last[1]
+        ids = self.log.job_id_table(chunk.time_s, chunk.node_id)
+        ids.flags.writeable = False
+        self._last = (chunk, ids)
+        return ids

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import threading
 import time
+from functools import partial
 from typing import Dict, Iterable, Optional
 
 import numpy as np
@@ -51,11 +52,61 @@ from .objectives import decide_cap, get_objective
 
 
 def _frontier_s(stats) -> Optional[float]:
-    """Folded event-time frontier of one engine snapshot, if any."""
+    """Folded event-time frontier of one engine snapshot, if any.
+
+    ``stats`` is an :class:`~repro.stream.engine.IngestStats` or the
+    reorder buffer itself (both carry the two clocks).
+    """
     for candidate in (stats.sealed_until_s, stats.max_event_time_s):
         if np.isfinite(candidate):
             return float(candidate)
     return None
+
+
+def _published_decision(cache: SnapshotCache):
+    """The decision every sealed window's record stamps.
+
+    Reads the *published* view — the decision a live fleet was acting
+    on while the window's samples were generated — not the decision the
+    window itself will produce after the next refresh.
+    """
+    view = cache.view
+    if view is None:
+        return (None, None, None, None)
+    decision = view.decision
+    return (
+        decision.cap if decision.capped else None,
+        view.policy.get("objective"),
+        view.version,
+        _frontier_s(view.snap.stats),
+    )
+
+
+def _serve_metric_values(cache: SnapshotCache, buffer) -> Dict[str, float]:
+    """Serving gauges merged into the engine's metric stream.
+
+    ``serve_snapshot_age_s`` is *event-time* staleness: how far the
+    engine's sealed frontier has advanced past the published view's.
+    It grows only when ingest seals windows the API has not been
+    given — exactly the condition the ``serve_snapshot_stale`` health
+    rule watches — and is immune to wall-clock idleness of a fully
+    drained stream.
+    """
+    view = cache.view
+    if view is None:
+        return {}
+    values = {"serve_snapshot_version": float(view.version)}
+    # Sealed frontier of a live engine; a *drained* engine reports a
+    # non-finite sentinel, so fall back to the last event time —
+    # otherwise draining without republishing would make the metric
+    # vanish and silently resolve the staleness alert.
+    frontier = _frontier_s(buffer)
+    published = _frontier_s(view.snap.stats)
+    if frontier is not None:
+        values["serve_snapshot_age_s"] = max(
+            0.0, frontier - (published if published is not None else 0.0)
+        )
+    return values
 
 
 class PolicyState:
@@ -117,16 +168,25 @@ class ControlPlane:
             knob=self.factors.knob,
             campaign_energy_mwh=campaign_energy_mwh,
         )
+        # One job index tags each sealed window for the campaign join,
+        # the per-job fold and incident attribution alike.
+        self.index = JobStateIndex(log)
         self.engine = StreamEngine(
             log,
             interval_s=interval_s,
             window_s=window_s,
             lateness_s=lateness_s,
+            tagger=self.index,
         )
-        self.index = JobStateIndex(log)
         self.job_acc = JobAccumulator(self.index, interval_s=interval_s)
         self.engine.add_window_observer(self.job_acc.update)
-        self.engine.add_metric_source(self.serve_metric_values)
+        # The engine's hooks get partials over the cache and the buffer,
+        # never bound methods of this plane: nothing the engine holds
+        # points back here, so a dropped plane is freed on refcount.
+        self.cache = SnapshotCache()
+        self.engine.add_metric_source(
+            partial(_serve_metric_values, self.cache, self.engine.buffer)
+        )
         self.monitor = monitor
         if forensics is True:
             from ..obs.forensics import Forensics
@@ -141,7 +201,6 @@ class ControlPlane:
             else (monitor.registry if monitor is not None
                   else MetricsRegistry())
         )
-        self.cache = SnapshotCache()
         #: Guards metric writes vs /metrics renders (the registry's own
         #: lock only covers family creation, not series iteration).
         self.metrics_lock = threading.Lock()
@@ -157,7 +216,7 @@ class ControlPlane:
         # each window's record stamps the decision that was in force
         # while its samples were charged (window observers run before
         # refresh() republishes).
-        self.engine.decision_feed = self._decision_feed
+        self.engine.decision_feed = partial(_published_decision, self.cache)
         self.engine.attach(
             health=monitor,
             forensics=self.forensics,
@@ -244,7 +303,7 @@ class ControlPlane:
                 incidents = None
                 if self.forensics is not None:
                     with _obs.span("forensics.serve_doc"):
-                        incidents = self.forensics.serve_doc()
+                        incidents = self.forensics.reader_view()
                 history_view = (
                     self.history.reader_view()
                     if self.history is not None
@@ -367,51 +426,11 @@ class ControlPlane:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _decision_feed(self):
-        """The decision every sealed window's record stamps.
-
-        Reads the *published* view — the decision a live fleet was
-        acting on while the window's samples were generated — not the
-        decision the window itself will produce after the next refresh.
-        """
-        view = self.cache.view
-        if view is None:
-            return (None, None, None, None)
-        decision = view.decision
-        return (
-            decision.cap if decision.capped else None,
-            view.policy.get("objective"),
-            view.version,
-            _frontier_s(view.snap.stats),
-        )
-
     # -- metrics ------------------------------------------------------------------
 
     def serve_metric_values(self) -> Dict[str, float]:
-        """Serving gauges merged into the engine's metric stream.
-
-        ``serve_snapshot_age_s`` is *event-time* staleness: how far the
-        engine's sealed frontier has advanced past the published view's.
-        It grows only when ingest seals windows the API has not been
-        given — exactly the condition the ``serve_snapshot_stale``
-        health rule watches — and is immune to wall-clock idleness of
-        a fully drained stream.
-        """
-        view = self.cache.view
-        if view is None:
-            return {}
-        values = {"serve_snapshot_version": float(view.version)}
-        # Sealed frontier of a live engine; a *drained* engine reports a
-        # non-finite sentinel, so fall back to the last event time —
-        # otherwise draining without republishing would make the metric
-        # vanish and silently resolve the staleness alert.
-        frontier = _frontier_s(self.engine.stats)
-        published = _frontier_s(view.snap.stats)
-        if frontier is not None:
-            values["serve_snapshot_age_s"] = max(
-                0.0, frontier - (published if published is not None else 0.0)
-            )
-        return values
+        """Serving gauges merged into the engine's metric stream."""
+        return _serve_metric_values(self.cache, self.engine.buffer)
 
     def observe_request(
         self, endpoint: str, status: int, elapsed_s: float, view

@@ -16,6 +16,7 @@ without touching the samples again.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -31,6 +32,7 @@ from ..core.projection import ProjectionTable, project_savings
 from ..errors import ObservabilityError, ProjectionError
 from ..obs import runtime as _obs
 from ..obs.forensics.recorder import make_record
+from ..obs.metrics import SINK_SECONDS
 from ..policy.live import FleetRecommendation, recommend_fleet_cap
 from ..scheduler.log import SchedulerLog
 from ..telemetry.schema import TelemetryChunk
@@ -93,6 +95,15 @@ class IngestStats:
                 f"{lag:.0f} s ({units.fmt_duration(lag)})",
             ),
         ])
+
+
+@dataclass(frozen=True)
+class FoldFrame:
+    """Quantities derived once per fold state (see :meth:`StreamEngine.frame`)."""
+
+    folds: int                  # windows folded when the frame was built
+    cube: CampaignCube          # frozen copy of the fold state
+    table4: Optional[ModeTable]  # None while the cube has no samples
 
 
 @dataclass(frozen=True)
@@ -160,6 +171,7 @@ class StreamEngine:
         window_s: float = DEFAULT_WINDOW_S,
         lateness_s: float = 0.0,
         aggregate: bool = False,
+        tagger=None,
     ) -> None:
         self.log = log
         self.buffer = ReorderBuffer(
@@ -168,7 +180,9 @@ class StreamEngine:
             lateness_s=lateness_s,
             aggregate=aggregate,
         )
-        self.accumulator = CampaignAccumulator(log, interval_s=interval_s)
+        self.accumulator = CampaignAccumulator(
+            log, interval_s=interval_s, tagger=tagger
+        )
         self.chunks_in = 0
         #: Optional :class:`repro.obs.health.HealthMonitor`, evaluated
         #: after every ingest call that folded windows (and at drain).
@@ -179,10 +193,13 @@ class StreamEngine:
         self.decision_feed = None
         self._window_observers: List = []
         self._metric_sources: List = []
-        #: Window sinks attached via :meth:`attach`, in fold order.
-        self._sinks: List = []
+        #: ``(name, sink)`` attached via :meth:`attach`, in fold order.
+        self._sinks: List[Tuple[str, object]] = []
+        #: Wall seconds each sink spent in ``observe_window``, by name.
+        self.sink_seconds: Dict[str, float] = {}
         self._sink_windows = 0
         self._sink_counters = (0, 0, 0, 0)
+        self._frame: Optional[FoldFrame] = None
 
     def add_window_observer(self, fn) -> "StreamEngine":
         """Call ``fn(window)`` for every sealed window, in fold order.
@@ -221,11 +238,13 @@ class StreamEngine:
         built once per window: its index counts windows since attach,
         its ingest deltas are taken against the buffer counters at
         attach time, its alert counts read :attr:`health`, and its
-        decision comes from :attr:`decision_feed`.  The sinks ride one
-        window observer queued behind any added before, their gauges
-        ride the metric-source hook, and :meth:`drain` finalizes them in
-        the same order.  The event log also hears the monitor's alert
-        transitions and the recorder's findings and incidents.
+        decision comes from :attr:`decision_feed`.  The sinks see each
+        window after every window observer, their gauges ride the
+        metric-source hook, their wall time accumulates in
+        :attr:`sink_seconds` (exported as ``stream_sink_seconds_total``),
+        and :meth:`drain` finalizes them in the same order.  The event
+        log also hears the monitor's alert transitions and the
+        recorder's findings and incidents.
 
         Every attachment only *reads* windows and engine state, so it
         leaves every analytic output bitwise unchanged (asserted in
@@ -233,8 +252,15 @@ class StreamEngine:
         """
         if health is not None:
             self.health = health
-        sinks = [s for s in (forensics, history, event_log) if s is not None]
-        if not sinks:
+        named = [
+            (name, sink)
+            for name, sink in (
+                ("forensics", forensics), ("history", history),
+                ("log", event_log),
+            )
+            if sink is not None
+        ]
+        if not named:
             return self
         if self._sinks:
             raise ObservabilityError("window sinks are already attached")
@@ -246,10 +272,10 @@ class StreamEngine:
                 self.health.alerts.add_listener(event_log.alert_transition)
             if forensics is not None:
                 forensics.set_event_log(event_log)
-        self._sinks = sinks
+        self._sinks = named
+        self.sink_seconds = {name: 0.0 for name, _ in named}
         self._sink_counters = self._counters()
-        self.add_window_observer(self._observe_sinks)
-        for sink in sinks:
+        for _, sink in named:
             self.add_metric_source(sink.metric_values)
         return self
 
@@ -276,7 +302,10 @@ class StreamEngine:
         self._sink_counters = counters
         index = self._sink_windows
         self._sink_windows += 1
-        sinks = [s for s in self._sinks if getattr(s, "enabled", True)]
+        sinks = [
+            (name, sink) for name, sink in self._sinks
+            if getattr(sink, "enabled", True)
+        ]
         if not sinks:
             return
         firing = 0
@@ -302,8 +331,21 @@ class StreamEngine:
             alerts_firing=firing,
             alert_transitions_delta=transitions,
         )
-        for sink in sinks:
+        seconds = self.sink_seconds
+        for name, sink in sinks:
+            t0 = time.perf_counter()
             sink.observe_window(window, record)
+            seconds[name] += time.perf_counter() - t0
+
+    def _fold(self, windows) -> None:
+        """Fold sealed windows; observers, then sinks, see each in turn."""
+        for window in windows:
+            with _obs.span("stream.fold_window"):
+                self.accumulator.update(window)
+            for observer in self._window_observers:
+                observer(window)
+            if self._sinks:
+                self._observe_sinks(window)
 
     # -- ingestion ----------------------------------------------------------------
 
@@ -319,11 +361,7 @@ class StreamEngine:
         with _obs.span("stream.ingest"):
             self.chunks_in += 1
             windows = self.buffer.push(chunk)
-            for window in windows:
-                with _obs.span("stream.fold_window"):
-                    self.accumulator.update(window)
-                for observer in self._window_observers:
-                    observer(window)
+            self._fold(windows)
         st = _obs.state()
         if st is not None:
             self.export_metrics(st.registry)
@@ -335,12 +373,8 @@ class StreamEngine:
         """Seal and fold everything still buffered (end of stream)."""
         with _obs.span("stream.drain"):
             windows = self.buffer.flush()
-            for window in windows:
-                with _obs.span("stream.fold_window"):
-                    self.accumulator.update(window)
-                for observer in self._window_observers:
-                    observer(window)
-        for sink in self._sinks:
+            self._fold(windows)
+        for _, sink in self._sinks:
             sink.finalize()
         st = _obs.state()
         if st is not None:
@@ -389,6 +423,24 @@ class StreamEngine:
         """The campaign cube of all sealed windows so far."""
         return self.accumulator.cube(copy=copy)
 
+    def frame(self) -> "FoldFrame":
+        """The fold state's frozen cube copy and Table IV, built once.
+
+        Memoized per folded window count, so the health monitor and
+        :meth:`snapshot` after the same ingest share one cube copy and
+        one decomposition.  Readers must not mutate the cube.
+        """
+        frame = self._frame
+        folds = self.accumulator.n_chunks
+        if frame is None or frame.folds != folds:
+            cube = self.cube(copy=True)
+            try:
+                table4 = decompose_modes(cube)
+            except ProjectionError:
+                table4 = None
+            frame = self._frame = FoldFrame(folds, cube, table4)
+        return frame
+
     def metric_values(self) -> Dict[str, float]:
         """Finite ``stream_*`` gauge values of the current ingest state.
 
@@ -430,6 +482,12 @@ class StreamEngine:
         """
         for name, value in self.metric_values().items():
             registry.gauge(name).set(value)
+        for sink, seconds in self.sink_seconds.items():
+            registry.gauge(
+                SINK_SECONDS,
+                "wall seconds each window sink spent observing windows",
+                sink=sink,
+            ).set(seconds)
 
     def snapshot(
         self,
@@ -440,8 +498,9 @@ class StreamEngine:
     ) -> StreamSnapshot:
         """Live Tables IV/V/VI + fleet advice + ingest statistics.
 
-        Derived entirely from the fold's O(bins) state; safe to call at
-        any cadence.  Tables are ``None`` until the first window seals.
+        Derived entirely from the fold's O(bins) state (the cube and
+        Table IV of :meth:`frame`); safe to call at any cadence.  Tables
+        are ``None`` until the first window seals.
         """
         with _obs.span("stream.snapshot"):
             return self._snapshot(
@@ -457,12 +516,14 @@ class StreamEngine:
         campaign_energy_mwh: Optional[float],
         max_slowdown_pct: float,
     ) -> StreamSnapshot:
+        frame = self.frame()
         return compute_snapshot(
-            self.cube(copy=True),
+            frame.cube,
             self.stats,
             factors=factors,
             campaign_energy_mwh=campaign_energy_mwh,
             max_slowdown_pct=max_slowdown_pct,
+            table4=frame.table4,
         )
 
 
@@ -473,12 +534,14 @@ def compute_snapshot(
     factors: Optional[CapFactors] = None,
     campaign_energy_mwh: Optional[float] = None,
     max_slowdown_pct: float = 5.0,
+    table4: Optional[ModeTable] = None,
 ) -> StreamSnapshot:
     """Derive a :class:`StreamSnapshot` from a cube + ingest stats.
 
     The shared analytics tail of :meth:`StreamEngine.snapshot` and the
     sharded campaign driver (:mod:`repro.stream.shard`): live Table
     IV/V/VI plus fleet cap advice, all from O(bins) cube state.
+    ``table4``, when given, is the cube's decomposition already made.
     """
     if cube.total_gpu_hours == 0 or cube.total_energy_j <= 0:
         return StreamSnapshot(
@@ -488,7 +551,8 @@ def compute_snapshot(
     factors = (
         factors if factors is not None else measured_factors("frequency")
     )
-    table4 = decompose_modes(cube)
+    if table4 is None:
+        table4 = decompose_modes(cube)
     table5 = project_savings(
         cube, factors, campaign_energy_mwh=campaign_energy_mwh
     )

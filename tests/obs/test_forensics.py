@@ -612,10 +612,20 @@ class TestIncrementalServeDoc:
         monkeypatch.setattr(Incident, "to_dict", counted_incident)
         forensics = forensics_under_test(capacity=16)
         plane = ControlPlane(log, window_s=WINDOW_S, forensics=forensics)
+
+        def read_every_incident():
+            # Record documents render on first read, so a reader asks
+            # for every incident's slice on every published view.
+            view = plane.cache.view
+            for incident in view.incidents.doc["incidents"]:
+                assert view.body(f"incidents/{incident['id']}")[0] == 200
+
         try:
             for chunk in replay_store(store, chunk_ticks=16):
-                plane.ingest(chunk)
+                if plane.ingest(chunk):
+                    read_every_incident()
             plane.drain()
+            read_every_incident()
         finally:
             plane.close()
         assert plane.cache.view.version > 10

@@ -1,0 +1,154 @@
+"""What a publish pays for, and what it leaves to readers.
+
+A control plane wired like ``repro serve --history-dir D --log-dir D``
+(health monitor, flight recorder, on-disk history and event log) over a
+perturbed fleet:
+
+* bodies render lazily: a publish pre-renders exactly the routes read
+  on the view it replaces (the single-route case is in
+  ``test_service.py``), and every body — pre-rendered or rendered on
+  request — equals a fresh render of the same view's document;
+* per-sink wall time lands in ``stream_sink_seconds_total``;
+* nothing the engine holds points back at the plane, so a dropped plane
+  is freed on refcount alone, with the cyclic collector off.
+"""
+
+from __future__ import annotations
+
+import gc
+import weakref
+
+import pytest
+
+from repro.obs.health import DriftReference, HealthMonitor
+from repro.obs.history import History
+from repro.obs.log import EventLog, LogStore
+from repro.serve import ControlPlane
+from repro.serve.cache import render_body
+from repro.serve.http import _logs_route_key, _query_route_key
+from repro.stream import perturb, simulated_fleet
+
+NODES = 8
+DAYS = 0.25
+
+#: Every route family a poller can ask for (incident ids added per view).
+ROUTES = (
+    "fleet/cap",
+    "fleet/savings",
+    "policy",
+    "jobs",
+    "jobs?limit=20",
+    "incidents",
+    "series",
+    "logs",
+    _logs_route_key("severity=warning&limit=50"),
+    _query_route_key("series=energy_j&step=3600"),
+)
+
+
+def _chunks():
+    log, source = simulated_fleet(fleet_nodes=NODES, days=DAYS, seed=0)
+    return log, list(perturb(source, seed=0, dup_fraction=0.01,
+                             lateness_s=900.0, rows_per_chunk=NODES * 20))
+
+
+def _plane(log, tmp_path) -> ControlPlane:
+    return ControlPlane(
+        log,
+        monitor=HealthMonitor(
+            None, reference=DriftReference.paper(), drift=True
+        ),
+        history=History(dir=tmp_path / "history"),
+        event_log=EventLog(store=LogStore(tmp_path / "logs")),
+    )
+
+
+def _routes(view):
+    routes = list(ROUTES)
+    routes += [f"incidents/{inc['id']}"
+               for inc in view.incidents.doc["incidents"]]
+    job_ids = view.jobs.active_job_ids()
+    if job_ids:
+        routes += [f"jobs/{job_ids[0]}", f"jobs/{job_ids[0]}/cap",
+                   f"jobs/{job_ids[0]}/savings"]
+    return routes
+
+
+@pytest.fixture(scope="module")
+def stream():
+    return _chunks()
+
+
+class TestLazyBodies:
+    def test_every_body_equals_a_fresh_render_of_its_view(
+        self, stream, tmp_path
+    ):
+        log, chunks = stream
+        plane = _plane(log, tmp_path)
+        read, views, prerendered = (), 0, 0
+        try:
+            for chunk in chunks + [None]:
+                if chunk is None:
+                    plane.drain()
+                elif not plane.ingest(chunk):
+                    continue
+                view = plane.cache.view
+                # What the previous view served is ready before anyone
+                # asks, and nothing else is.
+                assert set(view._bodies) == set(read)
+                prerendered += len(view._bodies)
+                routes = _routes(view)
+                for route in routes:
+                    status, body = view.body(route)
+                    assert status == 200, route
+                    assert body == render_body(view._build(route)[1]), route
+                read = view.read_routes()
+                assert set(read) == set(routes)
+                views += 1
+        finally:
+            plane.close()
+        assert views > 10 and prerendered > 0
+        assert plane.forensics.incidents.incidents
+
+
+def test_sink_seconds_appear_and_grow_in_the_plane_registry(
+    stream, tmp_path
+):
+    log, chunks = stream
+    plane = _plane(log, tmp_path)
+    half = len(chunks) // 2
+
+    def sink_seconds():
+        family = plane.registry.to_dict()["stream_sink_seconds_total"]
+        return {s["labels"]["sink"]: s["value"] for s in family["series"]}
+
+    try:
+        plane.run(chunks[:half], drain=False)
+        early = sink_seconds()
+        plane.run(chunks[half:])
+        late = sink_seconds()
+    finally:
+        plane.close()
+    assert set(early) == set(late) == {"forensics", "history", "log"}
+    for sink, seconds in late.items():
+        assert 0.0 < early[sink] < seconds, sink
+    assert "stream_sink_seconds_total" in plane.registry.to_prometheus()
+
+
+def test_a_dropped_plane_is_freed_on_refcount(stream, tmp_path):
+    log, chunks = stream
+    gc.collect()
+    gc.disable()
+    try:
+        plane = _plane(log, tmp_path)
+        plane.run(chunks)
+        view = plane.cache.view
+        for route in _routes(view):
+            view.body(route)
+        plane.refresh()
+        plane.close()
+        refs = weakref.ref(plane), weakref.ref(plane.engine)
+        del plane, view
+        assert [ref() for ref in refs] == [None, None]
+    finally:
+        gc.enable()

@@ -38,10 +38,25 @@ class TestPublication:
         # Identical content on re-render, just not cached.
         assert view.body("jobs/999999") == (status, body)
 
-    def test_hot_routes_prerendered_at_publish(self, drained_plane):
-        view = drained_plane.cache.view
-        for route in ("fleet/cap", "fleet/savings", "policy", "jobs"):
-            assert route in view._bodies
+    def test_routes_read_on_a_view_are_prerendered_on_the_next(
+        self, campaign, windows
+    ):
+        log, _store = campaign
+        plane = build_plane(log, windows)
+        first = plane.refresh()
+        assert first._bodies == {}, "a view nobody read holds no bodies"
+        first.body("jobs?limit=20")
+        first.body("jobs/999999")             # 404s are not remembered
+        second = plane.refresh()
+        assert set(second._bodies) == {"jobs?limit=20"}
+        assert second.read_routes() == ()
+        assert second.body("jobs?limit=20") == (
+            200, render_body(second._build("jobs?limit=20")[1])
+        )
+        # Served from the pre-rendered cache, so it carries forward...
+        assert set(plane.refresh()._bodies) == {"jobs?limit=20"}
+        # ...until a publish nobody reads: the next one starts empty.
+        assert plane.refresh()._bodies == {}
 
     def test_jobs_limit_clamps_listing(self, drained_plane):
         view = drained_plane.cache.view

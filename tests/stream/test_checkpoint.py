@@ -1,5 +1,7 @@
 """Checkpoint/resume: restart mid-stream, converge to the same cube."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,51 @@ def test_mismatched_log_axes_are_rejected(
     np.savez_compressed(bad, **arrays)
     with pytest.raises(ReproError):
         load_checkpoint(bad, log)
+
+
+def test_a_failed_save_keeps_the_previous_checkpoint(
+    campaign, arrival_chunks, tmp_path, monkeypatch
+):
+    log, _gen, _store = campaign
+    split = len(arrival_chunks) // 3
+    engine = _fresh(log).run(arrival_chunks[:split], drain=False)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(engine, path)
+    with np.load(path) as data:
+        before = dict(data)
+    engine.run(arrival_chunks[split:], drain=False)
+
+    def torn_write(file, **arrays):
+        # Half an archive, then the disk fills; an in-place save would
+        # have truncated the previous checkpoint first.
+        with contextlib.ExitStack() as stack:
+            if not hasattr(file, "write"):
+                file = stack.enter_context(open(file, "wb"))
+            file.write(b"PK\x03\x04 half an archive")
+            file.flush()
+            raise OSError("disk full mid-write")
+
+    monkeypatch.setattr(np, "savez_compressed", torn_write)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(engine, path)
+    monkeypatch.undo()
+
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz"]
+    with np.load(path) as data:
+        after = dict(data)
+    assert after.keys() == before.keys()
+    for name, array in before.items():
+        assert array.dtype == after[name].dtype, name
+        assert array.tobytes() == after[name].tobytes(), name
+    resumed = load_checkpoint(path, log)
+    assert resumed.chunks_in == split
+
+
+def test_save_appends_the_npz_suffix_like_numpy(
+    campaign, arrival_chunks, tmp_path
+):
+    log, _gen, _store = campaign
+    engine = _fresh(log).run(arrival_chunks[:4], drain=False)
+    save_checkpoint(engine, tmp_path / "ckpt")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz"]
+    assert load_checkpoint(tmp_path / "ckpt.npz", log).chunks_in == 4
