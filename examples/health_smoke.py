@@ -10,7 +10,9 @@ live health exporter attached, then verifies the whole alert path:
    ingest gauges and the alert-state mirrors;
 2. the default ``stream_late_dropped_spike`` rate rule fires;
 3. ``/health`` answers 503 (readiness probe semantics) while it does;
-4. ``repro obs alerts --url ... --check`` exits non-zero.
+4. ``repro obs alerts --url ... --check`` exits non-zero;
+5. the exporter serves only the observability routes: the control
+   plane's ``/v1/fleet/cap`` answers 404.
 
 Run:  python examples/health_smoke.py
 
@@ -87,11 +89,18 @@ def main() -> int:
         if rc != 1:
             return fail(f"obs alerts --check exited {rc}, expected 1")
 
+        try:
+            urllib.request.urlopen(srv.url + "/v1/fleet/cap", timeout=5)
+            return fail("the exporter answered /v1/fleet/cap")
+        except urllib.error.HTTPError as exc:
+            if exc.code != 404:
+                return fail(f"/v1/fleet/cap answered {exc.code}, not 404")
+
     print(render_events(monitor.events, title="alert timeline:"))
     print(
         f"OK: {stats.late_dropped} of {stats.samples_in} samples dropped "
         "late; stream_late_dropped_spike fired; /health answered 503; "
-        "obs alerts --check exited 1"
+        "obs alerts --check exited 1; /v1/fleet/cap answered 404"
     )
     return 0
 

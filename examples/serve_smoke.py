@@ -13,7 +13,9 @@ serving contract:
    policy version;
 4. one ``/metrics`` scrape covers both sides: ``serve_requests_total``
    (serving) and ``stream_samples_in`` (ingest);
-5. ``POST /v1/admin/shutdown`` requests a graceful stop.
+5. 50 distinct unknown paths add at most one ``serve_requests_total``
+   series (one fixed label for every unmatched request);
+6. ``POST /v1/admin/shutdown`` requests a graceful stop.
 
 Run:  python examples/serve_smoke.py
 
@@ -26,7 +28,7 @@ import sys
 import time
 import urllib.request
 
-from repro.obs.httpd import post_url
+from repro.obs.httpd import fetch_url, post_url
 from repro.serve import ControlPlane
 from repro.stream import simulated_fleet
 
@@ -39,6 +41,13 @@ def fail(message: str) -> int:
 def get_json(url: str) -> dict:
     with urllib.request.urlopen(url, timeout=5) as resp:
         return json.loads(resp.read().decode())
+
+
+def request_series(url: str) -> int:
+    """How many ``serve_requests_total`` series one scrape shows."""
+    _status, text = fetch_url(url + "/metrics")
+    return sum(line.startswith("serve_requests_total{")
+               for line in text.splitlines())
 
 
 def main() -> int:
@@ -102,6 +111,18 @@ def main() -> int:
             if needle not in metrics:
                 return fail(f"/metrics is missing {needle}")
         print("one /metrics scrape covers serving + ingest")
+
+        before = request_series(url)
+        for i in range(50):
+            status, _body = fetch_url(url + f"/nope-{i}")
+            if status != 404:
+                return fail(f"unknown path answered {status}")
+        grown = request_series(url) - before
+        if grown > 1:
+            return fail(
+                f"50 unknown paths added {grown} serve_requests_total series"
+            )
+        print(f"50 unknown paths added {grown} request series")
 
         status, _body = post_url(url + "/v1/admin/shutdown")
         if status != 200 or not plane.stop_event.is_set():

@@ -1,7 +1,7 @@
 """Zero-dependency HTTP exporter: ``/metrics``, ``/health``, ``/alerts``.
 
-A ``ThreadingHTTPServer`` on a daemon thread, serving three read-only
-views of the live observability state:
+Three read-only views of the live observability state, plus ``/``
+listing them:
 
 * ``/metrics`` — Prometheus text exposition of the wrapped registry
   (scrape target);
@@ -10,82 +10,65 @@ views of the live observability state:
 * ``/alerts``  — the firing set plus the bounded transition-history
   ring (incident timeline).
 
-The server holds no state of its own — every request re-reads the
-registry/monitor — and shuts down cleanly: the bind/serve/close
-lifecycle (ephemeral ``port=0``, idempotent start/close, context
-manager that joins the serving thread) lives in the shared
-:class:`repro.obs.httpd.HttpService` base, which the control-plane API
-(:mod:`repro.serve.http`) extends too — one implementation, identical
-shutdown semantics.
+These are :data:`OBS_ROUTES`.  The exporter is the table-driven
+:class:`repro.obs.httpd.HttpService` with only these routes (anything
+else is 404, and no request is metered); the control plane
+(:mod:`repro.serve.http`) serves the same entries after its ``/v1``
+routes, so one scrape covers ingest and serving.  Every request re-reads
+the registry/monitor.
 """
 
 from __future__ import annotations
 
-from http.server import ThreadingHTTPServer
 from typing import Optional, Tuple
 
 from ...errors import HealthError
-from ..httpd import HttpService, JsonRequestHandler
+from ..httpd import HttpService, Route, RouteTable
 from ..httpd import fetch_url as _fetch_url
 from ..metrics import MetricsRegistry
 from .monitor import HealthMonitor
 
 
-def render_health_endpoints(
-    handler: JsonRequestHandler,
-    path: str,
-    registry: MetricsRegistry,
-    monitor: Optional[HealthMonitor],
-) -> bool:
-    """Serve one of the shared observability endpoints, if ``path`` is one.
-
-    Returns True when the path was handled.  Shared between the health
-    exporter and the control-plane server so one scrape covers ingest
-    and serving wherever the registry lives.
-    """
-    if path == "/metrics":
-        handler._send(
-            200, "text/plain; version=0.0.4", registry.to_prometheus()
-        )
-    elif path == "/health":
-        if monitor is None:
-            handler._send_json(200, {"status": "ok", "rules": []})
-        else:
-            doc = monitor.to_health_dict()
-            status = 200 if doc["status"] == "ok" else 503
-            handler._send_json(status, doc)
-    elif path == "/alerts":
-        doc = (
-            monitor.to_alerts_dict()
-            if monitor is not None
-            else {"firing": [], "history": []}
-        )
-        handler._send_json(200, doc)
-    else:
-        return False
-    return True
+def _metrics(handler, service, match) -> int:
+    return handler._send(
+        200, "text/plain; version=0.0.4", service.metrics_text()
+    )
 
 
-class _Handler(JsonRequestHandler):
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        registry: MetricsRegistry = self.server.registry
-        monitor: Optional[HealthMonitor] = self.server.monitor
-        path = self.path.split("?", 1)[0].rstrip("/") or "/"
-        try:
-            if render_health_endpoints(self, path, registry, monitor):
-                pass
-            elif path == "/":
-                self._send(
-                    200, "text/plain",
-                    "repro health exporter\n"
-                    "endpoints: /metrics /health /alerts\n",
-                )
-            else:
-                self._send_json(404, {"error": f"no endpoint {path}"})
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        except Exception as exc:
-            self._send_error_500(exc)
+def _health(handler, service, match) -> int:
+    monitor = service.monitor
+    if monitor is None:
+        return handler._send_json(200, {"status": "ok", "rules": []})
+    doc = monitor.to_health_dict()
+    return handler._send_json(200 if doc["status"] == "ok" else 503, doc)
+
+
+def _alerts(handler, service, match) -> int:
+    monitor = service.monitor
+    doc = (
+        monitor.to_alerts_dict()
+        if monitor is not None
+        else {"firing": [], "history": []}
+    )
+    return handler._send_json(200, doc)
+
+
+def _index(handler, service, match) -> int:
+    return handler._send(
+        200, "text/plain",
+        f"repro {service.service_name}\nendpoints: {service.routes.index}\n",
+    )
+
+
+#: The observability endpoints.  A service serving them provides
+#: ``metrics_text()`` and a ``monitor`` (``None`` answers an empty,
+#: healthy rule set).
+OBS_ROUTES = (
+    Route("GET", "/metrics", _metrics),
+    Route("GET", "/health", _health),
+    Route("GET", "/alerts", _alerts),
+    Route("GET", "/", _index),
+)
 
 
 class HealthServer(HttpService):
@@ -103,8 +86,8 @@ class HealthServer(HttpService):
     """
 
     error_class = HealthError
-    handler_class = _Handler
     service_name = "health exporter"
+    routes = RouteTable(OBS_ROUTES)
 
     def __init__(
         self,
@@ -122,12 +105,10 @@ class HealthServer(HttpService):
         self.monitor = monitor
         self.registry = registry
 
-    def _configure(self, server: ThreadingHTTPServer) -> None:
-        server.registry = self.registry
-        server.monitor = self.monitor
-        server.on_handler_error = self._on_handler_error
+    def metrics_text(self) -> str:
+        return self.registry.to_prometheus()
 
-    def _on_handler_error(self, path: str, exc: BaseException) -> None:
+    def on_handler_error(self, exc: BaseException) -> None:
         self.registry.counter(
             "http_handler_errors_total",
             "unhandled handler exceptions answered with a 500",

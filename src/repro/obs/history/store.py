@@ -31,11 +31,13 @@ segments and manifest, whatever ``chunk_rows`` sliced them.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ...durable import replace_durably
 from ...errors import HistoryError
 
 #: Rows per stored segment (level 0: ~34 minutes of 15 s windows per
@@ -379,7 +381,11 @@ class HistoryStore:
         else:
             name = f"L{level}-{self._next_file_id:06d}.npy"
             self._next_file_id += 1
-            np.save(self.dir / name, cols)
+            # Synced before any manifest names it.
+            with open(self.dir / name, "wb") as fh:
+                np.save(fh, cols)
+                fh.flush()
+                os.fsync(fh.fileno())
             seg["file"] = name
             seg["array"] = None
         return seg
@@ -433,10 +439,10 @@ class HistoryStore:
                 for lv in self._levels
             ],
         }
-        path = self.dir / MANIFEST_NAME
-        tmp = path.with_suffix(".json.tmp")
-        tmp.write_text(json.dumps(doc, indent=2) + "\n")
-        tmp.replace(path)
+        text = json.dumps(doc, indent=2) + "\n"
+        replace_durably(
+            self.dir / MANIFEST_NAME, lambda fh: fh.write(text.encode())
+        )
 
     def close(self) -> None:
         """Drop memmap handles (idempotent; reads reopen lazily)."""

@@ -18,29 +18,111 @@ reporting).  :class:`HttpService` is the single implementation:
 * the context-manager form (``with service: ...``) guarantees the
   close on every exit path.
 
-Subclasses provide a request handler class plus :meth:`_configure`,
-which attaches whatever state the handler reads onto the bound server
-object (the ``http.server`` idiom for passing state to handlers).
+Both answer from a :class:`RouteTable` the subclass declares, through
+the one :class:`JsonRequestHandler`; a request no route matches gets
+:data:`UNMATCHED`, so a metric label never carries request text.
 """
 
 from __future__ import annotations
 
 import json
+import re
 import threading
 import urllib.error
 import urllib.request
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Optional, Tuple, Type
+from typing import Callable, Dict, Iterable, NamedTuple, Optional, Tuple, Type
 
 from ..errors import ObservabilityError
 
 
-class JsonRequestHandler(BaseHTTPRequestHandler):
-    """Request handler base: quiet logs, framed JSON/text responses.
+class Route(NamedTuple):
+    """One endpoint, declared once.
 
-    ``protocol_version`` is HTTP/1.1 so keep-alive works — every
-    response therefore *must* carry an accurate ``Content-Length``,
-    which :meth:`_send` guarantees.
+    ``path`` is literal but for ``{name}`` segments (one path segment
+    each) and is also the metric :attr:`label`.  ``answer(handler,
+    service, match)`` sends the response and returns its status.  A
+    control-plane view route also names its cache-key normalizer
+    (``key``: parsed query -> canonical query) and the
+    :class:`~repro.serve.cache.ServeView` method that builds it.
+    """
+
+    method: str
+    path: str
+    answer: Callable[..., int]
+    key: Optional[Callable[[Dict[str, str]], str]] = None
+    build: Optional[str] = None
+
+    @property
+    def label(self) -> str:
+        return self.path
+
+
+class Match(NamedTuple):
+    route: Route
+    path: str                  # without query or trailing slash
+    args: Tuple[str, ...]      # the ``{name}`` segments, in order
+    query: str
+
+
+def parse_query(query: str) -> Dict[str, str]:
+    """``a=1&b`` -> ``{"a": "1"}``; the last repeat wins, no decoding."""
+    params = {}
+    for part in query.split("&"):
+        key, eq, value = part.partition("=")
+        if eq:
+            params[key] = value
+    return params
+
+
+def _no_endpoint(handler, service, match: Match) -> int:
+    method = handler.command
+    if method == "GET":
+        return handler._send_json(404, {"error": f"no endpoint {match.path}"})
+    return handler._send_json(405, {"error": f"no {method} {match.path}"})
+
+
+#: What a request no route matches gets: 404 (405 for a method other
+#: than GET), metered under the one fixed label ``*``.
+UNMATCHED = Route("*", "*", _no_endpoint)
+
+
+class RouteTable:
+    """Routes in declaration order, matched by method and path."""
+
+    def __init__(self, routes: Iterable[Route]) -> None:
+        self.routes = tuple(routes)
+        self._regexes = [re.compile("/".join(
+            "([^/]+)" if seg.startswith("{") else re.escape(seg)
+            for seg in route.path.split("/")
+        )) for route in self.routes]
+        methods: Dict[str, list] = {}
+        for route in self.routes:
+            methods.setdefault(route.path, []).append(route.method)
+        #: The ``/`` index: each path once, with its methods unless GET.
+        self.index = " ".join(
+            path if verbs == ["GET"] else f"{path} ({'/'.join(verbs)})"
+            for path, verbs in methods.items() if path != "/"
+        )
+
+    def match(self, method: str, target: str) -> Match:
+        """Resolve a request target (``path[?query]``); never fails."""
+        path, _, query = target.partition("?")
+        path = path.rstrip("/") or "/"
+        for route, regex in zip(self.routes, self._regexes):
+            found = route.method == method and regex.fullmatch(path)
+            if found:
+                return Match(route, path, found.groups(), query)
+        return Match(UNMATCHED, path, (), query)
+
+
+class JsonRequestHandler(BaseHTTPRequestHandler):
+    """The one request handler: routes, quiet logs, framed responses.
+
+    GET and POST go to :meth:`HttpService.answer`.  ``protocol_version``
+    is HTTP/1.1 so keep-alive works — every response therefore *must*
+    carry an accurate ``Content-Length``, which :meth:`_send`
+    guarantees (and returns the status it sent).
     """
 
     protocol_version = "HTTP/1.1"
@@ -56,6 +138,11 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     #: so a hostile client cannot make the server buffer a gigabyte).
     max_body_bytes = 1 << 20
 
+    def do_GET(self) -> None:  # noqa: N802 - http.server API
+        self.server.service.answer(self)
+
+    do_POST = do_GET
+
     # Machine-facing endpoints; request logging is noise.
     def log_message(self, fmt, *args):  # noqa: ARG002
         pass
@@ -64,15 +151,13 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         """Last-resort answer for an unexpected handler exception.
 
         Counts the crash on the bound server (``handler_errors`` plus
-        the optional ``on_handler_error`` hook) and answers a framed
-        500, so a bug in one route neither kills the keep-alive
+        the service's :meth:`~HttpService.on_handler_error`) and answers
+        a framed 500, so a bug in one route neither kills the keep-alive
         connection silently nor hides from the metrics.
         """
         server = self.server
-        server.handler_errors = getattr(server, "handler_errors", 0) + 1
-        hook = getattr(server, "on_handler_error", None)
-        if hook is not None:
-            hook(self.path, exc)
+        server.handler_errors += 1
+        server.service.on_handler_error(exc)
         try:
             self._send_json(
                 500,
@@ -83,7 +168,7 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
 
     def _send_bytes(
         self, status: int, content_type: str, payload: bytes
-    ) -> None:
+    ) -> int:
         self.send_response(status)
         self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(payload)))
@@ -93,12 +178,13 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(payload)
+        return status
 
-    def _send(self, status: int, content_type: str, body: str) -> None:
-        self._send_bytes(status, content_type, body.encode())
+    def _send(self, status: int, content_type: str, body: str) -> int:
+        return self._send_bytes(status, content_type, body.encode())
 
-    def _send_json(self, status: int, doc: dict) -> None:
-        self._send(
+    def _send_json(self, status: int, doc: dict) -> int:
+        return self._send(
             status, "application/json",
             json.dumps(doc, indent=2) + "\n",
         )
@@ -133,10 +219,13 @@ class HttpService:
 
     #: Raised on bind failure and when :attr:`port` is read while down.
     error_class: Type[Exception] = ObservabilityError
-    #: Handler class bound to the server (subclass responsibility).
+    #: Handler class bound to the server.
     handler_class: Type[BaseHTTPRequestHandler] = JsonRequestHandler
-    #: Human name used in error messages and the thread name.
+    #: Human name used in error messages, the thread name and the
+    #: ``/`` index title.
     service_name: str = "http service"
+    #: Every endpoint the service answers (subclass responsibility).
+    routes: RouteTable = RouteTable(())
 
     def __init__(self, *, host: str = "127.0.0.1", port: int = 0) -> None:
         self.host = host
@@ -144,8 +233,23 @@ class HttpService:
         self._server: Optional[ThreadingHTTPServer] = None
         self._thread: Optional[threading.Thread] = None
 
-    def _configure(self, server: ThreadingHTTPServer) -> None:
-        """Attach handler-visible state to the bound server object."""
+    def answer(self, handler: JsonRequestHandler) -> Tuple[Route, int]:
+        """Answer from :attr:`routes`: (route, status).  :attr:`error_class`
+        answers 400, other exceptions 500, as does a dropped connection."""
+        match = self.routes.match(handler.command, handler.path)
+        route = match.route
+        try:
+            return route, route.answer(handler, self, match)
+        except (BrokenPipeError, ConnectionResetError):
+            return route, 500
+        except self.error_class as exc:
+            return route, handler._send_json(400, {"error": str(exc)})
+        except Exception as exc:
+            handler._send_error_500(exc)
+            return route, 500
+
+    def on_handler_error(self, exc: BaseException) -> None:
+        """Count an unexpected handler exception (none by default)."""
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -163,8 +267,7 @@ class HttpService:
             ) from exc
         server.daemon_threads = True
         server.handler_errors = 0
-        server.on_handler_error = None
-        self._configure(server)
+        server.service = self
         self._server = server
         self._thread = threading.Thread(
             target=server.serve_forever,

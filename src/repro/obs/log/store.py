@@ -20,6 +20,7 @@ import os
 from pathlib import Path
 from typing import Iterator, Optional
 
+from ...durable import replace_durably
 from ...errors import LogError
 
 #: Records per segment file before rotation.
@@ -172,9 +173,10 @@ class LogStore:
             "gc_dropped_records": self.gc_dropped_records,
             "meta": self.meta,
         }
-        tmp = self.dir / (MANIFEST_NAME + ".tmp")
-        tmp.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-        tmp.replace(self.dir / MANIFEST_NAME)
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        replace_durably(
+            self.dir / MANIFEST_NAME, lambda fh: fh.write(text.encode())
+        )
         self._dirty = False
 
     # -- retention ----------------------------------------------------

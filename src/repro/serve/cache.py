@@ -33,11 +33,18 @@ import time
 from typing import Dict, Optional, Set, Tuple
 
 from ..errors import HistoryError, LogError
+from ..obs.httpd import parse_query
 from ..obs.log.query import select as select_logs
 from ..stream.engine import StreamSnapshot
 from .analytics import JobStats
+from .http import ROUTES
 from .jobs import JobStateIndex
 from .objectives import OBJECTIVES, CapDecision, decide_cap
+
+
+class _NotFound(Exception):
+    """A builder's 404: the route exists, what it names does not."""
+
 
 def _finite(value: float) -> Optional[float]:
     """JSON-safe float: non-finite sentinels become null."""
@@ -151,53 +158,27 @@ class ServeView:
             self._render(route, read=False)
         return self
 
-    # -- document builders --------------------------------------------------------
+    # -- document builders: ``(params, *path args) -> (status, doc)`` ------------
 
-    def _build(self, route: str) -> Tuple[int, dict]:
-        parts = route.split("?", 1)[0].split("/")
-        if route == "fleet/cap":
-            return 200, self._fleet_cap_doc()
-        if route == "fleet/savings":
-            return 200, self._fleet_savings_doc()
-        if route == "policy":
-            return 200, self._policy_doc()
-        if parts[0] == "jobs":
-            if len(parts) == 1:
-                return 200, self._jobs_doc(route)
-            try:
-                job_id = int(parts[1])
-            except ValueError:
-                return 404, {"error": f"bad job id {parts[1]!r}"}
-            if self.index.get(job_id) is None:
-                return 404, {"error": f"no job {job_id}"}
-            if len(parts) == 2:
-                return 200, self._job_doc(job_id)
-            if len(parts) == 3 and parts[2] == "cap":
-                return 200, self._job_cap_doc(job_id)
-            if len(parts) == 3 and parts[2] == "savings":
-                return 200, self._job_savings_doc(job_id)
-        if parts[0] == "incidents":
-            if self.incidents is None:
-                return 404, {
-                    "error": "forensics disabled (no flight recorder)"
-                }
-            if len(parts) == 1:
-                return 200, self._incidents_doc()
-            if len(parts) == 2:
-                return self._incident_doc(parts[1])
-        if parts[0] == "logs" and len(parts) == 1:
-            if self.logs is None:
-                return 404, {"error": "logging disabled (no event log)"}
-            return self._logs_doc(route)
-        if parts[0] in ("series", "query") and len(parts) == 1:
-            if self.history is None:
-                return 404, {
-                    "error": "history disabled (no history store)"
-                }
-            if parts[0] == "series":
-                return 200, self._series_doc()
-            return self._query_doc(route)
-        return 404, {"error": f"no endpoint /v1/{route}"}
+    def _build(self, key: str) -> Tuple[int, dict]:
+        """(status, document) for one canonical key, from :data:`ROUTES`."""
+        match = ROUTES.match("GET", "/v1/" + key)
+        build = match.route.build
+        if build is None:
+            return 404, {"error": f"no endpoint /v1/{key}"}
+        try:
+            return getattr(self, build)(parse_query(match.query), *match.args)
+        except _NotFound as exc:
+            return 404, {"error": str(exc)}
+
+    def _job_id(self, text: str) -> int:
+        try:
+            job_id = int(text)
+        except ValueError:
+            raise _NotFound(f"bad job id {text!r}") from None
+        if self.index.get(job_id) is None:
+            raise _NotFound(f"no job {job_id}")
+        return job_id
 
     def _head(self) -> dict:
         stats = self.snap.stats
@@ -221,16 +202,16 @@ class ServeView:
             "runtime_increase_pct": rec.runtime_increase_pct,
         }
 
-    def _fleet_cap_doc(self) -> dict:
+    def _fleet_cap_doc(self, params) -> Tuple[int, dict]:
         doc = self._head()
         doc["policy"] = self.policy
         doc["decision"] = self.decision.to_dict()
         # The stream-layer Table V advisor, for parity with `repro
         # stream` output (identical under the slowdown objective).
         doc["advisor"] = self._advisor_dict()
-        return doc
+        return 200, doc
 
-    def _fleet_savings_doc(self) -> dict:
+    def _fleet_savings_doc(self, params) -> Tuple[int, dict]:
         cube = self.snap.cube
         doc = self._head()
         doc["policy"] = self.policy
@@ -241,16 +222,16 @@ class ServeView:
         }
         doc["decision"] = self.decision.to_dict()
         doc["advisor"] = self._advisor_dict()
-        return doc
+        return 200, doc
 
-    def _policy_doc(self) -> dict:
+    def _policy_doc(self, params) -> Tuple[int, dict]:
         doc = self._head()
         doc["policy"] = self.policy
         doc["policy_version"] = self.policy_version
         doc["objectives"] = {
             name: obj.description for name, obj in sorted(OBJECTIVES.items())
         }
-        return doc
+        return 200, doc
 
     def _job_row(self, job_id: int) -> dict:
         meta = self.index.meta(job_id)
@@ -260,16 +241,11 @@ class ServeView:
         row["samples"] = int(self.jobs.samples[job_id])
         return row
 
-    def _jobs_doc(self, route: str) -> dict:
-        limit = None
-        if "?" in route:
-            query = route.split("?", 1)[1]
-            for part in query.split("&"):
-                if part.startswith("limit="):
-                    try:
-                        limit = max(0, int(part[len("limit="):]))
-                    except ValueError:
-                        limit = None
+    def _jobs_doc(self, params) -> Tuple[int, dict]:
+        try:
+            limit = max(0, int(params["limit"]))
+        except (KeyError, ValueError):
+            limit = None
         ids = self.jobs.active_job_ids()
         ids = [j for j in ids if self.index.get(j) is not None]
         ids.sort(key=lambda j: (-self.jobs.job_energy_j(j), j))
@@ -278,7 +254,7 @@ class ServeView:
         if limit is not None:
             ids = ids[:limit]
         doc["jobs"] = [self._job_row(j) for j in ids]
-        return doc
+        return 200, doc
 
     def _job_decision(self, job_id: int) -> CapDecision:
         return decide_cap(
@@ -288,7 +264,8 @@ class ServeView:
             max_slowdown_pct=self.policy["max_slowdown_pct"],
         )
 
-    def _job_doc(self, job_id: int) -> dict:
+    def _job_doc(self, params, job: str) -> Tuple[int, dict]:
+        job_id = self._job_id(job)
         doc = self._head()
         doc["job"] = self._job_row(job_id)
         doc["job"]["by_region_j"] = [
@@ -297,56 +274,64 @@ class ServeView:
         doc["job"]["first_seen_s"] = _finite(self.jobs.first_seen_s[job_id])
         doc["job"]["last_seen_s"] = _finite(self.jobs.last_seen_s[job_id])
         doc["decision"] = self._job_decision(job_id).to_dict()
-        return doc
+        return 200, doc
 
-    def _job_cap_doc(self, job_id: int) -> dict:
+    def _job_cap_doc(self, params, job: str) -> Tuple[int, dict]:
+        job_id = self._job_id(job)
         doc = self._head()
         doc["job_id"] = job_id
         doc["policy"] = self.policy
         doc["decision"] = self._job_decision(job_id).to_dict()
-        return doc
+        return 200, doc
 
-    def _incidents_doc(self) -> dict:
-        frozen = self.incidents.doc
+    def _forensics(self):
+        if self.incidents is None:
+            raise _NotFound("forensics disabled (no flight recorder)")
+        return self.incidents
+
+    def _history(self):
+        if self.history is None:
+            raise _NotFound("history disabled (no history store)")
+        return self.history
+
+    def _incidents_doc(self, params) -> Tuple[int, dict]:
+        frozen = self._forensics().doc
         doc = self._head()
         for key in ("summary", "open", "total", "incidents"):
             doc[key] = frozen[key]
-        return doc
+        return 200, doc
 
-    def _incident_doc(self, incident_id: str) -> Tuple[int, dict]:
-        for incident in self.incidents.doc["incidents"]:
+    def _incident_doc(self, params, incident_id: str) -> Tuple[int, dict]:
+        forensics = self._forensics()
+        for incident in forensics.doc["incidents"]:
             if incident["id"] == incident_id:
                 doc = self._head()
                 doc["incident"] = incident
-                doc["records"] = self.incidents.incident_records(incident)
+                doc["records"] = forensics.incident_records(incident)
                 return 200, doc
         return 404, {"error": f"no incident {incident_id}"}
 
-    def _series_doc(self) -> dict:
+    def _series_doc(self, params) -> Tuple[int, dict]:
+        history = self._history()
         doc = self._head()
-        doc.update(self.history.series_doc())
-        return doc
+        doc.update(history.series_doc())
+        return 200, doc
 
-    def _query_doc(self, route: str) -> Tuple[int, dict]:
+    def _query_doc(self, params) -> Tuple[int, dict]:
         """Answer ``/v1/query?series=...`` from the frozen history view.
 
         Time-range and step parameters default from the view's frozen
         span, so the rendered body is a pure function of the canonical
         route key plus the view — cacheable like every other route.
         """
-        params: Dict[str, str] = {}
-        if "?" in route:
-            for part in route.split("?", 1)[1].split("&"):
-                if "=" in part:
-                    key, _, value = part.partition("=")
-                    params[key] = value
+        history = self._history()
         series = params.get("series")
         if not series:
             return 400, {"error": "query requires series=<name>"}
-        span = self.history.span()
+        span = history.span()
         if span is None:
             return 404, {"error": "no history rows yet"}
-        window_s = self.history.store.window_s or 0.0
+        window_s = history.store.window_s or 0.0
         try:
             t0 = float(params.get("t0", span[0]))
             t1 = float(params.get("t1", span[1] + window_s))
@@ -360,7 +345,7 @@ class ServeView:
         except ValueError as exc:
             return 400, {"error": f"bad query parameter: {exc}"}
         try:
-            result = self.history.select(
+            result = history.select(
                 series, t0, t1, step, agg=agg, level=level
             )
         except HistoryError as exc:
@@ -369,7 +354,7 @@ class ServeView:
         doc["query"] = result.to_dict()
         return 200, doc
 
-    def _logs_doc(self, route: str) -> Tuple[int, dict]:
+    def _logs_doc(self, params) -> Tuple[int, dict]:
         """Answer ``/v1/logs`` from the frozen log view.
 
         Filters ride :func:`repro.obs.log.query.select`, a pure
@@ -377,12 +362,9 @@ class ServeView:
         cacheable like every other route.  ``limit`` keeps the newest
         matches and defaults to 200.
         """
-        params: Dict[str, str] = {}
-        if "?" in route:
-            for part in route.split("?", 1)[1].split("&"):
-                if "=" in part:
-                    key, _, value = part.partition("=")
-                    params[key] = value
+        logs = self.logs
+        if logs is None:
+            raise _NotFound("logging disabled (no event log)")
         try:
             t0 = float(params["t0"]) if "t0" in params else None
             t1 = float(params["t1"]) if "t1" in params else None
@@ -394,7 +376,7 @@ class ServeView:
             return 400, {"error": f"bad logs parameter: {exc}"}
         try:
             records = select_logs(
-                self.logs.records,
+                logs.records,
                 t0=t0, t1=t1,
                 min_severity=params.get("severity"),
                 event=params.get("event"),
@@ -404,17 +386,18 @@ class ServeView:
             return 400, {"error": str(exc)}
         doc = self._head()
         doc["summary"] = {
-            "emitted": self.logs.emitted,
-            "suppressed": self.logs.suppressed,
-            "sampled_out": self.logs.sampled_out,
-            "evicted": self.logs.evicted,
-            "resident": len(self.logs.records),
+            "emitted": logs.emitted,
+            "suppressed": logs.suppressed,
+            "sampled_out": logs.sampled_out,
+            "evicted": logs.evicted,
+            "resident": len(logs.records),
         }
         doc["count"] = len(records)
         doc["logs"] = records
         return 200, doc
 
-    def _job_savings_doc(self, job_id: int) -> dict:
+    def _job_savings_doc(self, params, job: str) -> Tuple[int, dict]:
+        job_id = self._job_id(job)
         decision = self._job_decision(job_id)
         fleet_j = self.snap.cube.total_energy_j
         doc = self._head()
@@ -427,7 +410,7 @@ class ServeView:
             100.0 * decision.baseline_energy_j / fleet_j
             if fleet_j > 0 else 0.0
         )
-        return doc
+        return 200, doc
 
 
 class SnapshotCache:

@@ -1,47 +1,28 @@
-"""The control-plane HTTP API.
+"""The control-plane HTTP API: one route table.
 
-Extends the :class:`~repro.obs.httpd.HttpService` lifecycle the health
-exporter uses (same bind/close semantics, same ephemeral ``port=0``
-behavior) with the serving endpoints:
-
-====================================  =======================================
-``GET /v1/fleet/cap``                 current fleet cap decision + advisor
-``GET /v1/fleet/savings``             fleet energy + projected savings
-``GET /v1/jobs``                      active jobs by energy (``?limit=N``)
-``GET /v1/jobs/{id}``                 one job: metadata + energy + decision
-``GET /v1/jobs/{id}/cap``             that job's recommended cap
-``GET /v1/jobs/{id}/savings``         that job's savings-so-far
-``GET /v1/incidents``                 incident list from the flight recorder
-``GET /v1/incidents/{id}``            one incident + its recorder slice
-``GET /v1/series``                    history schema, span, levels, SLOs
-``GET /v1/query``                     history range query (``?series=...``)
-``GET /v1/logs``                      structured event log (``?severity=``
-                                      ``&event=&t0=&t1=&window=&limit=``)
-``GET /v1/policy``                    active objective + available plug-ins
-``POST /v1/policy``                   switch objective / slowdown budget
-``POST /v1/admin/shutdown``           graceful stop (CLI serve loop exits)
-``GET /metrics /health /alerts``      the observability endpoints, shared
-                                      with ingest — one scrape covers both
-====================================  =======================================
-
-Every ``/v1`` answer comes from the immutable published
-:class:`~repro.serve.cache.ServeView` (read-through byte cache; see
-``docs/serving.md``), so request handling never touches ingest state.
-Requests are metered into the plane's :class:`MetricsRegistry`:
-``serve_requests_total{endpoint,status}``, a per-endpoint
-``serve_request_seconds`` histogram with sub-millisecond buckets, and
-the ``serve_cache_age_s`` gauge (wall age of the served view).
+:data:`ROUTES` declares every endpoint once (documented in
+``docs/serving.md``); the handler, ``ServeView._build`` and the ``/``
+index all dispatch from it.  A ``GET /v1`` route answers from the
+immutable published view (read-through byte cache), so request handling
+never touches ingest state.  The observability routes are the health
+exporter's :data:`~repro.obs.health.server.OBS_ROUTES`, so one scrape
+covers ingest and serving.  Requests are metered into the plane's
+registry under the route's path pattern:
+``serve_requests_total{endpoint,status}``, a ``serve_request_seconds``
+histogram with sub-millisecond buckets and the ``serve_cache_age_s``
+gauge; an unmatched request is metered under ``*``.
 """
 
 from __future__ import annotations
 
 import re
 import time
-from http.server import ThreadingHTTPServer
+from typing import Dict
 
 from ..errors import ServeError
+from ..obs.health.server import OBS_ROUTES
 from ..obs.history.query import QUERY_AGGS
-from ..obs.httpd import HttpService, JsonRequestHandler
+from ..obs.httpd import HttpService, Match, Route, RouteTable, parse_query
 from ..obs.log.events import SEVERITIES
 
 #: Sub-millisecond-resolving latency buckets (seconds) for the
@@ -51,16 +32,6 @@ SERVE_LATENCY_BUCKETS = (
     0.01, 0.025, 0.05, 0.1, 0.25, 1.0,
 )
 
-_INDEX_TEXT = (
-    "repro control plane\n"
-    "endpoints: /v1/fleet/cap /v1/fleet/savings /v1/jobs "
-    "/v1/jobs/{id} /v1/jobs/{id}/cap /v1/jobs/{id}/savings "
-    "/v1/incidents /v1/incidents/{id} "
-    "/v1/series /v1/query /v1/logs "
-    "/v1/policy (GET/POST) /v1/admin/shutdown (POST) "
-    "/metrics /health /alerts\n"
-)
-
 _SERIES_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]{0,79}$")
 
 #: Event names are dotted identifiers (``serve.decide_cap``); a
@@ -68,76 +39,49 @@ _SERIES_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_]{0,79}$")
 _EVENT_NAME_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.]{0,79}$")
 
 
-def _jobs_route_key(query: str) -> str:
-    """Canonical cache key for ``/v1/jobs`` (bounded ``limit`` space)."""
-    for part in query.split("&"):
-        if part.startswith("limit="):
-            try:
-                limit = int(part[len("limit="):])
-            except ValueError:
-                break
-            return f"jobs?limit={max(0, min(limit, 100_000))}"
-    return "jobs"
+# -- cache-key normalizers: parsed query -> canonical query -----------------------
+#
+# Floats via ``repr(float(...))``, names checked against closed sets or
+# bounded patterns, unknown keys dropped, bad values mapped to ``bad``:
+# equivalent requests share one body, hostile ones cannot grow the keys.
+
+def _number(params: Dict[str, str], key: str, parse) -> list:
+    """``[key=<canonical>]`` (``key=bad`` if unparsable), ``[]`` if absent."""
+    if key not in params:
+        return []
+    try:
+        return [f"{key}={parse(params[key])!r}"]
+    except ValueError:
+        return [f"{key}=bad"]
 
 
-def _query_route_key(query: str) -> str:
-    """Canonical cache key for ``/v1/query``.
+def _limit(value: str, default) -> int:
+    try:
+        limit = int(value)
+    except ValueError:
+        return default
+    return max(0, min(limit, 100_000))
 
-    Parameter values are normalized (floats via ``repr(float(...))``,
-    names/aggs validated against closed sets, unknown keys dropped) so
-    equivalent requests share one cached body and hostile values can't
-    grow the key space unboundedly — invalid values map to sentinel
-    keys the view answers with a 400.
-    """
-    params = {}
-    for part in query.split("&"):
-        if "=" in part:
-            key, _, value = part.partition("=")
-            params[key] = value
-    pieces = []
+
+def _jobs_key(params: Dict[str, str]) -> str:
+    limit = _limit(params.get("limit", ""), None)
+    return "" if limit is None else f"limit={limit}"
+
+
+def _query_key(params: Dict[str, str]) -> str:
     series = params.get("series", "")
-    if not _SERIES_NAME_RE.match(series):
-        series = ""
-    pieces.append(f"series={series}")
+    pieces = [f"series={series if _SERIES_NAME_RE.match(series) else ''}"]
     for key in ("t0", "t1", "step"):
-        if key in params:
-            try:
-                pieces.append(f"{key}={float(params[key])!r}")
-            except ValueError:
-                pieces.append(f"{key}=bad")
+        pieces += _number(params, key, float)
     if "agg" in params:
         agg = params["agg"]
-        pieces.append(
-            f"agg={agg if agg in QUERY_AGGS else 'bad'}"
-        )
-    if "level" in params:
-        try:
-            pieces.append(f"level={int(params['level'])}")
-        except ValueError:
-            pieces.append("level=bad")
-    return "query?" + "&".join(pieces)
+        pieces.append(f"agg={agg if agg in QUERY_AGGS else 'bad'}")
+    pieces += _number(params, "level", int)
+    return "&".join(pieces)
 
 
-def _logs_route_key(query: str) -> str:
-    """Canonical cache key for ``/v1/logs``.
-
-    Same normalization contract as :func:`_query_route_key`: floats via
-    ``repr(float(...))``, severities/event names validated against
-    closed sets or bounded patterns, unknown keys dropped, invalid
-    values mapped to sentinel keys the view answers deterministically.
-    """
-    params = {}
-    for part in query.split("&"):
-        if "=" in part:
-            key, _, value = part.partition("=")
-            params[key] = value
-    pieces = []
-    for key in ("t0", "t1"):
-        if key in params:
-            try:
-                pieces.append(f"{key}={float(params[key])!r}")
-            except ValueError:
-                pieces.append(f"{key}=bad")
+def _logs_key(params: Dict[str, str]) -> str:
+    pieces = _number(params, "t0", float) + _number(params, "t1", float)
     if "severity" in params:
         severity = params["severity"]
         pieces.append(
@@ -148,133 +92,69 @@ def _logs_route_key(query: str) -> str:
         if not _EVENT_NAME_RE.match(event.rstrip(".")) or ".." in event:
             event = "bad"
         pieces.append(f"event={event}")
-    if "window" in params:
-        try:
-            pieces.append(f"window={int(params['window'])}")
-        except ValueError:
-            pieces.append("window=bad")
+    pieces += _number(params, "window", int)
     if "limit" in params:
-        try:
-            limit = int(params["limit"])
-        except ValueError:
-            limit = 200
-        pieces.append(f"limit={max(0, min(limit, 100_000))}")
-    return "logs?" + "&".join(pieces) if pieces else "logs"
+        pieces.append(f"limit={_limit(params['limit'], 200)}")
+    return "&".join(pieces)
 
 
-class _Handler(JsonRequestHandler):
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
-        self._handle("GET")
+def cache_key(match: Match) -> str:
+    """The view key of a ``GET /v1`` match: ``/v1/jobs?limit=5`` -> ``jobs?limit=5``."""
+    route = match.route
+    query = route.key(parse_query(match.query)) if route.key else ""
+    rest = match.path[len("/v1/"):]
+    return f"{rest}?{query}" if query else rest
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
-        self._handle("POST")
 
-    def _handle(self, method: str) -> None:
-        t0 = time.perf_counter()
-        plane = self.server.plane
-        raw = self.path
-        path = raw.split("?", 1)[0].rstrip("/") or "/"
-        query = raw.split("?", 1)[1] if "?" in raw else ""
-        view = plane.cache.view
-        endpoint, status = path, 500
-        try:
-            endpoint, status = self._route(method, path, query, view, plane)
-        except (BrokenPipeError, ConnectionResetError):
-            return
-        except ServeError as exc:
-            status = 400
-            self._send_json(status, {"error": str(exc)})
-        except Exception as exc:
-            status = 500
-            self._send_error_500(exc)
-        finally:
-            plane.observe_request(
-                endpoint, status, time.perf_counter() - t0, view
-            )
+# -- answers ------------------------------------------------------------------------
 
-    def _route(self, method, path, query, view, plane):
-        """Dispatch one request; returns (endpoint label, status)."""
-        registry = plane.registry
-        monitor = plane.monitor
-        if path == "/metrics" and method == "GET":
-            # With an event log attached, latency buckets carry
-            # OpenMetrics exemplars (trace id of the slowest request).
-            with plane.metrics_lock:
-                body = registry.to_prometheus(
-                    exemplars=plane.event_log is not None
-                )
-            self._send(200, "text/plain; version=0.0.4", body)
-            return path, 200
-        if path == "/health" and method == "GET":
-            if monitor is None:
-                self._send_json(200, {"status": "ok", "rules": []})
-                return path, 200
-            doc = monitor.to_health_dict()
-            status = 200 if doc["status"] == "ok" else 503
-            self._send_json(status, doc)
-            return path, status
-        if path == "/alerts" and method == "GET":
-            doc = (
-                monitor.to_alerts_dict()
-                if monitor is not None
-                else {"firing": [], "history": []}
-            )
-            self._send_json(200, doc)
-            return path, 200
-        if path == "/" and method == "GET":
-            self._send(200, "text/plain", _INDEX_TEXT)
-            return path, 200
+def _from_view(handler, service, match: Match) -> int:
+    view = handler.view
+    if view is None:
+        return handler._send_json(
+            503, {"error": "no snapshot published yet"}
+        )
+    status, payload = view.body(cache_key(match))
+    return handler._send_bytes(status, "application/json", payload)
 
-        if path == "/v1/admin/shutdown" and method == "POST":
-            self._send_json(200, {"status": "shutting down"})
-            plane.request_stop()
-            return path, 200
-        if path == "/v1/policy" and method == "POST":
-            doc = self._read_json_body()
-            new_view = plane.set_policy(
-                objective=doc.get("objective"),
-                max_slowdown_pct=doc.get("max_slowdown_pct"),
-            )
-            status, payload = new_view.body("policy")
-            self._send_bytes(status, "application/json", payload)
-            return path, status
 
-        if method != "GET":
-            self._send_json(405, {"error": f"no {method} {path}"})
-            return path, 405
-        if not path.startswith("/v1/"):
-            self._send_json(404, {"error": f"no endpoint {path}"})
-            return path, 404
-        if view is None:
-            self._send_json(503, {"error": "no snapshot published yet"})
-            return path, 503
+def _set_policy(handler, service, match: Match) -> int:
+    doc = handler._read_json_body()
+    view = service.plane.set_policy(
+        objective=doc.get("objective"),
+        max_slowdown_pct=doc.get("max_slowdown_pct"),
+    )
+    status, payload = view.body("policy")
+    return handler._send_bytes(status, "application/json", payload)
 
-        rest = path[len("/v1/"):]
-        parts = rest.split("/")
-        if rest in ("fleet/cap", "fleet/savings", "policy"):
-            key, endpoint = rest, path
-        elif parts[0] == "jobs" and len(parts) == 1:
-            key, endpoint = _jobs_route_key(query), "/v1/jobs"
-        elif parts[0] == "jobs" and len(parts) in (2, 3):
-            key = rest
-            tail = "/" + parts[2] if len(parts) == 3 else ""
-            endpoint = "/v1/jobs/{id}" + tail
-        elif parts[0] == "incidents" and len(parts) == 1:
-            key, endpoint = "incidents", "/v1/incidents"
-        elif parts[0] == "incidents" and len(parts) == 2:
-            key, endpoint = rest, "/v1/incidents/{id}"
-        elif parts[0] == "series" and len(parts) == 1:
-            key, endpoint = "series", "/v1/series"
-        elif parts[0] == "query" and len(parts) == 1:
-            key, endpoint = _query_route_key(query), "/v1/query"
-        elif parts[0] == "logs" and len(parts) == 1:
-            key, endpoint = _logs_route_key(query), "/v1/logs"
-        else:
-            self._send_json(404, {"error": f"no endpoint {path}"})
-            return path, 404
-        status, payload = view.body(key)
-        self._send_bytes(status, "application/json", payload)
-        return endpoint, status
+
+def _shutdown(handler, service, match: Match) -> int:
+    handler._send_json(200, {"status": "shutting down"})
+    service.plane.request_stop()
+    return 200
+
+
+def _view_route(path: str, build: str, key=None) -> Route:
+    return Route("GET", path, _from_view, key=key, build=build)
+
+
+#: Every control-plane endpoint, in ``/`` index order.
+ROUTES = RouteTable((
+    _view_route("/v1/fleet/cap", "_fleet_cap_doc"),
+    _view_route("/v1/fleet/savings", "_fleet_savings_doc"),
+    _view_route("/v1/jobs", "_jobs_doc", key=_jobs_key),
+    _view_route("/v1/jobs/{id}", "_job_doc"),
+    _view_route("/v1/jobs/{id}/cap", "_job_cap_doc"),
+    _view_route("/v1/jobs/{id}/savings", "_job_savings_doc"),
+    _view_route("/v1/incidents", "_incidents_doc"),
+    _view_route("/v1/incidents/{id}", "_incident_doc"),
+    _view_route("/v1/series", "_series_doc"),
+    _view_route("/v1/query", "_query_doc", key=_query_key),
+    _view_route("/v1/logs", "_logs_doc", key=_logs_key),
+    _view_route("/v1/policy", "_policy_doc"),
+    Route("POST", "/v1/policy", _set_policy),
+    Route("POST", "/v1/admin/shutdown", _shutdown),
+) + OBS_ROUTES)
 
 
 class ControlPlaneServer(HttpService):
@@ -286,18 +166,34 @@ class ControlPlaneServer(HttpService):
     """
 
     error_class = ServeError
-    handler_class = _Handler
     service_name = "control plane"
+    routes = ROUTES
 
     def __init__(self, plane, *, host: str = "127.0.0.1", port: int = 0):
         super().__init__(host=host, port=port)
         self.plane = plane
+        self.monitor = plane.monitor
 
-    def _configure(self, server: ThreadingHTTPServer) -> None:
-        server.plane = self.plane
-        server.on_handler_error = self._on_handler_error
+    def answer(self, handler):
+        """Answer from the view current at arrival, then meter the request."""
+        t0 = time.perf_counter()
+        view = handler.view = self.plane.cache.view
+        route, status = super().answer(handler)
+        self.plane.observe_request(
+            route.label, status, time.perf_counter() - t0, view
+        )
+        return route, status
 
-    def _on_handler_error(self, path: str, exc: BaseException) -> None:
+    def metrics_text(self) -> str:
+        # With an event log attached, latency buckets carry OpenMetrics
+        # exemplars (trace id of the slowest request).
+        plane = self.plane
+        with plane.metrics_lock:
+            return plane.registry.to_prometheus(
+                exemplars=plane.event_log is not None
+            )
+
+    def on_handler_error(self, exc: BaseException) -> None:
         plane = self.plane
         with plane.metrics_lock:
             plane.registry.counter(

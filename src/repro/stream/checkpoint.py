@@ -15,11 +15,11 @@ accumulator validates that its domain/class axes match.
 
 from __future__ import annotations
 
-import contextlib
 import os
 
 import numpy as np
 
+from ..durable import replace_durably
 from ..errors import TelemetryError
 from ..scheduler.log import SchedulerLog
 from .engine import StreamEngine
@@ -31,10 +31,9 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(engine: StreamEngine, path) -> None:
     """Serialize the engine's full state to a compressed npz, atomically.
 
-    The npz is written to a temporary file beside ``path``, fsynced and
-    renamed over it, and the directory is fsynced, so a crash at any
-    point leaves either the previous checkpoint or the new one, never a
-    torn file.  Like ``np.savez_compressed``, a path without the
+    Written through :func:`~repro.durable.replace_durably`, so a crash
+    at any point leaves either the previous checkpoint or the new one,
+    never a torn file.  Like ``np.savez_compressed``, a path without the
     ``.npz`` suffix gains it.
     """
     arrays = {
@@ -46,23 +45,7 @@ def save_checkpoint(engine: StreamEngine, path) -> None:
     path = os.fspath(path)
     if not path.endswith(".npz"):
         path += ".npz"
-    directory = os.path.dirname(os.path.abspath(path))
-    tmp = f"{path}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.unlink(tmp)
-        raise
-    dir_fd = os.open(directory, os.O_RDONLY)
-    try:
-        os.fsync(dir_fd)
-    finally:
-        os.close(dir_fd)
+    replace_durably(path, lambda fh: np.savez_compressed(fh, **arrays))
 
 
 def load_checkpoint(path, log: SchedulerLog) -> StreamEngine:

@@ -56,6 +56,7 @@ import numpy as np
 from .. import constants, units
 from ..core.join import CampaignAccumulator, CampaignCube
 from ..core.pipeline import merge_cubes
+from ..durable import replace_durably
 from ..errors import TelemetryError
 from ..obs import runtime as _obs
 from ..parallel import chunked_map, partition
@@ -222,7 +223,7 @@ def _save_shard_checkpoint(
     states: List[Dict[str, np.ndarray]],
     counters: List[np.ndarray],
 ) -> None:
-    """Persist a shard's completed unit states (atomic rename)."""
+    """Persist a shard's completed unit states (crash-safe replace)."""
     arrays: Dict[str, np.ndarray] = {
         "version": np.array([SHARD_CHECKPOINT_VERSION], dtype=np.int64),
         "shard_units": np.array(units, dtype=np.int64),
@@ -234,10 +235,7 @@ def _save_shard_checkpoint(
         for key, value in state.items():
             arrays[f"u{j}_{key}"] = value
         arrays[f"u{j}_counters"] = cnt
-    path = Path(path)
-    tmp = path.with_suffix(".tmp.npz")
-    np.savez_compressed(tmp, **arrays)
-    tmp.replace(path)
+    replace_durably(path, lambda fh: np.savez_compressed(fh, **arrays))
 
 
 def _load_shard_checkpoint(

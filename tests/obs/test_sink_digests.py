@@ -22,8 +22,8 @@ from repro.obs.health import DriftReference, HealthMonitor
 from repro.obs.history import History
 from repro.obs.log import EventLog, LogStore
 from repro.serve import ControlPlane
-from repro.serve.http import _logs_route_key, _query_route_key
 from repro.stream import StreamEngine, perturb, simulated_fleet
+from tests.serve.conftest import route_key
 
 NODES = 8
 DAYS = 0.25
@@ -131,8 +131,8 @@ class TestControlPlaneSinks:
         view = plane.cache.view
         routes = ["fleet/cap", "fleet/savings", "policy", "jobs",
                   "incidents", "series",
-                  _logs_route_key("limit=100000"),
-                  _query_route_key("series=energy_j&step=3600")]
+                  route_key("/v1/logs?limit=100000"),
+                  route_key("/v1/query?series=energy_j&step=3600")]
         routes += [
             f"incidents/{incident.id}"
             for incident in plane.forensics.incidents.incidents

@@ -13,6 +13,7 @@ import pytest
 from repro import constants, units
 from repro.scheduler import SlurmSimulator, default_mix
 from repro.serve import ControlPlane
+from repro.serve.http import ROUTES, cache_key
 from repro.stream import canonical_windows
 from repro.telemetry import FleetTelemetryGenerator
 
@@ -51,3 +52,8 @@ def drained_plane(campaign, windows):
     plane = build_plane(log, windows)
     yield plane
     plane.close()
+
+
+def route_key(target: str) -> str:
+    """The canonical view cache key of a ``GET`` request target."""
+    return cache_key(ROUTES.match("GET", target))

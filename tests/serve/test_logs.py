@@ -12,8 +12,7 @@ import pytest
 
 from repro.obs.httpd import fetch_url
 from repro.obs.log import EventLog
-from repro.serve.http import _logs_route_key
-from tests.serve.conftest import build_plane
+from tests.serve.conftest import build_plane, route_key
 
 #: Decision-bearing routes whose bytes must not move when logging is on.
 INVISIBLE_KEYS = ("fleet/cap", "fleet/savings", "policy", "jobs")
@@ -114,16 +113,16 @@ class TestBitwiseInvisibility:
 
 class TestLogsRouteKey:
     def test_equivalent_spellings_collapse(self):
-        assert _logs_route_key("t0=100&t1=200.0") == \
-            _logs_route_key("t0=100.0&t1=200")
+        assert route_key("/v1/logs?t0=100&t1=200.0") == \
+            route_key("/v1/logs?t0=100.0&t1=200")
 
     def test_bounded_key_space_for_hostile_values(self):
-        assert _logs_route_key("severity=zzz") == "logs?severity=bad"
-        assert _logs_route_key("event=a&event=../../etc") == \
+        assert route_key("/v1/logs?severity=zzz") == "logs?severity=bad"
+        assert route_key("/v1/logs?event=a&event=../../etc") == \
             "logs?event=bad"
-        assert _logs_route_key("window=NaNs") == "logs?window=bad"
-        assert _logs_route_key("nonsense=1") == "logs"
-        assert _logs_route_key("limit=99999999") == "logs?limit=100000"
+        assert route_key("/v1/logs?window=NaNs") == "logs?window=bad"
+        assert route_key("/v1/logs?nonsense=1") == "logs"
+        assert route_key("/v1/logs?limit=99999999") == "logs?limit=100000"
 
     def test_prefix_events_are_preserved(self):
-        assert _logs_route_key("event=serve.") == "logs?event=serve."
+        assert route_key("/v1/logs?event=serve.") == "logs?event=serve."

@@ -25,8 +25,8 @@ from repro.obs.history import History
 from repro.obs.log import EventLog, LogStore
 from repro.serve import ControlPlane
 from repro.serve.cache import render_body
-from repro.serve.http import _logs_route_key, _query_route_key
 from repro.stream import perturb, simulated_fleet
+from tests.serve.conftest import route_key
 
 NODES = 8
 DAYS = 0.25
@@ -41,8 +41,8 @@ ROUTES = (
     "incidents",
     "series",
     "logs",
-    _logs_route_key("severity=warning&limit=50"),
-    _query_route_key("series=energy_j&step=3600"),
+    route_key("/v1/logs?severity=warning&limit=50"),
+    route_key("/v1/query?series=energy_j&step=3600"),
 )
 
 

@@ -11,6 +11,7 @@ import pytest
 
 from repro.experiments import EXPERIMENT_IDS
 from repro.experiments.bundle import REPORT_SECTIONS
+from repro.serve.http import ROUTES
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -63,6 +64,11 @@ class TestDocPromises:
         for name in ("README.md", "DESIGN.md", "EXPERIMENTS.md",
                      "CHANGELOG.md", "CONTRIBUTING.md", "pyproject.toml"):
             assert (ROOT / name).exists(), name
+
+    def test_serving_doc_lists_every_route(self):
+        serving = (ROOT / "docs" / "serving.md").read_text()
+        for route in ROUTES.routes:
+            assert f"`{route.method} {route.path}`" in serving, route.path
 
     def test_design_lists_every_subpackage(self):
         design = (ROOT / "DESIGN.md").read_text()
