@@ -13,7 +13,8 @@ and streams in O(bins) memory.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Union
+from functools import cached_property
+from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -59,6 +60,74 @@ def region_index(power_w: np.ndarray) -> np.ndarray:
     for bound in REGION_BOUNDS[1:]:
         reg += power_w >= bound
     return reg
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
+
+
+class DerivedWindow(TelemetryChunk):
+    """A telemetry chunk plus its per-row quantities, each derived once.
+
+    The streaming engine wraps every sealed window in one before any
+    reader sees it, so the campaign join, the per-job fold, the
+    flight-recorder record and incident attribution share one
+    derivation; the quantities live on the window and go with it, so
+    no per-row array outlives its window.  Each is derived on first
+    use: a bare engine never pays for the node positions or row
+    energies only the window sinks read.  The columns are the
+    wrapped chunk's own arrays (no copy); the derived arrays are
+    read-only, since every later reader of the window shares them.
+    """
+
+    @classmethod
+    def of(
+        cls,
+        chunk: TelemetryChunk,
+        tag: Optional[Callable[[TelemetryChunk], np.ndarray]],
+        interval_s: float,
+    ) -> "DerivedWindow":
+        """``chunk`` itself if already derived, else a wrapper over it.
+
+        ``tag(chunk)`` labels the rows with job ids (0 = idle);
+        ``interval_s`` prices a row's power as energy.
+        """
+        if isinstance(chunk, DerivedWindow):
+            return chunk
+        # The chunk was validated when built: share its columns as they are.
+        window = object.__new__(cls)
+        window.__dict__.update(chunk.__dict__, _tag=tag, interval_s=interval_s)
+        return window
+
+    @cached_property
+    def samples(self) -> np.ndarray:
+        """GPU power, row-major flattened to float64 (one per sample)."""
+        return _read_only(self.gpu_power_w.reshape(-1).astype(np.float64))
+
+    @cached_property
+    def regions(self) -> np.ndarray:
+        """Table IV region of every sample, shaped like the GPU power."""
+        return _read_only(region_index(self.gpu_power_w))
+
+    @cached_property
+    def job_ids(self) -> np.ndarray:
+        """Job id of every row (0 = idle node)."""
+        return _read_only(self._tag(self))
+
+    @cached_property
+    def nodes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(sorted unique node ids, each row's position among them)."""
+        ids, pos = np.unique(self.node_id, return_inverse=True)
+        return _read_only(ids), _read_only(pos)
+
+    @cached_property
+    def row_energy_j(self) -> np.ndarray:
+        """GPU energy of every row (its float32 power sum x interval)."""
+        return _read_only(
+            self.gpu_power_w.sum(axis=1).astype(np.float64)
+            * self.interval_s
+        )
 
 
 @dataclass
@@ -169,15 +238,10 @@ class CampaignAccumulator:
         log: SchedulerLog,
         *,
         interval_s: float = constants.TELEMETRY_INTERVAL_S,
-        tagger=None,
     ) -> None:
         jobs = log.job_by_id()
         self.log = log
         self.interval_s = interval_s
-        #: Optional ``tagger.tag(chunk) -> job ids`` shared with other
-        #: folds of the same chunks (a control plane's job index), so a
-        #: sealed window is labelled once; ``None`` asks the log.
-        self.tagger = tagger
         self.domains = sorted({j.domain for j in jobs.values()}) + [
             IDLE_DOMAIN
         ]
@@ -219,7 +283,6 @@ class CampaignAccumulator:
         new = object.__new__(CampaignAccumulator)
         new.log = self.log
         new.interval_s = self.interval_s
-        new.tagger = self.tagger
         new.domains = self.domains
         new.classes = self.classes
         new.energy_j = np.zeros_like(self.energy_j)
@@ -234,11 +297,25 @@ class CampaignAccumulator:
         new._cls_of_job = self._cls_of_job
         return new
 
+    def _job_ids(self, chunk: TelemetryChunk) -> np.ndarray:
+        # One composite-key searchsorted over the whole chunk (no node loop).
+        return self.log.job_id_table(chunk.time_s, chunk.node_id)
+
+    def derive(self, chunk: TelemetryChunk) -> DerivedWindow:
+        """``chunk`` as a :class:`DerivedWindow` labelled by this join's log.
+
+        The streaming engine hands this one object to every reader of a
+        sealed window, so the window is labelled and binned once.
+        """
+        return DerivedWindow.of(chunk, self._job_ids, self.interval_s)
+
     def update(self, chunk: TelemetryChunk) -> None:
         """Fold one chunk into the running campaign state.
 
-        Traced as a ``join.update`` span when observability is on; the
-        disabled wrapper costs one global read and a branch.
+        A :class:`DerivedWindow` (see :meth:`derive`) keeps what the
+        fold derives for later readers of the same window.  Traced as a
+        ``join.update`` span when observability is on; the disabled
+        wrapper costs one global read and a branch.
         """
         st = _obs.state()
         if st is None:
@@ -254,27 +331,23 @@ class CampaignAccumulator:
     def _update_impl(self, chunk: TelemetryChunk) -> None:
         """Uninstrumented body of :meth:`update` (the timed hot path)."""
         interval = self.interval_s
+        window = self.derive(chunk)
         self.n_chunks += 1
         self.cpu_energy_j += (
             float(chunk.cpu_power_w.sum(dtype=np.float64)) * interval
         )
-        # Label each row with (domain, class) via the scheduler log: one
-        # composite-key searchsorted over the whole chunk (no node loop).
-        jid = (
-            self.log.job_id_table(chunk.time_s, chunk.node_id)
-            if self.tagger is None else self.tagger.tag(chunk)
-        )
+        # Label each row with (domain, class) via the scheduler log.
+        jid = window.job_ids
         d_row = self._dom_of_job[jid]
         c_row = self._cls_of_job[jid]
 
         power = chunk.gpu_power_w  # (n, gpus)
-        reg = region_index(power)
         # Accumulate the 3-D cube with one bincount over composite keys.
         n_d, n_c = len(self.domains), len(self.classes)
         key = (
-            (d_row[:, None] * n_c + c_row[:, None]) * 4 + reg
+            (d_row[:, None] * n_c + c_row[:, None]) * 4 + window.regions
         ).reshape(-1)
-        flat_p = power.reshape(-1).astype(np.float64)
+        flat_p = window.samples
         minlength = n_d * n_c * 4
         self.energy_j += (
             np.bincount(key, weights=flat_p, minlength=minlength).reshape(

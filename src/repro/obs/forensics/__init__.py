@@ -26,7 +26,7 @@ incident ids, whatever the delivery order or chunking.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cached_property, partial
 from typing import Dict, List, Optional
 
 from ... import constants
@@ -87,6 +87,11 @@ class Forensics:
     every sealed window then flows through :meth:`observe_window` in
     canonical fold order, with the engine's record of it (ingest and
     alert deltas, the decision in force).
+
+    ``tagger`` (anything with a ``tag(chunk)`` returning each row's job
+    id) switches job attribution on.  An engine's sealed windows already
+    carry the job ids of the engine's own scheduler log, and those are
+    used; the tagger labels only windows observed without an engine.
     """
 
     def __init__(
@@ -123,6 +128,7 @@ class Forensics:
         return self
 
     def set_tagger(self, tagger) -> "Forensics":
+        """Switch job attribution on (see the class docstring)."""
         self.incidents.tagger = tagger
         return self
 
@@ -219,12 +225,15 @@ class Forensics:
     def reader_view(self) -> "ForensicsView":
         """Freeze what the served incident routes read, for one publish.
 
-        Resolved incidents' documents are memoized and shared, only the
-        few open ones render here, and the ring is frozen as a tuple of
-        record references: the records' documents render on first read.
+        Only state is copied here — the open incidents' counters and
+        attribution (:meth:`IncidentEngine.freeze`), the summary, and the
+        ring as a tuple of record references; the incident and record
+        documents render on first read.
         """
+        incidents = self.incidents
         return ForensicsView(
-            self.snapshot(), tuple(self.recorder.records), self.recorder
+            incidents, incidents.freeze(), incidents.findings_total,
+            self.summary(), tuple(self.recorder.records), self.recorder,
         )
 
     def serve_doc(self, *, pad: int = 1) -> dict:
@@ -243,17 +252,33 @@ class Forensics:
 class ForensicsView:
     """A frozen read handle on the flight recorder, taken at publish.
 
-    ``doc`` is :meth:`Forensics.snapshot` at publish time; ``records``
-    the resident :class:`~.recorder.WindowRecord` refs, oldest first.
-    Both stay as published however far ingest advances, so the served
+    Holds the incident list as frozen at publish, the findings total
+    and summary then, and ``records``, the resident
+    :class:`~.recorder.WindowRecord` refs, oldest first.  All stay as
+    published however far ingest advances, so the served
     ``/v1/incidents`` bodies are byte-stable per view, and nothing here
     renders until a reader asks.
     """
 
-    def __init__(self, doc: dict, records: tuple, recorder) -> None:
-        self.doc = doc
+    def __init__(self, engine, incidents: tuple, findings_total: int,
+                 summary: dict, records: tuple, recorder) -> None:
+        self._engine = engine
+        self._incidents = incidents
+        self._findings_total = findings_total
+        self._summary = summary
         self.records = records
         self._recorder = recorder
+
+    @cached_property
+    def doc(self) -> dict:
+        """:meth:`Forensics.snapshot` as of publish, rendered on first read.
+
+        A pure function of the frozen state: two racing first reads
+        build equal documents, and either may be kept.
+        """
+        doc = self._engine.render(self._incidents, self._findings_total)
+        doc["summary"] = self._summary
+        return doc
 
     def incident_records(self, incident: dict, *, pad: int = 1) -> List[dict]:
         """Record documents spanning one incident, ``pad`` windows wide.

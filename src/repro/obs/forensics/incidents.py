@@ -22,12 +22,13 @@ no randomness.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+import copy
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ... import constants
-from ...core.join import REGION_NAMES
+from ...core.join import REGION_NAMES, DerivedWindow
 from .detectors import Finding
 from .recorder import WindowRecord
 
@@ -95,6 +96,16 @@ class Incident:
     def resolve(self) -> None:
         self.status = "resolved"
 
+    def frozen(self) -> "Incident":
+        """A copy later folds leave alone: the counters, the attribution
+        dicts and the findings list as of now (findings are immutable)."""
+        new = copy.copy(self)
+        new.findings = list(self.findings)
+        new._node_j = dict(self._node_j)
+        new._job_j = dict(self._job_j)
+        new._mode_j = self._mode_j.copy()
+        return new
+
     # -- views --------------------------------------------------------------------
 
     @property
@@ -154,6 +165,8 @@ class IncidentEngine:
     ) -> None:
         self.merge_gap = int(merge_gap)
         self.top_k = int(top_k)
+        #: Job attribution is on when set.  It labels offline windows
+        #: only: an engine's sealed window carries its own job ids.
         self.tagger = tagger
         self.interval_s = float(interval_s)
         self.incidents: List[Incident] = []
@@ -237,37 +250,44 @@ class IncidentEngine:
 
     def _attribute(self, incident: Incident, record: WindowRecord,
                    findings: Sequence[Finding], window) -> None:
-        implicated: List[int] = []
-        for f in findings:
-            implicated.extend(f.nodes)
+        node_ids = record.node_ids
         # Node axis: implicated nodes' window energy; the whole fleet's
         # top sinks when the finding is fleet-wide (no node evidence).
-        if implicated:
-            mask = np.isin(record.node_ids, np.asarray(implicated))
+        # The mask goes by position among the record's sorted node ids.
+        implicated = np.array(
+            sorted({node for f in findings for node in f.nodes}),
+            dtype=np.int64,
+        )
+        if len(implicated):
+            node_mask = np.zeros(len(node_ids), dtype=bool)
+            if len(node_ids):
+                pos = np.minimum(
+                    np.searchsorted(node_ids, implicated), len(node_ids) - 1
+                )
+                node_mask[pos[node_ids[pos] == implicated]] = True
         else:
-            mask = np.ones(len(record.node_ids), dtype=bool)
-        idx = np.nonzero(mask)[0]
+            node_mask = np.ones(len(node_ids), dtype=bool)
+        idx = np.nonzero(node_mask)[0]
         order = idx[np.argsort(-record.node_energy_j[idx], kind="stable")]
         order = order[: self.top_k]
         incident.attribute_nodes({
-            int(record.node_ids[i]): float(record.node_energy_j[i])
+            int(node_ids[i]): float(record.node_energy_j[i])
             for i in order
         })
         incident.attribute_modes(record.region_energy_j)
         if self.tagger is None or window is None or not len(window):
             return
-        jid = self.tagger.tag(window)
-        row_j = (
-            window.gpu_power_w.sum(axis=1).astype(np.float64)
-            * self.interval_s
-        )
-        if implicated:
-            row_mask = np.isin(window.node_id, np.asarray(implicated))
-        else:
-            row_mask = np.ones(len(window), dtype=bool)
+        # The engine's sealed window carries its job ids, row energies
+        # and node positions (the tagger is not consulted); an offline
+        # window derives them here.
+        rows = DerivedWindow.of(window, self.tagger.tag, self.interval_s)
+        # Row axis: each row's node position picks its node's mask bit.
+        row_mask = node_mask[rows.nodes[1]]
         if not row_mask.any():
             return
-        job_j = np.bincount(jid[row_mask], weights=row_j[row_mask])
+        job_j = np.bincount(
+            rows.job_ids[row_mask], weights=rows.row_energy_j[row_mask]
+        )
         top = np.argsort(-job_j, kind="stable")[: self.top_k]
         incident.attribute_jobs({
             int(j): float(job_j[j]) for j in top if job_j[j] > 0
@@ -291,12 +311,26 @@ class IncidentEngine:
         return None
 
     def snapshot(self, *, top_k: Optional[int] = None) -> dict:
+        return self.render(self.incidents, self.findings_total, top_k=top_k)
+
+    def freeze(self) -> Tuple[Incident, ...]:
+        """The incident list as of now, for a later :meth:`render`.
+
+        Resolved incidents go by reference (resolution is terminal);
+        open ones, which later windows keep extending, as
+        :meth:`Incident.frozen` copies.
+        """
+        return tuple(i.frozen() if i.open else i for i in self.incidents)
+
+    def render(self, incidents: Sequence[Incident], findings_total: int,
+               *, top_k: Optional[int] = None) -> dict:
+        """The snapshot document of an incident list (live or frozen)."""
         k = top_k if top_k is not None else self.top_k
         return {
-            "total": len(self.incidents),
-            "open": self.open_count,
-            "findings_total": self.findings_total,
-            "incidents": [self._doc(i, k) for i in self.incidents],
+            "total": len(incidents),
+            "open": sum(1 for i in incidents if i.open),
+            "findings_total": findings_total,
+            "incidents": [self._doc(i, k) for i in incidents],
         }
 
     def _doc(self, incident: Incident, k: int) -> dict:

@@ -33,7 +33,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from ... import constants
-from ...core.join import region_index
+from ...core.join import DerivedWindow
 from ...errors import ForensicsError
 from ...telemetry.schema import TelemetryChunk
 
@@ -132,7 +132,12 @@ def make_record(
     alerts_firing: int = 0,
     alert_transitions_delta: int = 0,
 ) -> WindowRecord:
-    """Compact one sealed window into a :class:`WindowRecord`."""
+    """Compact one sealed window into a :class:`WindowRecord`.
+
+    An engine's sealed window (a :class:`~repro.core.join.DerivedWindow`)
+    brings its float64 samples, region bins and node positions along;
+    any other window derives them here.
+    """
     n = len(window)
     if n == 0:
         t = 0.0
@@ -155,9 +160,10 @@ def make_record(
             alerts_firing=alerts_firing,
             alert_transitions_delta=alert_transitions_delta,
         )
+    rows = DerivedWindow.of(window, None, interval_s)
     power = window.gpu_power_w                       # (n, gpus)
-    flat = power.reshape(-1).astype(np.float64)
-    node_ids, inverse = np.unique(window.node_id, return_inverse=True)
+    flat = rows.samples
+    node_ids, inverse = rows.nodes
     per_node_j = np.bincount(
         np.repeat(inverse, power.shape[1]),
         weights=flat, minlength=len(node_ids),
@@ -166,7 +172,7 @@ def make_record(
     per_node_mean_w = per_node_j / (
         np.maximum(per_node_rows, 1) * power.shape[1] * interval_s
     )
-    reg = region_index(power).reshape(-1)
+    reg = rows.regions.reshape(-1)
     region_j = np.bincount(reg, weights=flat, minlength=4) * interval_s
     region_hours = (
         np.bincount(reg, minlength=4).astype(np.float64)

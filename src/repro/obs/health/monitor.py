@@ -17,9 +17,8 @@ identical alert timeline every run.
 
 from __future__ import annotations
 
+import math
 from typing import List, Mapping, Optional
-
-import numpy as np
 
 from .. import runtime as _obs
 from ..metrics import MetricsRegistry
@@ -61,7 +60,7 @@ class HealthMonitor:
         transitions this round produced.
         """
         for name, value in values.items():
-            if np.isfinite(value):
+            if math.isfinite(value):
                 self.registry.gauge(name).set(float(value))
         events = self.alerts.evaluate(values, now_s)
         self.events.extend(events)
@@ -126,6 +125,6 @@ def _event_time(stats) -> float:
     the clock pins to 0.
     """
     for candidate in (stats.watermark_s, stats.max_event_time_s):
-        if np.isfinite(candidate):
+        if math.isfinite(candidate):
             return float(candidate)
     return 0.0

@@ -286,6 +286,11 @@ class AlertEngine:
             st.state == FIRING for st in self._states.values()
         )
 
+    @property
+    def firing_count(self) -> int:
+        """``len(firing())`` without rendering any rule state."""
+        return sum(1 for st in self._states.values() if st.state == FIRING)
+
     def rule_states(self) -> List[dict]:
         """JSON-ready per-rule state (the ``/health`` payload body)."""
         out = []
@@ -331,15 +336,15 @@ class AlertEngine:
 
     def export(self, registry) -> None:
         """Mirror rule states into a metrics registry (idempotent gauges)."""
-        for row in self.rule_states():
+        for name, st in self._states.items():
             registry.gauge(
                 "health_rule_state",
                 "alert rule state: 0 inactive, 1 pending, 2 firing",
-                rule=row["name"],
-            ).set(_STATE_CODE[row["state"]])
+                rule=name,
+            ).set(_STATE_CODE[st.state])
         registry.gauge(
             "health_alerts_firing", "number of alert rules currently firing"
-        ).set(len(self.firing()))
+        ).set(self.firing_count)
         registry.gauge(
             "health_rule_transitions", "cumulative rule state transitions"
         ).set(self.transitions)

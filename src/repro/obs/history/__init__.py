@@ -282,9 +282,7 @@ class History:
         if self.store is not None:
             values.update(self.store.metric_values())
         values.update(self.evaluator.last_values)
-        values["slo_alerts_firing"] = float(
-            len(self.slo_alerts.firing())
-        )
+        values["slo_alerts_firing"] = float(self.slo_alerts.firing_count)
         return values
 
     def slo_rows(self) -> List[dict]:

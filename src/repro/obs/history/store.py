@@ -577,12 +577,16 @@ class HistoryStore:
         leave short tail segments behind; compaction rewrites each level
         into maximal uniform segments.  Column values are untouched —
         the rewrite is bitwise-invisible to every read (asserted in
-        tests) — and memory stays bounded at one chunk per step.
+        tests) — and memory stays bounded at one chunk per step.  The
+        old files are unlinked only once the manifest naming the new
+        ones is durable, so a crash leaves a readable store.
         """
         if self.dir is None:
             return {"rewritten_segments": 0, "removed_files": 0}
         self.sync()
-        rewritten = removed = 0
+        before = self._level_state()
+        rewritten = 0
+        replaced: List[dict] = []
         for lv in self._levels:
             if not lv.segments or all(
                 seg["rows"] == self.chunk_rows
@@ -599,13 +603,9 @@ class HistoryStore:
                 new_segments.append(self._make_segment(lv.level, block))
                 rewritten += 1
             lv.segments = new_segments
-            for seg in old:
-                if seg["file"]:
-                    path = self.dir / seg["file"]
-                    self._mmaps.pop(str(path), None)
-                    path.unlink(missing_ok=True)
-                    removed += 1
-        self._write_manifest()
+            replaced.extend(old)
+        self._commit_manifest(before)
+        removed = self._unlink_segments(replaced)
         return {"rewritten_segments": rewritten, "removed_files": removed}
 
     def gc(self, keep_s: float) -> dict:
@@ -622,27 +622,65 @@ class HistoryStore:
         if span is None:
             return {"dropped_rows": {}, "removed_files": 0}
         cutoff = span[1] - keep_s
-        removed = 0
+        before = self._level_state()
         dropped: Dict[int, int] = {}
+        expired: List[dict] = []
         for lv in self._levels:
-            n = 0
-            while lv.segments:
-                seg = lv.segments[0]
+            k = 0
+            for seg in lv.segments:
                 if seg["t1"] is None or seg["t1"] >= cutoff:
                     break
-                lv.segments.pop(0)
-                lv.dropped_rows += seg["rows"]
-                n += seg["rows"]
-                if seg["file"]:
-                    path = self.dir / seg["file"]
-                    self._mmaps.pop(str(path), None)
-                    path.unlink(missing_ok=True)
-                    removed += 1
-            if n:
+                k += 1
+            if k:
+                gone, lv.segments = lv.segments[:k], lv.segments[k:]
+                n = sum(seg["rows"] for seg in gone)
+                lv.dropped_rows += n
                 dropped[lv.level] = n
+                expired.extend(gone)
+        removed = 0
         if self.dir is not None:
-            self._write_manifest()
+            # The manifest without the expired segments first, then
+            # their files: a crash in between leaves only orphan files.
+            self._commit_manifest(before)
+            removed = self._unlink_segments(expired)
         return {"dropped_rows": dropped, "removed_files": removed}
+
+    def _level_state(self) -> List[tuple]:
+        """Each level's segment list and dropped-row count, to restore."""
+        return [
+            (lv, list(lv.segments), lv.dropped_rows) for lv in self._levels
+        ]
+
+    def _commit_manifest(self, before: List[tuple]) -> None:
+        """Write the manifest of a retention step, or undo the step.
+
+        If the write fails, the levels get back the segments and counts
+        of ``before`` (so a later ``sync`` cannot persist the half-done
+        step), and segment files written since are deleted: no manifest
+        names them.
+        """
+        try:
+            self._write_manifest()
+        except BaseException:
+            kept = {seg["file"] for _lv, segments, _n in before
+                    for seg in segments}
+            written = [seg for lv in self._levels for seg in lv.segments
+                       if seg["file"] not in kept]
+            for lv, segments, dropped_rows in before:
+                lv.segments, lv.dropped_rows = segments, dropped_rows
+            self._unlink_segments(written)
+            raise
+
+    def _unlink_segments(self, segments: List[dict]) -> int:
+        """Delete segment files the durable manifest no longer names."""
+        removed = 0
+        for seg in segments:
+            if seg["file"]:
+                path = self.dir / seg["file"]
+                self._mmaps.pop(str(path), None)
+                path.unlink(missing_ok=True)
+                removed += 1
+        return removed
 
     # -- views --------------------------------------------------------------------
 

@@ -235,18 +235,29 @@ class HttpService:
 
     def answer(self, handler: JsonRequestHandler) -> Tuple[Route, int]:
         """Answer from :attr:`routes`: (route, status).  :attr:`error_class`
-        answers 400, other exceptions 500, as does a dropped connection."""
+        answers 400, other exceptions 500, as does a dropped connection.
+
+        The response is flushed before this returns, so a caller timing
+        the answer times the socket write too, whatever the body size
+        (the buffered ``wfile`` would otherwise hold a small body until
+        the base handler's flush after ``do_GET``).
+        """
         match = self.routes.match(handler.command, handler.path)
         route = match.route
         try:
-            return route, route.answer(handler, self, match)
+            status = route.answer(handler, self, match)
         except (BrokenPipeError, ConnectionResetError):
             return route, 500
         except self.error_class as exc:
-            return route, handler._send_json(400, {"error": str(exc)})
+            status = handler._send_json(400, {"error": str(exc)})
         except Exception as exc:
             handler._send_error_500(exc)
+            status = 500
+        try:
+            handler.wfile.flush()
+        except OSError:
             return route, 500
+        return route, status
 
     def on_handler_error(self, exc: BaseException) -> None:
         """Count an unexpected handler exception (none by default)."""

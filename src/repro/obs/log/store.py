@@ -31,9 +31,13 @@ MANIFEST_NAME = "manifest.json"
 _FORMAT = 1
 
 
+#: The one encoder of every log line (``json.dumps`` builds one per call).
+_LINE_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
 def _render_line(record: dict) -> str:
     """Canonical single-line serialization: sorted keys, no spaces."""
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    return _LINE_ENCODER.encode(record)
 
 
 class LogStore:
@@ -57,6 +61,7 @@ class LogStore:
         self.gc_dropped_records = 0
         self._fh = None              # append handle for the active segment
         self._dirty = False
+        self._closed_bytes: dict = {}   # file -> size, fixed once closed
         self.sync()
 
     # -- lifecycle ----------------------------------------------------
@@ -88,6 +93,7 @@ class LogStore:
         self.gc_dropped_records = int(doc.get("gc_dropped_records", 0))
         self._fh = None
         self._dirty = False
+        self._closed_bytes = {}
         if self.segments and self.segments[-1]["records"] < self.segment_records:
             self._recover_tail(self.segments[-1])
         return self
@@ -186,31 +192,44 @@ class LogStore:
 
         The still-open tail segment is never dropped.  Empty segments
         (zero records — possible only after a crash between rotation
-        and the first append) are always collected.
+        and the first append) are always collected.  Files are unlinked
+        only once the manifest without them is durable, so a crash (or
+        a failed manifest write) leaves every listed segment readable.
         """
         if keep_s < 0:
             raise LogError("keep_s must be >= 0")
         span = self.time_span()
         cutoff = None if span is None else span[1] - keep_s
         kept: list = []
-        dropped_segments = dropped_records = 0
+        dropped: list = []
         for i, seg in enumerate(self.segments):
             is_tail = i == len(self.segments) - 1
             empty = seg["records"] == 0
             expired = (cutoff is not None and seg["t1"] is not None
                        and seg["t1"] < cutoff)
             if (empty or expired) and not is_tail:
-                (self.dir / seg["file"]).unlink(missing_ok=True)
-                dropped_segments += 1
-                dropped_records += seg["records"]
+                dropped.append(seg)
             else:
                 kept.append(seg)
-        self.segments = kept
-        self.gc_dropped_segments += dropped_segments
-        self.gc_dropped_records += dropped_records
-        if dropped_segments:
-            self.sync()
-        return {"dropped_segments": dropped_segments,
+        dropped_records = sum(seg["records"] for seg in dropped)
+        if dropped:
+            before = (self.segments, self.gc_dropped_segments,
+                      self.gc_dropped_records)
+            self.segments = kept
+            self.gc_dropped_segments += len(dropped)
+            self.gc_dropped_records += dropped_records
+            try:
+                self.sync()
+            except BaseException:
+                # Undo, so a later sync cannot persist the drop and
+                # orphan the files still on disk.
+                (self.segments, self.gc_dropped_segments,
+                 self.gc_dropped_records) = before
+                raise
+            for seg in dropped:
+                (self.dir / seg["file"]).unlink(missing_ok=True)
+                self._closed_bytes.pop(seg["file"], None)
+        return {"dropped_segments": len(dropped),
                 "dropped_records": dropped_records}
 
     # -- reading ------------------------------------------------------
@@ -257,11 +276,26 @@ class LogStore:
         return len(self.segments)
 
     def total_bytes(self) -> int:
+        """Bytes on disk across segments (the tail's buffered lines not yet).
+
+        Only the tail segment grows: it is read with ``os.fstat`` on the
+        append handle, and each closed segment is sized once.
+        """
         total = 0
-        for seg in self.segments:
-            path = self.dir / seg["file"]
-            if path.exists():
-                total += path.stat().st_size
+        last = len(self.segments) - 1
+        for i, seg in enumerate(self.segments):
+            if i == last and self._fh is not None:
+                total += os.fstat(self._fh.fileno()).st_size
+                continue
+            size = self._closed_bytes.get(seg["file"])
+            if size is None:
+                path = self.dir / seg["file"]
+                if not path.exists():
+                    continue
+                size = path.stat().st_size
+                if i != last:
+                    self._closed_bytes[seg["file"]] = size
+            total += size
         return total
 
     def time_span(self):

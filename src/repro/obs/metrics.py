@@ -216,14 +216,17 @@ class MetricsRegistry:
         return series[key]
 
     def gauge(self, name: str, help_text: str = "", **labels) -> Gauge:
-        if not labels:
-            # Fast path for the per-window mirrors: an existing
-            # unlabelled gauge needs no name check and no lock.
-            fam = self._families.get(name)
-            if fam is not None and fam["kind"] == "gauge":
-                series = fam["series"].get(())
-                if series is not None:
-                    return series
+        # Fast path for the per-window mirrors: an existing series (its
+        # name and label names were checked when it was created) needs
+        # no regex and no lock.
+        fam = self._families.get(name)
+        if fam is not None and fam["kind"] == "gauge":
+            series = fam["series"].get(
+                tuple(sorted((k, str(v)) for k, v in labels.items()))
+                if labels else ()
+            )
+            if series is not None:
+                return series
         fam = self._family(name, "gauge", help_text)
         key = _labels_key(labels)
         series = fam["series"]

@@ -6,7 +6,9 @@ composite-key ``searchsorted`` via :class:`~repro.serve.jobs.JobStateIndex`),
 the same region split (:func:`~repro.core.join.region_index`), the same
 one-``bincount`` fold — but keyed by ``job_id`` instead of
 ``(domain, class)``.  Feeding it the engine's sealed windows (via
-:meth:`StreamEngine.add_window_observer`) in canonical order makes the
+:meth:`StreamEngine.add_window_observer`; each arrives as a
+:class:`~repro.core.join.DerivedWindow` carrying what the campaign join
+derived) in canonical order makes the
 served per-job numbers bitwise-equal to an offline fold of
 :func:`~repro.stream.sources.canonical_windows` over the same data —
 the serving side of the streaming-vs-batch equivalence contract.
@@ -24,7 +26,7 @@ from typing import List
 import numpy as np
 
 from .. import constants
-from ..core.join import region_index
+from ..core.join import DerivedWindow
 from ..telemetry.schema import TelemetryChunk
 from .jobs import JobStateIndex
 
@@ -68,17 +70,21 @@ class JobAccumulator:
         self.windows_folded = 0
 
     def update(self, window: TelemetryChunk) -> None:
-        """Fold one sealed window (canonical order for bitwise results)."""
+        """Fold one sealed window (canonical order for bitwise results).
+
+        An engine's sealed window brings the job ids, region bins and
+        samples the campaign join derived; any other window derives
+        them here through the job index.
+        """
         self.windows_folded += 1
         if not len(window):
             return
+        rows = DerivedWindow.of(window, self.index.tag, self.interval_s)
         interval = self.interval_s
-        jid = self.index.tag(window)
-        power = window.gpu_power_w                      # (n, gpus)
-        reg = region_index(power)
+        jid = rows.job_ids
         n_rows = self.energy_j.shape[0]
-        key = (jid[:, None] * 4 + reg).reshape(-1)
-        flat_p = power.reshape(-1).astype(np.float64)
+        key = (jid[:, None] * 4 + rows.regions).reshape(-1)
+        flat_p = rows.samples
         minlength = n_rows * 4
         self.energy_j += (
             np.bincount(key, weights=flat_p, minlength=minlength)

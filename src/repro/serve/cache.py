@@ -4,11 +4,13 @@ Serving thousands of concurrent pollers must not contend with ingest.
 The contract here:
 
 * Ingest publishes an immutable :class:`ServeView` — a frozen copy of
-  everything the API answers from (fleet cube snapshot, per-job stats,
-  policy, cap decisions) — by **atomic reference swap** into
+  everything the API answers from (the fold frame, ingest and per-job
+  stats, policy, cap decisions) — by **atomic reference swap** into
   :class:`SnapshotCache`.  Readers grab the reference once per request
   and never see a half-updated state: torn reads are impossible by
-  construction, not by locking.
+  construction, not by locking.  Tables V/VI and the fleet advice
+  (:attr:`ServeView.snap`) are derived from the frozen frame on a
+  view's first read.
 * Responses are **read-through cached as serialized bytes** on the
   view: the first request for a route renders JSON (sorted keys,
   deterministic float repr) and every later request for the same route
@@ -35,7 +37,7 @@ from typing import Dict, Optional, Set, Tuple
 from ..errors import HistoryError, LogError
 from ..obs.httpd import parse_query
 from ..obs.log.query import select as select_logs
-from ..stream.engine import StreamSnapshot
+from ..stream.engine import FoldFrame, IngestStats, StreamSnapshot
 from .analytics import JobStats
 from .http import ROUTES
 from .jobs import JobStateIndex
@@ -71,7 +73,8 @@ class ServeView:
         *,
         version: int,
         policy: dict,
-        snap: StreamSnapshot,
+        frame: FoldFrame,
+        stats: IngestStats,
         jobs: JobStats,
         index: JobStateIndex,
         factors,
@@ -84,12 +87,16 @@ class ServeView:
     ) -> None:
         self.version = version
         self.policy = dict(policy)
-        self.snap = snap
+        #: The fold state published (cube + Table IV) and the ingest
+        #: stats at publish; :attr:`snap` derives Tables V/VI from them.
+        self.frame = frame
+        self.stats = stats
         self.jobs = jobs
         self.index = index
         self.factors = factors
         self.decision = decision
         self.policy_version = policy_version
+        self._snap: Optional[StreamSnapshot] = None
         #: Frozen flight-recorder read handle
         #: (:class:`~repro.obs.forensics.ForensicsView`): the incident
         #: documents, summary and resident records at publish time.
@@ -109,13 +116,36 @@ class ServeView:
         self.published_wall_s = (
             published_wall_s if published_wall_s is not None else time.time()
         )
-        self.sealed_until_s = snap.stats.sealed_until_s
-        self.watermark_s = snap.stats.watermark_s
+        self.sealed_until_s = stats.sealed_until_s
+        self.watermark_s = stats.watermark_s
         self._bodies: Dict[str, Tuple[int, bytes]] = {}
         #: Memoized routes a request has read (the next publish
         #: pre-renders exactly these); grows only under the lock.
         self._read: Set[str] = set()
         self._render_lock = threading.Lock()
+
+    @property
+    def snap(self) -> StreamSnapshot:
+        """Live Tables IV/V/VI + fleet advice of this view's fold state.
+
+        Computed on first read, once per view (a view nobody reads
+        never projects), under the render lock; equal to
+        :meth:`StreamEngine.snapshot` at the same fold state and policy.
+        """
+        snap = self._snap
+        if snap is None:
+            with self._render_lock:
+                snap = self._snap
+                if snap is None:
+                    snap = self._snap = self.frame.snapshot(
+                        self.stats,
+                        factors=self.factors,
+                        campaign_energy_mwh=self.policy[
+                            "campaign_energy_mwh"
+                        ],
+                        max_slowdown_pct=self.policy["max_slowdown_pct"],
+                    )
+        return snap
 
     # -- request path -------------------------------------------------------------
 
@@ -181,7 +211,7 @@ class ServeView:
         return job_id
 
     def _head(self) -> dict:
-        stats = self.snap.stats
+        stats = self.stats
         return {
             "version": self.version,
             "sealed_until_s": _finite(self.sealed_until_s),
@@ -212,7 +242,7 @@ class ServeView:
         return 200, doc
 
     def _fleet_savings_doc(self, params) -> Tuple[int, dict]:
-        cube = self.snap.cube
+        cube = self.frame.cube
         doc = self._head()
         doc["policy"] = self.policy
         doc["energy"] = {
@@ -399,7 +429,7 @@ class ServeView:
     def _job_savings_doc(self, params, job: str) -> Tuple[int, dict]:
         job_id = self._job_id(job)
         decision = self._job_decision(job_id)
-        fleet_j = self.snap.cube.total_energy_j
+        fleet_j = self.frame.cube.total_energy_j
         doc = self._head()
         doc["job_id"] = job_id
         doc["energy_j"] = decision.baseline_energy_j

@@ -19,7 +19,7 @@ served documents stay bitwise-reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class JobStateIndex:
     def __init__(self, log: SchedulerLog) -> None:
         self.log = log
         self._meta: Dict[int, JobMeta] = {}
-        self._last: Optional[Tuple[TelemetryChunk, np.ndarray]] = None
         for job in log.jobs:
             partition = PARTITION_BY_CLASS.get(job.size_class)
             if partition is None:
@@ -124,16 +123,10 @@ class JobStateIndex:
         return sorted(self._meta)
 
     def tag(self, chunk: TelemetryChunk) -> np.ndarray:
-        """Job id of every row in ``chunk`` (0 = idle node), read-only.
+        """Job id of every row in ``chunk`` (0 = idle node).
 
-        Memoized for the last chunk tagged: a control plane's campaign
-        join, per-job fold and incident attribution all tag the same
-        sealed window in turn, so each window is labelled once.
+        A control plane's engine tags each sealed window once and shares
+        the ids with every fold and sink of it
+        (:class:`~repro.core.join.DerivedWindow`).
         """
-        last = self._last
-        if last is not None and last[0] is chunk:
-            return last[1]
-        ids = self.log.job_id_table(chunk.time_s, chunk.node_id)
-        ids.flags.writeable = False
-        self._last = (chunk, ids)
-        return ids
+        return self.log.job_id_table(chunk.time_s, chunk.node_id)

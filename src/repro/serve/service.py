@@ -6,11 +6,13 @@
   into the fleet cube, with the per-job
   :class:`~repro.serve.analytics.JobAccumulator` riding the engine's
   window-observer hook so both folds see the identical canonical
-  window sequence;
+  window sequence (and share each window's derived rows);
 * after every ingest that seals windows, :meth:`refresh` publishes a
-  new immutable :class:`~repro.serve.cache.ServeView` (fleet snapshot,
-  per-job stats, cap decisions under the active objective) into the
-  :class:`~repro.serve.cache.SnapshotCache`;
+  new immutable :class:`~repro.serve.cache.ServeView` (the fold frame:
+  cube and Table IV, ingest stats, per-job stats, the cap decision
+  under the active objective) into the
+  :class:`~repro.serve.cache.SnapshotCache`; Tables V/VI and the fleet
+  advice render on a view's first read;
 * :meth:`serve` exposes the cache over HTTP
   (:class:`~repro.serve.http.ControlPlaneServer`); request metrics land
   in the same :class:`~repro.obs.metrics.MetricsRegistry` the ingest
@@ -28,12 +30,12 @@ republishes immediately.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from functools import partial
 from typing import Dict, Iterable, Optional
 
-import numpy as np
 
 from .. import constants
 from ..core.characterization import CapFactors, measured_factors
@@ -58,7 +60,7 @@ def _frontier_s(stats) -> Optional[float]:
     reorder buffer itself (both carry the two clocks).
     """
     for candidate in (stats.sealed_until_s, stats.max_event_time_s):
-        if np.isfinite(candidate):
+        if math.isfinite(candidate):
             return float(candidate)
     return None
 
@@ -78,7 +80,7 @@ def _published_decision(cache: SnapshotCache):
         decision.cap if decision.capped else None,
         view.policy.get("objective"),
         view.version,
-        _frontier_s(view.snap.stats),
+        _frontier_s(view.stats),
     )
 
 
@@ -101,7 +103,7 @@ def _serve_metric_values(cache: SnapshotCache, buffer) -> Dict[str, float]:
     # otherwise draining without republishing would make the metric
     # vanish and silently resolve the staleness alert.
     frontier = _frontier_s(buffer)
-    published = _frontier_s(view.snap.stats)
+    published = _frontier_s(view.stats)
     if frontier is not None:
         values["serve_snapshot_age_s"] = max(
             0.0, frontier - (published if published is not None else 0.0)
@@ -168,15 +170,14 @@ class ControlPlane:
             knob=self.factors.knob,
             campaign_energy_mwh=campaign_energy_mwh,
         )
-        # One job index tags each sealed window for the campaign join,
-        # the per-job fold and incident attribution alike.
+        # The engine labels each sealed window once; the per-job fold
+        # and incident attribution read those job ids off the window.
         self.index = JobStateIndex(log)
         self.engine = StreamEngine(
             log,
             interval_s=interval_s,
             window_s=window_s,
             lateness_s=lateness_s,
-            tagger=self.index,
         )
         self.job_acc = JobAccumulator(self.index, interval_s=interval_s)
         self.engine.add_window_observer(self.job_acc.update)
@@ -289,13 +290,12 @@ class ControlPlane:
                 with self._policy_lock:
                     policy = self.policy.to_dict()
                     policy_version = self.policy.version
-                snap = self.engine.snapshot(
-                    factors=self.factors,
-                    campaign_energy_mwh=policy["campaign_energy_mwh"],
-                    max_slowdown_pct=policy["max_slowdown_pct"],
-                )
+                # Tables V/VI and the fleet advice wait for a reader
+                # (ServeView.snap); the cap decision needs only the cube.
+                frame = self.engine.frame()
+                stats = self.engine.stats
                 decision = decide_cap(
-                    snap.cube.region_energy_j(),
+                    frame.cube.region_energy_j(),
                     self.factors,
                     objective=policy["objective"],
                     max_slowdown_pct=policy["max_slowdown_pct"],
@@ -318,7 +318,8 @@ class ControlPlane:
                     lambda version: ServeView(
                         version=version,
                         policy=policy,
-                        snap=snap,
+                        frame=frame,
+                        stats=stats,
                         jobs=self.job_acc.snapshot(),
                         index=self.index,
                         factors=self.factors,
@@ -330,7 +331,7 @@ class ControlPlane:
                     )
                 )
                 if self.event_log is not None:
-                    frontier = _frontier_s(snap.stats)
+                    frontier = _frontier_s(stats)
                     t_s = frontier if frontier is not None else 0.0
                     self.event_log.emit(
                         "info", "serve.decide_cap",
@@ -347,7 +348,7 @@ class ControlPlane:
                         f"published view v{view.version}",
                         t_s=t_s, cap_version=view.version,
                         policy_version=policy_version,
-                        windows=int(snap.stats.windows_folded),
+                        windows=int(stats.windows_folded),
                     )
             with self.metrics_lock:
                 self.engine.export_metrics(self.registry)
@@ -455,7 +456,7 @@ class ControlPlane:
                 )
             exemplar = {"trace_id": trace_id}
             frontier = (
-                _frontier_s(view.snap.stats) if view is not None else None
+                _frontier_s(view.stats) if view is not None else None
             )
             self.event_log.emit(
                 "debug", "serve.request", f"{endpoint} {status}",

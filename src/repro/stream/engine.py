@@ -16,11 +16,10 @@ without touching the samples again.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from .. import constants, units
 from ..core import report
@@ -105,6 +104,24 @@ class FoldFrame:
     cube: CampaignCube          # frozen copy of the fold state
     table4: Optional[ModeTable]  # None while the cube has no samples
 
+    def snapshot(
+        self,
+        stats: "IngestStats",
+        *,
+        factors: Optional[CapFactors] = None,
+        campaign_energy_mwh: Optional[float] = None,
+        max_slowdown_pct: float = 5.0,
+    ) -> "StreamSnapshot":
+        """Live Tables IV/V/VI + fleet advice of this fold state."""
+        return compute_snapshot(
+            self.cube,
+            stats,
+            factors=factors,
+            campaign_energy_mwh=campaign_energy_mwh,
+            max_slowdown_pct=max_slowdown_pct,
+            table4=self.table4,
+        )
+
 
 @dataclass(frozen=True)
 class StreamSnapshot:
@@ -171,7 +188,6 @@ class StreamEngine:
         window_s: float = DEFAULT_WINDOW_S,
         lateness_s: float = 0.0,
         aggregate: bool = False,
-        tagger=None,
     ) -> None:
         self.log = log
         self.buffer = ReorderBuffer(
@@ -180,9 +196,7 @@ class StreamEngine:
             lateness_s=lateness_s,
             aggregate=aggregate,
         )
-        self.accumulator = CampaignAccumulator(
-            log, interval_s=interval_s, tagger=tagger
-        )
+        self.accumulator = CampaignAccumulator(log, interval_s=interval_s)
         self.chunks_in = 0
         #: Optional :class:`repro.obs.health.HealthMonitor`, evaluated
         #: after every ingest call that folded windows (and at drain).
@@ -209,7 +223,9 @@ class StreamEngine:
         consumer (the control plane's per-job accumulator, the
         closed-loop cap applier) sees exactly the canonical window
         sequence the cube is built from, in the same deterministic
-        order.  Observers must not mutate the window.
+        order.  The window is a :class:`~repro.core.join.DerivedWindow`:
+        a fold reads the samples, region bins and job ids the campaign
+        join already derived.  Observers must not mutate the window.
         """
         self._window_observers.append(fn)
         return self
@@ -310,10 +326,7 @@ class StreamEngine:
             return
         firing = 0
         if self.health is not None:
-            firing = sum(
-                1 for row in self.health.alerts.rule_states()
-                if row["state"] == "firing"
-            )
+            firing = self.health.alerts.firing_count
         cap = objective = version = frontier = None
         if self.decision_feed is not None:
             cap, objective, version, frontier = self.decision_feed()
@@ -338,8 +351,14 @@ class StreamEngine:
             seconds[name] += time.perf_counter() - t0
 
     def _fold(self, windows) -> None:
-        """Fold sealed windows; observers, then sinks, see each in turn."""
+        """Fold sealed windows; observers, then sinks, see each in turn.
+
+        Each window goes round as one :class:`~repro.core.join.DerivedWindow`,
+        so its per-row quantities are derived once for every reader and
+        dropped with the window.
+        """
         for window in windows:
+            window = self.accumulator.derive(window)
             with _obs.span("stream.fold_window"):
                 self.accumulator.update(window)
             for observer in self._window_observers:
@@ -470,7 +489,7 @@ class StreamEngine:
         return {
             name: float(value)
             for name, value in values.items()
-            if np.isfinite(value)
+            if math.isfinite(value)
         }
 
     def export_metrics(self, registry) -> None:
@@ -503,28 +522,12 @@ class StreamEngine:
         are ``None`` until the first window seals.
         """
         with _obs.span("stream.snapshot"):
-            return self._snapshot(
+            return self.frame().snapshot(
+                self.stats,
                 factors=factors,
                 campaign_energy_mwh=campaign_energy_mwh,
                 max_slowdown_pct=max_slowdown_pct,
             )
-
-    def _snapshot(
-        self,
-        *,
-        factors: Optional[CapFactors],
-        campaign_energy_mwh: Optional[float],
-        max_slowdown_pct: float,
-    ) -> StreamSnapshot:
-        frame = self.frame()
-        return compute_snapshot(
-            frame.cube,
-            self.stats,
-            factors=factors,
-            campaign_energy_mwh=campaign_energy_mwh,
-            max_slowdown_pct=max_slowdown_pct,
-            table4=frame.table4,
-        )
 
 
 def compute_snapshot(

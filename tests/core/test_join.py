@@ -8,10 +8,12 @@ from repro.core.join import (
     IDLE_CLASS,
     IDLE_DOMAIN,
     REGION_BOUNDS,
+    DerivedWindow,
     join_campaign,
     region_index,
 )
 from repro.errors import JoinError
+from repro.telemetry import TelemetryChunk
 
 
 class TestRegionIndex:
@@ -130,3 +132,24 @@ class TestJoin:
         log, _store = campaign
         with pytest.raises(JoinError):
             join_campaign(iter([]), log)
+
+
+def test_derived_window_arrays_are_read_only():
+    """Every reader of a sealed window shares its derived arrays, so
+    none of them may change one in place."""
+    n = 5
+    chunk = TelemetryChunk(
+        time_s=np.arange(n, dtype=np.float64) * 15.0,
+        node_id=np.array([3, 1, 3, 2, 1], dtype=np.int32),
+        gpu_power_w=np.full((n, constants.GPUS_PER_NODE), 300.0, np.float32),
+        cpu_power_w=np.full(n, 100.0, np.float32),
+    )
+    window = DerivedWindow.of(
+        chunk, lambda c: np.zeros(len(c), np.int64), 15.0
+    )
+    assert DerivedWindow.of(window, None, 15.0) is window
+    derived = [window.samples, window.regions, window.job_ids,
+               *window.nodes, window.row_energy_j]
+    for array in derived:
+        with pytest.raises(ValueError):
+            array[0] = 0

@@ -7,20 +7,27 @@ engine carrying all three sinks at two chunkings — produce documents,
 columns, records and served bodies whose SHA-256 digests are pinned
 below.  Any change to how the engine feeds its sinks (record
 construction, counter deltas, decision stamping, sink order) must keep
-every digest bitwise-equal.
+every digest bitwise-equal.  So must any change to what a publish
+computes: the plane's registry render after every publish and every
+view's ``/v1/incidents`` body are pinned too.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 
+import numpy as np
 import pytest
 
+from repro.core import join
 from repro.obs.forensics import Forensics
+from repro.obs.forensics.incidents import IncidentEngine
 from repro.obs.health import DriftReference, HealthMonitor
 from repro.obs.history import History
 from repro.obs.log import EventLog, LogStore
+from repro.obs.metrics import WALL_CLOCK_METRICS
 from repro.serve import ControlPlane
 from repro.stream import StreamEngine, perturb, simulated_fleet
 from tests.serve.conftest import route_key
@@ -169,3 +176,92 @@ def test_bare_engine_sinks_are_pinned(chunk_ticks):
     assert _sink_digests(forensics, history, eventlog) == (
         BARE_DIGESTS[chunk_ticks]
     )
+
+
+#: SHA-256 of the plane's registry render (wall-clock series skipped)
+#: after every publishing ingest and after drain, and of every
+#: published view's ``/v1/incidents`` body, in publish order.
+PUBLISH_DIGESTS = {
+    "registry": (
+        "eb20ded43d65b13d36edd4b3ce97e3b812f800ebbbc48ad21e27a461b345b05e"
+    ),
+    "incidents": (
+        "74b14b50ab0baca4270a4bba0a24fa0ad4ee586a1cd2f618e13a833a07638808"
+    ),
+}
+
+
+def _counting(monkeypatch, module_prefix: str, name: str, fn) -> list:
+    """Patch ``name`` (bound to ``fn``) in every loaded module under
+    ``module_prefix`` with a counting wrapper; returns the call log."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if (
+            mod_name.startswith(module_prefix)
+            and getattr(module, name, None) is fn
+        ):
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_publishes_pin_registry_and_incident_bytes(tmp_path, monkeypatch):
+    """Every publish renders the same registry and incident bytes, with
+    one region binning per sealed window and no ``np.isin`` in incident
+    attribution."""
+    log, source = simulated_fleet(fleet_nodes=NODES, days=DAYS, seed=SEED)
+    chunks = list(perturb(source, seed=SEED, dup_fraction=0.01,
+                          lateness_s=900.0))
+    plane = ControlPlane(
+        log,
+        monitor=HealthMonitor(
+            None, reference=DriftReference.paper(), drift=True
+        ),
+        history=History(dir=tmp_path / "history"),
+        event_log=EventLog(capacity=65_536,
+                           store=LogStore(tmp_path / "logs")),
+    )
+    binnings = _counting(monkeypatch, "repro", "region_index",
+                         join.region_index)
+    isin_calls = _counting(monkeypatch, "numpy", "isin", np.isin)
+    isin_in_attribution = []
+    attribute = IncidentEngine._attribute
+
+    def watched_attribute(*args, **kwargs):
+        before = len(isin_calls)
+        try:
+            return attribute(*args, **kwargs)
+        finally:
+            isin_in_attribution.append(len(isin_calls) - before)
+
+    monkeypatch.setattr(IncidentEngine, "_attribute", watched_attribute)
+    registry, incidents = hashlib.sha256(), hashlib.sha256()
+
+    def published() -> None:
+        registry.update(plane.registry.to_prometheus(
+            skip=WALL_CLOCK_METRICS
+        ).encode())
+        status, body = plane.cache.view.body("incidents")
+        assert status == 200
+        incidents.update(body)
+
+    try:
+        for chunk in chunks:
+            if plane.ingest(chunk):
+                published()
+        plane.drain()
+        published()
+    finally:
+        plane.close()
+    windows = plane.engine.stats.windows_folded
+    assert windows > 0 and isin_in_attribution
+    assert len(binnings) == windows
+    assert sum(isin_in_attribution) == 0
+    assert {
+        "registry": registry.hexdigest(),
+        "incidents": incidents.hexdigest(),
+    } == PUBLISH_DIGESTS

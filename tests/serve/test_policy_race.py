@@ -3,9 +3,9 @@
 ``set_policy`` republishes from the HTTP thread while the ingest thread
 folds windows and runs the window observers (per-job fold, flight
 recorder, health).  The plane serializes the two, so neither thread
-sees the other's state mid-update: no snapshot lands inside a fold,
-nothing raises, every published version follows the last, and the
-drained cube is the batch join's.
+sees the other's state mid-update: no publish reads the fold frame
+inside a fold, nothing raises, every published version follows the
+last, and the drained cube is the batch join's.
 """
 
 from __future__ import annotations
@@ -52,11 +52,11 @@ def test_set_policy_races_ingest_safely():
         return view
 
     plane.cache.publish = recording_publish
-    # Each window fold yields the processor halfway through; a snapshot
-    # taken meanwhile would read the accumulator mid-fold.
+    # Each window fold yields the processor halfway through; a publish
+    # meanwhile would copy the accumulator's cube mid-fold.
     folding = threading.Event()
     overlaps = []
-    fold, snapshot = plane.engine.accumulator.update, plane.engine.snapshot
+    fold, frame = plane.engine.accumulator.update, plane.engine.frame
 
     def slow_fold(window):
         folding.set()
@@ -64,13 +64,13 @@ def test_set_policy_races_ingest_safely():
         fold(window)
         folding.clear()
 
-    def checked_snapshot(**kwargs):
+    def checked_frame():
         if folding.is_set():
             overlaps.append(threading.current_thread().name)
-        return snapshot(**kwargs)
+        return frame()
 
     plane.engine.accumulator.update = slow_fold
-    plane.engine.snapshot = checked_snapshot
+    plane.engine.frame = checked_frame
     errors = []
     ingest_done = threading.Event()
 

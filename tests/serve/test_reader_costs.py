@@ -8,6 +8,9 @@ perturbed fleet:
   on the view it replaces (the single-route case is in
   ``test_service.py``), and every body — pre-rendered or rendered on
   request — equals a fresh render of the same view's document;
+* Tables V/VI and the fleet advice are computed on a view's first
+  read, once, and equal the engine's own snapshot of the same fold
+  state;
 * per-sink wall time lands in ``stream_sink_seconds_total``;
 * nothing the engine holds points back at the plane, so a dropped plane
   is freed on refcount alone, with the cyclic collector off.
@@ -18,13 +21,16 @@ from __future__ import annotations
 import gc
 import weakref
 
+import numpy as np
 import pytest
 
 from repro.obs.health import DriftReference, HealthMonitor
 from repro.obs.history import History
 from repro.obs.log import EventLog, LogStore
+from repro.policy import live as live_module
 from repro.serve import ControlPlane
 from repro.serve.cache import render_body
+from repro.stream import engine as engine_module
 from repro.stream import perturb, simulated_fleet
 from tests.serve.conftest import route_key
 
@@ -152,3 +158,90 @@ def test_a_dropped_plane_is_freed_on_refcount(stream, tmp_path):
         assert [ref() for ref in refs] == [None, None]
     finally:
         gc.enable()
+
+
+def _count_calls(monkeypatch, module, name) -> list:
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestTablesRenderOnRead:
+    """Tables V/VI and the fleet advice wait for a view's first reader."""
+
+    def _counters(self, monkeypatch):
+        snapshots = _count_calls(monkeypatch, engine_module,
+                                 "compute_snapshot")
+        projections = _count_calls(monkeypatch, engine_module,
+                                   "project_savings")
+        projections += _count_calls(monkeypatch, live_module,
+                                    "project_savings")
+        return snapshots, projections
+
+    def test_a_plane_nobody_reads_projects_nothing(
+        self, stream, tmp_path, monkeypatch
+    ):
+        log, chunks = stream
+        snapshots, projections = self._counters(monkeypatch)
+        plane = _plane(log, tmp_path)
+        try:
+            plane.run(chunks)
+        finally:
+            plane.close()
+        assert plane.cache.version > 10
+        assert snapshots == [] and projections == []
+
+    def test_the_first_read_computes_the_snapshot_once(
+        self, stream, tmp_path, monkeypatch
+    ):
+        log, chunks = stream
+        snapshots, _ = self._counters(monkeypatch)
+        plane = _plane(log, tmp_path)
+        try:
+            plane.run(chunks)
+            view = plane.cache.view
+            assert view.body("fleet/cap")[0] == 200
+            assert len(snapshots) == 1
+            view.body("fleet/cap")
+            view.body("fleet/savings")
+            assert view.snap is view.snap
+            assert len(snapshots) == 1
+        finally:
+            plane.close()
+
+    def test_view_snapshot_equals_the_engine_snapshot(self, stream, tmp_path):
+        log, chunks = stream
+        plane = _plane(log, tmp_path)
+
+        def check(view):
+            want = plane.engine.snapshot(
+                factors=plane.factors,
+                campaign_energy_mwh=view.policy["campaign_energy_mwh"],
+                max_slowdown_pct=view.policy["max_slowdown_pct"],
+            )
+            got = view.snap
+            assert got.table5 is not None and got.table6 is not None
+            assert np.array_equal(got.cube.energy_j, want.cube.energy_j)
+            assert np.array_equal(got.cube.gpu_hours, want.cube.gpu_hours)
+            assert got.render() == want.render()
+            assert got.recommendation == want.recommendation
+
+        checked = 0
+        try:
+            for i, chunk in enumerate(chunks):
+                # Mid-stream, right after a publishing ingest: the same
+                # fold state and ingest stats as the view.
+                if plane.ingest(chunk) and i >= len(chunks) // 2 and not checked:
+                    check(plane.cache.view)
+                    checked += 1
+            plane.drain()
+            check(plane.cache.view)
+        finally:
+            plane.close()
+        assert checked == 1

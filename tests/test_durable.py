@@ -168,3 +168,89 @@ def test_a_failed_write_keeps_the_previous_file(
     monkeypatch.undo()
     assert load() == before
     assert not [p for p in tmp_path.rglob("*") if ".tmp" in p.name]
+
+
+def _history_rows(store) -> list:
+    """Every stored value of every level, column by column."""
+    return [
+        store.column_slice(name, level, 0, store.rows(level)).tolist()
+        for level in range(store.n_levels)
+        for name, _agg in store.columns
+    ]
+
+
+def _replace_failing_after(calls: int):
+    """``os.replace`` that succeeds ``calls`` times, then fails."""
+    replace = os.replace
+    done = []
+
+    def failing(src, dst):
+        if len(done) >= calls:
+            raise OSError("disk full")
+        done.append(dst)
+        replace(src, dst)
+
+    return failing
+
+
+@pytest.mark.parametrize("retention", ["compact", "gc"])
+def test_failed_history_retention_keeps_every_row(
+    retention, tmp_path, monkeypatch
+):
+    """Old segments go only after the manifest that drops them is durable:
+    a manifest write that fails (the process dies there) leaves the
+    previous manifest and every file it names."""
+    store = history_store.HistoryStore(
+        {"t_start_s": "min", "x": "sum"}, dir=tmp_path, chunk_rows=4,
+        rollup_factors=(2,),
+    )
+    for i in range(22):
+        store.append_row({"t_start_s": 10.0 * i, "x": float(i)})
+        if i % 3 == 2:
+            store.sync()            # ragged segments for compact
+    store.sync()
+    before = _history_rows(store)
+    with pytest.raises(OSError, match="disk full"):
+        if retention == "compact":
+            # compact() syncs first; the write after the rewrite fails.
+            monkeypatch.setattr(os, "replace", _replace_failing_after(1))
+            store.compact()
+        else:
+            monkeypatch.setattr(os, "replace", _replace_failing_after(0))
+            store.gc(keep_s=50.0)
+    monkeypatch.undo()
+    # The failed step is undone in memory too: closing the store (which
+    # rewrites the manifest) keeps every row, and leaves no file that
+    # the manifest does not name.
+    assert _history_rows(store) == before
+    store.close()
+    reopened = history_store.HistoryStore.open(tmp_path)
+    assert _history_rows(reopened) == before
+    named = {
+        seg["file"] for lv in reopened._levels for seg in lv.segments
+    }
+    on_disk = {p.name for p in tmp_path.glob("*.npy")}
+    assert on_disk == named
+
+
+def test_failed_log_gc_keeps_every_record(tmp_path, monkeypatch):
+    store = log_store.LogStore(tmp_path, segment_records=2)
+    records = [{"t_s": 10.0 * i, "seq": i} for i in range(9)]
+    for record in records:
+        store.append(record)
+    store.sync()
+    monkeypatch.setattr(os, "replace", _replace_failing_after(0))
+    with pytest.raises(OSError, match="disk full"):
+        store.gc(keep_s=20.0)
+    monkeypatch.undo()
+    # The failed gc is undone in memory too: closing the store (which
+    # rewrites the manifest) keeps every record and the gc counters.
+    assert list(store.iter_records()) == records
+    assert store.gc_dropped_segments == store.gc_dropped_records == 0
+    store.close()
+    reopened = log_store.LogStore.open(tmp_path)
+    assert list(reopened.iter_records()) == records
+    assert reopened.check() == []
+    assert reopened.gc_dropped_segments == 0
+    named = {seg["file"] for seg in reopened.segments}
+    assert {p.name for p in tmp_path.glob("*.jsonl")} == named
