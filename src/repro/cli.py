@@ -1632,7 +1632,6 @@ def _obs_history(args) -> int:
             return 0
         if args.action == "compact":
             result = store.compact()
-            store.sync()
             print(
                 f"compacted {args.store_dir}: "
                 f"{result['rewritten_segments']} segment(s) rewritten, "
@@ -1643,7 +1642,6 @@ def _obs_history(args) -> int:
         if args.keep_s is None:
             raise _UsageError("obs history gc needs --keep-s")
         result = store.gc(args.keep_s)
-        store.sync()
         dropped = sum(result["dropped_rows"].values())
         print(
             f"gc'd {args.store_dir}: {dropped} row(s) dropped across "

@@ -230,6 +230,7 @@ class EnergyRegressionDetector(Detector):
         self.baseline_windows = int(baseline_windows)
         self.deviation_pct = float(deviation_pct)
         self._baseline: List[float] = []
+        self._base: Optional[float] = None   # median of the full baseline
 
     def observe(self, record: WindowRecord, window) -> List[Finding]:
         mean_w = record.mean_gpu_power_w
@@ -238,7 +239,9 @@ class EnergyRegressionDetector(Detector):
         if len(self._baseline) < self.baseline_windows:
             self._baseline.append(mean_w)
             return []
-        base = float(np.median(self._baseline))
+        if self._base is None:
+            self._base = float(np.median(self._baseline))
+        base = self._base
         if base <= 0:
             return []
         deviation = 100.0 * (mean_w - base) / base

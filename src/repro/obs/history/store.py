@@ -1,14 +1,14 @@
 """The long-horizon history store: out-of-core columnar retention.
 
 ``HistoryStore`` persists an append-only stream of per-window rows
-(one float64 value per named column) into chunked struct-of-arrays
-segments — each segment a plain ``.npy`` of shape ``(n_cols, rows)``,
-C-order, so one column of one segment is a contiguous byte range — plus
-a small JSON manifest.  Reads go through ``np.load(mmap_mode="r")``
-slices: a range query over a 90-day store touches only the pages of the
-columns and rows it asks for, so resident memory stays bounded however
-large the campaign grows (the ``history-gate`` CI job enforces an RSS
-ceiling while ingesting a store whose column bytes exceed it).
+(one float64 value per named column) as a segment store shared with the
+event log (:class:`repro.durable.SegmentManifest`: the directory, the
+manifest, the crash-safe retention commit).  Its own codec: each segment
+a plain ``.npy`` of shape ``(n_cols, rows)``, C-order, so one column of
+one segment is a contiguous byte range, read through
+``np.load(mmap_mode="r")`` slices — a 90-day range query touches only
+the pages it asks for, so resident memory stays bounded (the
+``history-gate`` CI job enforces an RSS ceiling).
 
 Rollups
 -------
@@ -30,14 +30,13 @@ segments and manifest, whatever ``chunk_rows`` sliced them.
 
 from __future__ import annotations
 
-import json
 import os
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from ...durable import replace_durably
+from ...durable import SegmentManifest, retire
 from ...errors import HistoryError
 
 #: Rows per stored segment (level 0: ~34 minutes of 15 s windows per
@@ -50,9 +49,6 @@ DEFAULT_ROLLUP_FACTORS = (20, 12)
 
 #: Column aggregations the fold understands.
 AGGS = ("sum", "min", "max", "last")
-
-MANIFEST_NAME = "manifest.json"
-_FORMAT = 1
 
 
 def fold_values(values: np.ndarray, agg: str) -> float:
@@ -193,6 +189,7 @@ class HistoryStore:
         self.window_s = None if window_s is None else float(window_s)
         self.meta = dict(meta or {})
         self.dir = None if dir is None else Path(dir)
+        self._manifest = SegmentManifest(self.dir, HistoryError, "history")
         self._tix = self._col_index.get("t_start_s")
         self._levels = [
             _Level(k, _span_rows(factors, k))
@@ -202,12 +199,7 @@ class HistoryStore:
         self._mmaps: Dict[str, np.ndarray] = {}
         self._last_t0: Optional[float] = None
         if self.dir is not None:
-            if (self.dir / MANIFEST_NAME).exists():
-                raise HistoryError(
-                    f"{self.dir} already holds a history store; "
-                    "use HistoryStore.open()"
-                )
-            self.dir.mkdir(parents=True, exist_ok=True)
+            self._manifest.create()
         self._rebuild_pending()
 
     # -- construction from disk ---------------------------------------------------
@@ -215,57 +207,25 @@ class HistoryStore:
     @classmethod
     def open(cls, dir: Union[str, Path]) -> "HistoryStore":
         """Open an existing on-disk store for reading and appending."""
-        dir = Path(dir)
-        path = dir / MANIFEST_NAME
-        try:
-            doc = json.loads(path.read_text())
-        except OSError as exc:
-            raise HistoryError(
-                f"cannot read history manifest {path}: {exc}"
-            ) from exc
-        except json.JSONDecodeError as exc:
-            raise HistoryError(f"bad JSON in {path}: {exc}") from exc
-        if doc.get("format") != _FORMAT:
-            raise HistoryError(
-                f"unsupported history format {doc.get('format')!r}"
-            )
-        store = cls.__new__(cls)
-        pairs = [(str(n), str(a)) for n, a in doc["columns"]]
-        store.columns = pairs
-        store._col_index = {n: i for i, (n, _) in enumerate(pairs)}
-        store._aggs = [a for _, a in pairs]
-        store.chunk_rows = int(doc["chunk_rows"])
-        store.rollup_factors = tuple(int(f) for f in doc["rollup_factors"])
-        store.window_s = (
-            None if doc.get("window_s") is None else float(doc["window_s"])
+        manifest = SegmentManifest(dir, HistoryError, "history")
+        doc = manifest.read(
+            ("columns", "chunk_rows", "rollup_factors", "levels")
         )
-        store.meta = dict(doc.get("meta", {}))
-        store.dir = dir
-        store._tix = store._col_index.get("t_start_s")
-        store._levels = [
-            _Level(k, _span_rows(store.rollup_factors, k))
-            for k in range(len(store.rollup_factors) + 1)
-        ]
+        store = cls(
+            doc["columns"],
+            chunk_rows=int(doc["chunk_rows"]),
+            rollup_factors=doc["rollup_factors"],
+            window_s=doc.get("window_s"),
+            meta=doc.get("meta"),
+        )
+        store.dir, store._manifest = manifest.dir, manifest
         store._next_file_id = int(doc.get("next_file_id", 0))
-        store._mmaps = {}
-        store._last_t0 = None
         for lv, spec in zip(store._levels, doc["levels"]):
             lv.dropped_rows = int(spec.get("dropped_rows", 0))
-            for seg in spec["segments"]:
-                lv.segments.append({
-                    "file": seg["file"],
-                    "rows": int(seg["rows"]),
-                    "t0": seg.get("t0"),
-                    "t1": seg.get("t1"),
-                    "array": None,
-                })
+            lv.segments = [dict(seg, array=None) for seg in spec["segments"]]
         store._rebuild_pending()
         if store._tix is not None and store.rows(0):
-            store._last_t0 = float(
-                store.column_slice(
-                    "t_start_s", 0, store.rows(0) - 1, store.rows(0)
-                )[0]
-            )
+            store._last_t0 = store.time_span()[1]
         return store
 
     def _rebuild_pending(self) -> None:
@@ -408,12 +368,11 @@ class HistoryStore:
         for lv in self._levels:
             self._flush_level(lv.level, force=True)
         if self.dir is not None:
-            self._write_manifest()
+            self._manifest.write(self._manifest_doc())
         return self
 
-    def _write_manifest(self) -> None:
-        doc = {
-            "format": _FORMAT,
+    def _manifest_doc(self) -> dict:
+        return {
             "columns": [[n, a] for n, a in self.columns],
             "rollup_factors": list(self.rollup_factors),
             "chunk_rows": self.chunk_rows,
@@ -439,10 +398,6 @@ class HistoryStore:
                 for lv in self._levels
             ],
         }
-        text = json.dumps(doc, indent=2) + "\n"
-        replace_durably(
-            self.dir / MANIFEST_NAME, lambda fh: fh.write(text.encode())
-        )
 
     def close(self) -> None:
         """Drop memmap handles (idempotent; reads reopen lazily)."""
@@ -480,6 +435,23 @@ class HistoryStore:
     def series_agg(self, name: str) -> str:
         return self._aggs[self._check_series(name)]
 
+    def _spans(self, level: int, r0: int, r1: int):
+        """``(array, a, b)`` for each piece of local rows ``[r0, r1)``:
+        stored segments as ``(n_cols, rows)``, then the tail transposed
+        to the same layout."""
+        lv = self._levels[level]
+        r0, r1 = max(0, int(r0)), min(lv.rows, int(r1))
+        offset = 0
+        for seg in lv.segments:
+            if offset >= r1:
+                return
+            a, b = max(r0 - offset, 0), min(r1 - offset, seg["rows"])
+            if a < b:
+                yield self._seg_array(seg), a, b
+            offset += seg["rows"]
+        if offset < r1 and r0 < r1:
+            yield lv.tail_array().T, max(r0 - offset, 0), r1 - offset
+
     def column_slice(
         self, name: str, level: int, r0: int, r1: int
     ) -> np.ndarray:
@@ -489,48 +461,16 @@ class HistoryStore:
         this column in the overlapped segments are touched.
         """
         j = self._check_series(name)
-        lv = self._levels[level]
-        r0 = max(0, int(r0))
-        r1 = min(lv.rows, int(r1))
-        if r1 <= r0:
-            return np.empty(0, dtype=np.float64)
-        pieces: List[np.ndarray] = []
-        offset = 0
-        for seg in lv.segments:
-            rows = seg["rows"]
-            a, b = max(r0 - offset, 0), min(r1 - offset, rows)
-            if a < b:
-                pieces.append(self._seg_array(seg)[j, a:b])
-            offset += rows
-            if offset >= r1:
-                break
-        if offset < r1:
-            tail = lv.tail_array()
-            a, b = max(r0 - offset, 0), r1 - offset
-            pieces.append(tail[a:b, j])
+        pieces = [arr[j, a:b] for arr, a, b in self._spans(level, r0, r1)]
         out = np.concatenate(pieces) if pieces else np.empty(0)
         return np.ascontiguousarray(out, dtype=np.float64)
 
     def _rows_block(self, level: int, r0: int, r1: int) -> np.ndarray:
         """All columns for local rows ``[r0, r1)`` as ``(rows, n_cols)``."""
-        lv = self._levels[level]
-        r0 = max(0, int(r0))
-        r1 = min(lv.rows, int(r1))
-        if r1 <= r0:
+        pieces = [np.asarray(arr[:, a:b]).T
+                  for arr, a, b in self._spans(level, r0, r1)]
+        if not pieces:
             return np.empty((0, len(self.columns)))
-        pieces: List[np.ndarray] = []
-        offset = 0
-        for seg in lv.segments:
-            rows = seg["rows"]
-            a, b = max(r0 - offset, 0), min(r1 - offset, rows)
-            if a < b:
-                pieces.append(np.asarray(self._seg_array(seg)[:, a:b]).T)
-            offset += rows
-            if offset >= r1:
-                break
-        if offset < r1:
-            tail = lv.tail_array()
-            pieces.append(tail[max(r0 - offset, 0):r1 - offset])
         return np.ascontiguousarray(
             np.concatenate(pieces, axis=0), dtype=np.float64
         )
@@ -578,35 +518,32 @@ class HistoryStore:
         into maximal uniform segments.  Column values are untouched —
         the rewrite is bitwise-invisible to every read (asserted in
         tests) — and memory stays bounded at one chunk per step.  The
-        old files are unlinked only once the manifest naming the new
-        ones is durable, so a crash leaves a readable store.
+        rewrite is one retention step of the manifest, so a crash
+        leaves a readable store.
         """
         if self.dir is None:
             return {"rewritten_segments": 0, "removed_files": 0}
         self.sync()
-        before = self._level_state()
         rewritten = 0
-        replaced: List[dict] = []
-        for lv in self._levels:
-            if not lv.segments or all(
-                seg["rows"] == self.chunk_rows
-                for seg in lv.segments[:-1]
-            ):
-                continue
-            old = list(lv.segments)
-            total = lv.stored_rows
-            new_segments: List[dict] = []
-            for r0 in range(0, total, self.chunk_rows):
-                block = self._rows_block(
-                    lv.level, r0, min(r0 + self.chunk_rows, total)
-                )
-                new_segments.append(self._make_segment(lv.level, block))
-                rewritten += 1
-            lv.segments = new_segments
-            replaced.extend(old)
-        self._commit_manifest(before)
-        removed = self._unlink_segments(replaced)
-        return {"rewritten_segments": rewritten, "removed_files": removed}
+        with self._manifest.retention(
+            self._levels, ("dropped_rows",), self._manifest_doc
+        ) as removed:
+            for lv in self._levels:
+                if all(seg["rows"] == self.chunk_rows
+                       for seg in lv.segments[:-1]):
+                    continue
+                total = lv.stored_rows
+                new_segments: List[dict] = []
+                for r0 in range(0, total, self.chunk_rows):
+                    block = self._rows_block(
+                        lv.level, r0, min(r0 + self.chunk_rows, total)
+                    )
+                    new_segments.append(self._make_segment(lv.level, block))
+                    rewritten += 1
+                lv.segments = new_segments
+        self._mmaps.clear()          # handles on the deleted files
+        return {"rewritten_segments": rewritten,
+                "removed_files": len(removed)}
 
     def gc(self, keep_s: float) -> dict:
         """Drop whole segments older than ``keep_s`` before the frontier.
@@ -622,65 +559,17 @@ class HistoryStore:
         if span is None:
             return {"dropped_rows": {}, "removed_files": 0}
         cutoff = span[1] - keep_s
-        before = self._level_state()
         dropped: Dict[int, int] = {}
-        expired: List[dict] = []
-        for lv in self._levels:
-            k = 0
-            for seg in lv.segments:
-                if seg["t1"] is None or seg["t1"] >= cutoff:
-                    break
-                k += 1
-            if k:
-                gone, lv.segments = lv.segments[:k], lv.segments[k:]
-                n = sum(seg["rows"] for seg in gone)
-                lv.dropped_rows += n
-                dropped[lv.level] = n
-                expired.extend(gone)
-        removed = 0
-        if self.dir is not None:
-            # The manifest without the expired segments first, then
-            # their files: a crash in between leaves only orphan files.
-            self._commit_manifest(before)
-            removed = self._unlink_segments(expired)
-        return {"dropped_rows": dropped, "removed_files": removed}
-
-    def _level_state(self) -> List[tuple]:
-        """Each level's segment list and dropped-row count, to restore."""
-        return [
-            (lv, list(lv.segments), lv.dropped_rows) for lv in self._levels
-        ]
-
-    def _commit_manifest(self, before: List[tuple]) -> None:
-        """Write the manifest of a retention step, or undo the step.
-
-        If the write fails, the levels get back the segments and counts
-        of ``before`` (so a later ``sync`` cannot persist the half-done
-        step), and segment files written since are deleted: no manifest
-        names them.
-        """
-        try:
-            self._write_manifest()
-        except BaseException:
-            kept = {seg["file"] for _lv, segments, _n in before
-                    for seg in segments}
-            written = [seg for lv in self._levels for seg in lv.segments
-                       if seg["file"] not in kept]
-            for lv, segments, dropped_rows in before:
-                lv.segments, lv.dropped_rows = segments, dropped_rows
-            self._unlink_segments(written)
-            raise
-
-    def _unlink_segments(self, segments: List[dict]) -> int:
-        """Delete segment files the durable manifest no longer names."""
-        removed = 0
-        for seg in segments:
-            if seg["file"]:
-                path = self.dir / seg["file"]
-                self._mmaps.pop(str(path), None)
-                path.unlink(missing_ok=True)
-                removed += 1
-        return removed
+        with self._manifest.retention(
+            self._levels, ("dropped_rows",), self._manifest_doc
+        ) as removed:
+            for lv in self._levels:
+                lv.segments, gone = retire(lv.segments, cutoff, size="rows")
+                if gone:
+                    dropped[lv.level] = sum(seg["rows"] for seg in gone)
+                    lv.dropped_rows += dropped[lv.level]
+        self._mmaps.clear()
+        return {"dropped_rows": dropped, "removed_files": len(removed)}
 
     # -- views --------------------------------------------------------------------
 

@@ -1,34 +1,28 @@
 """On-disk JSONL segment store for structured event logs.
 
-The store mirrors the ``obs.history`` segment idioms: an append-only
-directory of fixed-capacity segment files plus an atomically rewritten
-``manifest.json``.  Records are one sorted-key JSON object per line, so
-segments are greppable, diffable, and byte-reproducible: appending the
-same record stream always yields the same segment bytes, and a store
-that is closed mid-segment and reopened continues appending to the same
-file — reopen-resume is bitwise-equal to one continuous run.
-
-Retention is segment-granular: :meth:`LogStore.gc` drops whole closed
-segments whose newest record fell behind the event-time frontier by
-more than ``keep_s``, never rewriting surviving bytes.
+The segment layout, the manifest and the crash-safe retention commit
+are the history store's (:class:`repro.durable.SegmentManifest`); the
+codec is this store's own.  Records are one sorted-key JSON object per
+line, so segments are greppable, diffable, and byte-reproducible, and a
+store closed mid-segment and reopened (a torn trailing line dropped)
+continues the same file — reopen-resume is bitwise-equal to one
+continuous run.  :meth:`LogStore.gc` drops whole closed segments whose
+newest record fell behind the frontier by more than ``keep_s``, never
+rewriting surviving bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
-from pathlib import Path
 from typing import Iterator, Optional
 
-from ...durable import replace_durably
+from ...durable import SegmentManifest, retire
 from ...errors import LogError
 
 #: Records per segment file before rotation.
 DEFAULT_SEGMENT_RECORDS = 4096
-#: Manifest file name inside the store directory.
-MANIFEST_NAME = "manifest.json"
-#: On-disk format version; bumped on incompatible layout changes.
-_FORMAT = 1
 
 
 #: The one encoder of every log line (``json.dumps`` builds one per call).
@@ -45,23 +39,12 @@ class LogStore:
 
     def __init__(self, dir, *, segment_records: int = DEFAULT_SEGMENT_RECORDS,
                  meta: Optional[dict] = None):
-        self.dir = Path(dir)
-        self.dir.mkdir(parents=True, exist_ok=True)
-        if (self.dir / MANIFEST_NAME).exists():
-            raise LogError(
-                f"{self.dir} already holds a log store; use LogStore.open()"
-            )
         if segment_records < 1:
             raise LogError("segment_records must be >= 1")
-        self.segment_records = int(segment_records)
-        self.meta = dict(meta or {})
-        self.segments: list = []     # closed + active descriptors, in order
-        self.next_file_id = 0
-        self.gc_dropped_segments = 0
-        self.gc_dropped_records = 0
-        self._fh = None              # append handle for the active segment
-        self._dirty = False
-        self._closed_bytes: dict = {}   # file -> size, fixed once closed
+        manifest = SegmentManifest(dir, LogError, "log")
+        manifest.create()
+        self._load(manifest, {"segment_records": segment_records,
+                              "next_file_id": 0, "meta": meta or {}})
         self.sync()
 
     # -- lifecycle ----------------------------------------------------
@@ -74,29 +57,24 @@ class LogStore:
         partial line (torn write on crash) is truncated so the resumed
         stream stays byte-identical to an uninterrupted run.
         """
-        dir = Path(dir)
-        path = dir / MANIFEST_NAME
-        if not path.exists():
-            raise LogError(f"{dir} does not hold a log store manifest")
-        doc = json.loads(path.read_text())
-        if doc.get("format") != _FORMAT:
-            raise LogError(
-                f"log store format {doc.get('format')!r} != {_FORMAT}"
-            )
+        manifest = SegmentManifest(dir, LogError, "log")
         self = cls.__new__(cls)
-        self.dir = dir
-        self.segment_records = int(doc["segment_records"])
-        self.meta = dict(doc.get("meta", {}))
-        self.segments = list(doc.get("segments", []))
-        self.next_file_id = int(doc["next_file_id"])
-        self.gc_dropped_segments = int(doc.get("gc_dropped_segments", 0))
-        self.gc_dropped_records = int(doc.get("gc_dropped_records", 0))
-        self._fh = None
-        self._dirty = False
-        self._closed_bytes = {}
+        self._load(manifest, manifest.read(("segment_records", "next_file_id")))
         if self.segments and self.segments[-1]["records"] < self.segment_records:
             self._recover_tail(self.segments[-1])
         return self
+
+    def _load(self, manifest: SegmentManifest, doc: dict) -> None:
+        """Set every field from a manifest document."""
+        self._manifest, self.dir = manifest, manifest.dir
+        self.segment_records = int(doc["segment_records"])
+        self.meta = dict(doc.get("meta", {}))
+        self.segments = list(doc.get("segments", []))   # closed + active
+        self.next_file_id = int(doc["next_file_id"])
+        self.gc_dropped_segments = int(doc.get("gc_dropped_segments", 0))
+        self.gc_dropped_records = int(doc.get("gc_dropped_records", 0))
+        self._fh = None              # append handle for the active segment
+        self._closed_bytes: dict = {}   # file -> size, fixed once closed
 
     def _recover_tail(self, seg: dict) -> None:
         """Re-adopt the still-open tail segment after a reopen."""
@@ -162,15 +140,21 @@ class LogStore:
         if seg["seq0"] is None:
             seg["seq0"] = record.get("seq", 0)
         seg["seq1"] = record.get("seq", 0)
-        self._dirty = True
 
     def sync(self) -> None:
         """Flush the active segment and atomically rewrite the manifest."""
+        self._sync_tail()
+        self._manifest.write(self._manifest_doc())
+
+    def _sync_tail(self) -> None:
+        """Make the active segment's lines durable before a manifest
+        counts them."""
         if self._fh is not None:
             self._fh.flush()
             os.fsync(self._fh.fileno())
-        doc = {
-            "format": _FORMAT,
+
+    def _manifest_doc(self) -> dict:
+        return {
             "segment_records": self.segment_records,
             "next_file_id": self.next_file_id,
             "segments": self.segments,
@@ -179,11 +163,6 @@ class LogStore:
             "gc_dropped_records": self.gc_dropped_records,
             "meta": self.meta,
         }
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
-        replace_durably(
-            self.dir / MANIFEST_NAME, lambda fh: fh.write(text.encode())
-        )
-        self._dirty = False
 
     # -- retention ----------------------------------------------------
 
@@ -192,43 +171,28 @@ class LogStore:
 
         The still-open tail segment is never dropped.  Empty segments
         (zero records — possible only after a crash between rotation
-        and the first append) are always collected.  Files are unlinked
-        only once the manifest without them is durable, so a crash (or
-        a failed manifest write) leaves every listed segment readable.
+        and the first append) are always collected.  The drop is one
+        retention step of the manifest: files are unlinked only once
+        the manifest without them is durable, so a crash (or a failed
+        manifest write) leaves every listed segment readable.
         """
         if keep_s < 0:
             raise LogError("keep_s must be >= 0")
         span = self.time_span()
-        cutoff = None if span is None else span[1] - keep_s
-        kept: list = []
-        dropped: list = []
-        for i, seg in enumerate(self.segments):
-            is_tail = i == len(self.segments) - 1
-            empty = seg["records"] == 0
-            expired = (cutoff is not None and seg["t1"] is not None
-                       and seg["t1"] < cutoff)
-            if (empty or expired) and not is_tail:
-                dropped.append(seg)
-            else:
-                kept.append(seg)
+        cutoff = -math.inf if span is None else span[1] - keep_s
+        kept, dropped = retire(
+            self.segments, cutoff, size="records", open_last=True
+        )
         dropped_records = sum(seg["records"] for seg in dropped)
         if dropped:
-            before = (self.segments, self.gc_dropped_segments,
-                      self.gc_dropped_records)
-            self.segments = kept
-            self.gc_dropped_segments += len(dropped)
-            self.gc_dropped_records += dropped_records
-            try:
-                self.sync()
-            except BaseException:
-                # Undo, so a later sync cannot persist the drop and
-                # orphan the files still on disk.
-                (self.segments, self.gc_dropped_segments,
-                 self.gc_dropped_records) = before
-                raise
-            for seg in dropped:
-                (self.dir / seg["file"]).unlink(missing_ok=True)
-                self._closed_bytes.pop(seg["file"], None)
+            self._sync_tail()
+            with self._manifest.retention(
+                [self], ("gc_dropped_segments", "gc_dropped_records"),
+                self._manifest_doc,
+            ):
+                self.segments = kept
+                self.gc_dropped_segments += len(dropped)
+                self.gc_dropped_records += dropped_records
         return {"dropped_segments": len(dropped),
                 "dropped_records": dropped_records}
 

@@ -15,12 +15,9 @@ accumulator validates that its domain/class axes match.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-from ..durable import replace_durably
-from ..errors import TelemetryError
+from ..durable import load_versioned_npz, save_versioned_npz
 from ..scheduler.log import SchedulerLog
 from .engine import StreamEngine
 
@@ -31,37 +28,27 @@ CHECKPOINT_VERSION = 1
 def save_checkpoint(engine: StreamEngine, path) -> None:
     """Serialize the engine's full state to a compressed npz, atomically.
 
-    Written through :func:`~repro.durable.replace_durably`, so a crash
-    at any point leaves either the previous checkpoint or the new one,
-    never a torn file.  Like ``np.savez_compressed``, a path without the
-    ``.npz`` suffix gains it.
+    Written through :func:`~repro.durable.save_versioned_npz`, so a
+    crash at any point leaves either the previous checkpoint or the new
+    one, never a torn file.  Like ``np.savez_compressed``, a path
+    without the ``.npz`` suffix gains it.
     """
     arrays = {
-        "version": np.array([CHECKPOINT_VERSION], dtype=np.int64),
         "engine_chunks_in": np.array([engine.chunks_in], dtype=np.int64),
     }
     arrays.update(engine.buffer.state_arrays())
     arrays.update(engine.accumulator.state_arrays())
-    path = os.fspath(path)
-    if not path.endswith(".npz"):
-        path += ".npz"
-    replace_durably(path, lambda fh: np.savez_compressed(fh, **arrays))
+    save_versioned_npz(path, CHECKPOINT_VERSION, arrays)
 
 
 def load_checkpoint(path, log: SchedulerLog) -> StreamEngine:
     """Rebuild an engine mid-stream from a checkpoint.
 
     ``log`` must be the same scheduler log the checkpointed engine was
-    joining against (validated via the cube axes).
+    joining against (validated via the cube axes).  An unreadable,
+    corrupt or incomplete file raises :class:`~repro.errors.TelemetryError`.
     """
-    with np.load(path, allow_pickle=False) as data:
-        arrays = dict(data)
-    version = int(arrays.get("version", np.array([0]))[0])
-    if version != CHECKPOINT_VERSION:
-        raise TelemetryError(
-            f"unsupported checkpoint version {version} "
-            f"(expected {CHECKPOINT_VERSION})"
-        )
+    arrays = load_versioned_npz(path, CHECKPOINT_VERSION)
     interval, window, lateness, aggregate = (
         float(x) for x in arrays["buf_config"]
     )

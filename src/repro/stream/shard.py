@@ -56,7 +56,7 @@ import numpy as np
 from .. import constants, units
 from ..core.join import CampaignAccumulator, CampaignCube
 from ..core.pipeline import merge_cubes
-from ..durable import replace_durably
+from ..durable import load_versioned_npz, save_versioned_npz
 from ..errors import TelemetryError
 from ..obs import runtime as _obs
 from ..parallel import chunked_map, partition
@@ -225,7 +225,6 @@ def _save_shard_checkpoint(
 ) -> None:
     """Persist a shard's completed unit states (crash-safe replace)."""
     arrays: Dict[str, np.ndarray] = {
-        "version": np.array([SHARD_CHECKPOINT_VERSION], dtype=np.int64),
         "shard_units": np.array(units, dtype=np.int64),
         "shard_config": cfg.to_array(),
         "shard_identity": np.array([fleet_nodes, seed], dtype=np.int64),
@@ -235,7 +234,7 @@ def _save_shard_checkpoint(
         for key, value in state.items():
             arrays[f"u{j}_{key}"] = value
         arrays[f"u{j}_counters"] = cnt
-    replace_durably(path, lambda fh: np.savez_compressed(fh, **arrays))
+    save_versioned_npz(path, SHARD_CHECKPOINT_VERSION, arrays)
 
 
 def _load_shard_checkpoint(
@@ -247,14 +246,9 @@ def _load_shard_checkpoint(
     seed: int,
 ) -> Tuple[List[Dict[str, np.ndarray]], List[np.ndarray]]:
     """Load a shard checkpoint, validating it belongs to this plan."""
-    with np.load(path, allow_pickle=False) as data:
-        arrays = dict(data)
-    version = int(arrays.get("version", np.array([0]))[0])
-    if version != SHARD_CHECKPOINT_VERSION:
-        raise TelemetryError(
-            f"unsupported shard checkpoint version {version} "
-            f"(expected {SHARD_CHECKPOINT_VERSION})"
-        )
+    arrays = load_versioned_npz(
+        path, SHARD_CHECKPOINT_VERSION, "shard checkpoint"
+    )
     saved_units = [tuple(int(x) for x in row) for row in arrays["shard_units"]]
     expected = [tuple(int(x) for x in row) for row in np.array(units)]
     if saved_units[: len(expected)] != expected[: len(saved_units)]:

@@ -232,6 +232,31 @@ class TestDetectors:
         assert len(findings) == 1
         assert findings[0].value == pytest.approx(100.0 / 3.0, rel=1e-3)
 
+    def test_energy_regression_takes_the_baseline_median_once(
+        self, monkeypatch
+    ):
+        # The baseline is frozen once full, so its median is too: the
+        # count of np.median calls must not grow with the window count.
+        median, calls = np.median, []
+
+        def counting_median(*args, **kwargs):
+            calls.append(1)
+            return median(*args, **kwargs)
+
+        counts = []
+        for n_windows in (10, 40):
+            windows = [make_window(i, base_w=300.0 + 5.0 * (i % 4))
+                       for i in range(n_windows)]
+            records = [record_of(w, index=i) for i, w in enumerate(windows)]
+            det = EnergyRegressionDetector(baseline_windows=3)
+            calls.clear()
+            monkeypatch.setattr(np, "median", counting_median)
+            for record, window in zip(records, windows):
+                det.observe(record, window)
+            monkeypatch.undo()
+            counts.append(len(calls))
+        assert counts == [1, 1]
+
     def test_publication_stall_needs_a_feed_and_a_lag(self):
         det = PublicationStallDetector(max_lag_windows=2.0)
         det.bind(window_s=WINDOW_S)

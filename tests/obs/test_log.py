@@ -27,7 +27,7 @@ from repro.obs.log import (
     tail,
 )
 from repro.obs.log.query import render_record
-from repro.obs.log.store import MANIFEST_NAME
+from repro.durable import MANIFEST_NAME
 
 
 class TestTokenBucket:

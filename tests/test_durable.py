@@ -5,18 +5,33 @@ checkpoint, the history manifest and the event-log manifest — the data
 is fsynced before the rename and the directory after it (history
 segments are fsynced before the manifest names them), and a write that
 fails leaves the previous file loadable and no temporary file behind.
+
+The two segment stores share one manifest (``repro.durable``): a
+crash-point harness fails every fsync, rename and unlink of every
+persisting store operation in turn and reopens a copy of the directory,
+which must read as the store before the operation or after it.  A
+damaged manifest or checkpoint is a library error, never a traceback.
 """
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
+import io
+import itertools
 import json
 import os
+import shutil
 import stat
 
 import numpy as np
 import pytest
 
+from repro.cli import main
+from repro.durable import MANIFEST_NAME
+from repro.errors import HistoryError, LogError, TelemetryError
 from repro.obs.history import store as history_store
+from repro.obs.history.query import verify_rollups
 from repro.obs.log import store as log_store
 from repro.scheduler import SlurmSimulator, default_mix
 from repro.stream import StreamEngine
@@ -80,7 +95,7 @@ class Writers:
     def load_history(self):
         history_store.HistoryStore.open(self.history_dir)
         return json.loads(
-            (self.history_dir / history_store.MANIFEST_NAME).read_text()
+            (self.history_dir / MANIFEST_NAME).read_text()
         )
 
     def log_records(self, generation: int):
@@ -92,7 +107,7 @@ class Writers:
         # the manifest itself is what must survive.
         log_store.LogStore.open(self.log_dir)
         return json.loads(
-            (self.log_dir / log_store.MANIFEST_NAME).read_text()
+            (self.log_dir / MANIFEST_NAME).read_text()
         )
 
     def cases(self):
@@ -102,9 +117,9 @@ class Writers:
             "shard": (self.shard, self.load_shard,
                       self.tmp_path / "shard.npz"),
             "history": (self.history_rows, self.load_history,
-                        self.history_dir / history_store.MANIFEST_NAME),
+                        self.history_dir / MANIFEST_NAME),
             "log": (self.log_records, self.load_logs,
-                    self.log_dir / log_store.MANIFEST_NAME),
+                    self.log_dir / MANIFEST_NAME),
         }
 
 
@@ -254,3 +269,280 @@ def test_failed_log_gc_keeps_every_record(tmp_path, monkeypatch):
     assert reopened.gc_dropped_segments == 0
     named = {seg["file"] for seg in reopened.segments}
     assert {p.name for p in tmp_path.glob("*.jsonl")} == named
+
+
+# -- one manifest: same content as the per-store writers it replaced ----------
+
+
+def _canonical_sha(path) -> str:
+    doc = json.loads(path.read_text())
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def test_history_manifest_content_is_pinned(tmp_path):
+    """sha256 of the parsed manifest after append, sync, compact and gc
+    (digests recorded before the stores shared one manifest writer)."""
+    store = history_store.HistoryStore(
+        {"t_start_s": "min", "x": "sum", "peak": "max", "cap": "last"},
+        dir=tmp_path, chunk_rows=4, rollup_factors=(2, 3), window_s=10.0,
+        meta={"campaign": "pinned"},
+    )
+
+    def rows(lo, hi):
+        for i in range(lo, hi):
+            store.append_row({"t_start_s": 10.0 * i, "x": (i * i % 17) + 0.25,
+                              "peak": float(i % 5), "cap": 560.0 - i})
+            if i % 7 == 3:
+                store.sync()
+
+    digests = []
+    rows(0, 40)
+    store.sync()
+    digests.append(_canonical_sha(tmp_path / MANIFEST_NAME))
+    store.compact()
+    digests.append(_canonical_sha(tmp_path / MANIFEST_NAME))
+    store.gc(keep_s=150.0)
+    digests.append(_canonical_sha(tmp_path / MANIFEST_NAME))
+    rows(40, 51)
+    store.sync()
+    digests.append(_canonical_sha(tmp_path / MANIFEST_NAME))
+    assert digests == [
+        "e235a512e916042c9d7d9d5782572a1c6a07d56e251ba1c2f41bafbcca31837d",
+        "33326116841fe6d12604adbcbd7c77c66d955a6481358a4fa7ccc92e5e9b3823",
+        "47b44c5249b7c11908974d2a28a5557016f7321df2581502616b0c5837f36339",
+        "0fc6bdb728db34f1bbd8f9d995a27cd4d83d78e206b9317eda2a9a435d9ffa8a",
+    ]
+
+
+def test_log_manifest_content_is_pinned(tmp_path):
+    store = log_store.LogStore(tmp_path, segment_records=3,
+                               meta={"run": "pinned"})
+    digests = []
+    for i in range(17):
+        store.append({"t_s": 10.0 * i, "seq": i, "event": "tick", "n": i % 4})
+    store.sync()
+    digests.append(_canonical_sha(tmp_path / MANIFEST_NAME))
+    store.gc(keep_s=60.0)
+    digests.append(_canonical_sha(tmp_path / MANIFEST_NAME))
+    for i in range(17, 22):
+        store.append({"t_s": 10.0 * i, "seq": i, "event": "tock", "n": i % 4})
+    store.close()
+    digests.append(_canonical_sha(tmp_path / MANIFEST_NAME))
+    assert digests == [
+        "de1f55773acd5ac57cd6090e6711fdd2f70d73979a7654c0715fa93e0a6ce0dc",
+        "18ce24db38782cf575d86d52467dcfb181bf155a123131ec4a76cc552e5148f5",
+        "d056edeea6bd6f0ca3fd556739bf236e9de324d627edfe5b0eef9e133005bb43",
+    ]
+
+
+# -- a damaged manifest or checkpoint is an error, not a traceback ------------
+
+
+def _damage_manifest(path, case: str) -> None:
+    doc = json.loads(path.read_text())
+    if case == "missing":
+        path.unlink()
+    elif case == "bad-json":
+        path.write_text('{"format": 1')
+    elif case == "missing-key":
+        path.write_text('{"format": 1}')
+    else:                               # an unknown format
+        path.write_text(json.dumps({**doc, "format": 99}))
+
+
+def _cli(argv) -> tuple:
+    """``(exit code, stderr lines)`` of one in-process ``repro`` run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(err):
+        rc = main([str(a) for a in argv])
+    return rc, err.getvalue().splitlines()
+
+
+STORES = {
+    "history": (
+        lambda d: history_store.HistoryStore(
+            {"t_start_s": "min", "x": "sum"}, dir=d, chunk_rows=4
+        ).sync(),
+        history_store.HistoryStore.open, HistoryError,
+        [["obs", "history", "info", "--dir"], ["obs", "query", "--check",
+                                               "--dir"]],
+    ),
+    "log": (
+        lambda d: log_store.LogStore(d).close(),
+        log_store.LogStore.open, LogError,
+        [["obs", "logs", "query", "--dir"], ["obs", "logs", "--check",
+                                             "--dir"]],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "case", ["missing", "bad-json", "missing-key", "unknown-format"]
+)
+@pytest.mark.parametrize("kind", sorted(STORES))
+def test_a_bad_manifest_is_a_store_error(kind, case, tmp_path):
+    create, open_store, error, commands = STORES[kind]
+    create(tmp_path)
+    _damage_manifest(tmp_path / MANIFEST_NAME, case)
+    with pytest.raises(error):
+        open_store(tmp_path)
+    for argv in commands:
+        rc, stderr = _cli([*argv, tmp_path])
+        assert rc == 1
+        assert len(stderr) == 1 and stderr[0].startswith("obs FAILED: ")
+
+
+def _damage_checkpoint(path, case: str, key: str) -> None:
+    raw = path.read_bytes()
+    if case == "missing":
+        path.unlink()
+    elif case == "empty":
+        path.write_bytes(b"")
+    elif case == "not-an-npz":
+        path.write_bytes(b"not a checkpoint\n")
+    elif case == "truncated":
+        path.write_bytes(raw[: len(raw) // 2])
+    elif case == "corrupt":
+        middle = len(raw) // 2
+        path.write_bytes(raw[:middle] + bytes(64) + raw[middle + 64:])
+    else:                               # a key the loader needs is gone
+        with np.load(path) as data:
+            arrays = {k: v for k, v in data.items() if k != key}
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **arrays)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing", "empty", "not-an-npz", "truncated", "corrupt", "lacks-a-key"],
+)
+@pytest.mark.parametrize("kind", ["checkpoint", "shard"])
+def test_a_damaged_checkpoint_is_a_telemetry_error(
+    kind, case, tmp_path, log
+):
+    writers = Writers(tmp_path, log)
+    write, load, path = writers.cases()[kind]
+    write(1)
+    key = "buf_config" if kind == "checkpoint" else "shard_units"
+    _damage_checkpoint(path, case, key)
+    with pytest.raises(TelemetryError):
+        load()
+
+
+def test_resume_from_a_corrupt_checkpoint_fails_cleanly(tmp_path):
+    bad = tmp_path / "bad.npz"
+    bad.write_bytes(b"PK\x03\x04 not really a zip")
+    rc, stderr = _cli(["stream", "--nodes", "4", "--days", "0.05",
+                       "--resume", bad])
+    assert rc == 1
+    assert len(stderr) == 1 and stderr[0].startswith("stream FAILED: ")
+
+
+# -- crash points: fail every fsync, rename and unlink in turn ----------------
+
+
+def _failing_calls(monkeypatch, fail_at=None) -> list:
+    """Log every os.fsync/os.replace/os.unlink call by name; the
+    ``fail_at``-th (1-based) raises instead of running."""
+    calls = []
+    for name in ("fsync", "replace", "unlink"):
+        def call(*args, _real=getattr(os, name), _name=name, **kwargs):
+            calls.append(_name)
+            if len(calls) == fail_at:
+                raise OSError(f"injected failure of {_name} #{fail_at}")
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(os, name, call)
+    return calls
+
+
+def _build_history(path, *, ragged=False):
+    store = history_store.HistoryStore(
+        {"t_start_s": "min", "x": "sum", "peak": "max"}, dir=path,
+        chunk_rows=4, rollup_factors=(2, 3),
+    )
+    for i in range(31):
+        store.append_row({"t_start_s": 10.0 * i, "x": float(i % 7),
+                          "peak": float(i * i % 11)})
+        if i == 17 or (ragged and i % 3 == 2):
+            store.sync()
+    return store
+
+
+def _build_log(path):
+    store = log_store.LogStore(path, segment_records=3)
+    for i in range(14):
+        store.append({"t_s": 10.0 * i, "seq": i})
+        if i == 8:
+            store.sync()
+    return store
+
+
+def _history_state(path) -> list:
+    store = history_store.HistoryStore.open(path)
+    assert verify_rollups(store) == []
+    rows = _history_rows(store)
+    store.close()
+    return rows
+
+
+def _log_state(path) -> list:
+    store = log_store.LogStore.open(path)
+    assert store.check() == []
+    return list(store.iter_records())
+
+
+def _synced_history(path):
+    return _build_history(path).sync()
+
+
+#: Each persisting operation: (build the store, run it, read a reopened copy).
+CRASH_POINTS = {
+    "history-sync": (_build_history, lambda s: s.sync(), _history_state),
+    "history-compact": (lambda p: _build_history(p, ragged=True).sync(),
+                        lambda s: s.compact(), _history_state),
+    "history-gc": (_synced_history, lambda s: s.gc(keep_s=95.0),
+                   _history_state),
+    "log-sync": (_build_log, lambda s: s.sync(), _log_state),
+    # Records appended since the last sync ride along: the gc manifest
+    # counts them, so their lines must be durable first.
+    "log-gc": (_build_log, lambda s: s.gc(keep_s=45.0), _log_state),
+}
+
+
+@pytest.mark.parametrize("operation", sorted(CRASH_POINTS))
+def test_every_crash_point_leaves_the_old_or_the_new_store(
+    operation, tmp_path, monkeypatch
+):
+    build, run, state = CRASH_POINTS[operation]
+    images = itertools.count()
+
+    def reopened(path):
+        """The state a process that died now would reopen."""
+        image = tmp_path / f"image-{next(images)}"
+        shutil.copytree(path, image)
+        return state(image)
+
+    store = build(tmp_path / "reference")
+    before = reopened(tmp_path / "reference")
+    calls = _failing_calls(monkeypatch)
+    run(store)
+    monkeypatch.undo()
+    store.close()
+    after = reopened(tmp_path / "reference")
+    assert calls and set(calls) <= {"fsync", "replace", "unlink"}
+    outcomes = []
+    for k in range(1, len(calls) + 1):
+        path = tmp_path / f"fail-{k}"
+        store = build(path)
+        _failing_calls(monkeypatch, fail_at=k)
+        with pytest.raises(OSError, match=f"#{k}$"):
+            run(store)
+        monkeypatch.undo()
+        seen = reopened(path)
+        store.close()
+        assert seen in (before, after), (k, calls[k - 1])
+        outcomes.append(seen == after)
+    # Failing the first call keeps the old store, the last the new one.
+    assert outcomes[0] == (before == after) and outcomes[-1]
