@@ -3,19 +3,20 @@
 
 The paper's dataset — 9408 nodes x 91 days at 15 s — is ~2 x 10^10 GPU
 samples. This example shows how the pipeline handles arbitrary scale:
-telemetry is generated and joined one node block at a time (optionally
-across worker processes) into O(bins) streaming accumulators, and the
-final cube yields the same Tables IV/V as the materialized path.
+telemetry is generated, reordered and folded one fold unit (a few nodes)
+at a time, sharded across worker processes, into O(bins) streaming
+accumulators, and the merged cube yields the same Tables IV/V as the
+materialized path.
 
 Run:  python examples/streaming_scale.py [--nodes 256] [--days 7] [--workers 4]
 """
 
 import argparse
-import time
 
 from repro import units
 from repro.core import decompose_modes, measured_factors, project_savings, report
-from repro.core.pipeline import memory_footprint_estimate, run_campaign
+from repro.core.pipeline import memory_footprint_estimate
+from repro.stream.shard import run_sharded_campaign
 
 
 def main() -> None:
@@ -39,19 +40,17 @@ def main() -> None:
         f"({full['ratio']:.0f}x)"
     )
 
-    t0 = time.time()
-    run = run_campaign(
+    run = run_sharded_campaign(
         fleet_nodes=args.nodes,
         days=args.days,
         seed=0,
+        shards=max(args.workers, 1),
         workers=args.workers,
     )
-    elapsed = time.time() - t0
     cube = run.cube
-    rate = cube.histogram.total_count / elapsed
     print(
         f"\njoined {cube.histogram.total_count:.2e} samples in "
-        f"{elapsed:.1f} s ({rate:.2e} samples/s with "
+        f"{run.wall_s:.1f} s ({run.samples_per_s:.2e} samples/s with "
         f"{args.workers} workers)\n"
     )
 
@@ -63,7 +62,7 @@ def main() -> None:
     print(report.render_table5(table))
 
     hours_full = 9408 * 4 * units.days(91) / 3600
-    eta = hours_full / (cube.total_gpu_hours / elapsed) / args.workers
+    eta = hours_full / (cube.total_gpu_hours / run.wall_s) / args.workers
     print(
         f"\nextrapolation: the full 9408-node, 91-day campaign would "
         f"stream through this pipeline in ~{eta / 60:.0f} min per worker "

@@ -49,6 +49,28 @@ class CapFactors:
                 f"no {self.knob} characterization at cap {cap}"
             ) from None
 
+    def effect(self, cap: float, region):
+        """(MI saving, CI saving, delay weight) of one cap on a region split.
+
+        The one pricing rule of Tables V/VI and Fig 10: ``region`` is an
+        array whose last axis is (latency, MI, CI, boost) — energy,
+        or GPU-hours for the delay alone — either one ``(4,)`` vector
+        or a ``(..., 4)`` stack priced cell by cell.  The delay weight
+        is ``CI * (rt_ci - 1)^+ + MI * (rt_mi - 1)^+``; callers divide
+        it by their own total to get a slowdown percentage.
+        """
+        f_ci, f_mi = self.energy_at(cap)
+        rt_ci, rt_mi = self.runtime_at(cap)
+        # ``[()]`` turns a vector's 0-d slices into scalars: scalar
+        # arithmetic, same bits, a fraction of the 0-d array cost.
+        mi = region[..., 1][()]
+        ci = region[..., 2][()]
+        return (
+            mi * (1.0 - f_mi),
+            ci * (1.0 - f_ci),
+            ci * max(rt_ci - 1.0, 0.0) + mi * max(rt_mi - 1.0, 0.0),
+        )
+
 
 def factors_from_table3(table: Table3) -> CapFactors:
     """Convert a Table III into projection factors."""

@@ -48,7 +48,6 @@ def compute_heatmaps(
     campaign_energy_mwh: float | None = None,
 ) -> HeatmapPair:
     """Compute the Fig 10 heatmaps at one cap setting."""
-    f_ci, f_mi = factors.energy_at(cap)
     busy = cube.busy_view()
     scale = 1.0
     if campaign_energy_mwh is not None:
@@ -58,9 +57,8 @@ def compute_heatmaps(
 
     energy = busy.energy_j * scale                      # (d, c, region)
     total = energy.sum(axis=2)
-    savings = energy[:, :, 2] * (1.0 - f_ci) + energy[:, :, 1] * (
-        1.0 - f_mi
-    )
+    mi_save, ci_save, _ = factors.effect(cap, energy)
+    savings = ci_save + mi_save
     return HeatmapPair(
         domains=busy.domains,
         classes=busy.classes,

@@ -220,6 +220,19 @@ class CampaignCube:
         )
 
 
+def cubes_equal(a: CampaignCube, b: CampaignCube) -> bool:
+    """Bitwise equality of two cubes' energy, hours, histogram and CPU sums."""
+    return (
+        np.array_equal(a.energy_j, b.energy_j)
+        and np.array_equal(a.gpu_hours, b.gpu_hours)
+        and np.array_equal(a.histogram.counts, b.histogram.counts)
+        and np.array_equal(
+            a.histogram.weight_sums, b.histogram.weight_sums
+        )
+        and a.cpu_energy_j == b.cpu_energy_j
+    )
+
+
 class CampaignAccumulator:
     """Incremental telemetry-x-log fold into a :class:`CampaignCube`.
 

@@ -1,27 +1,18 @@
-"""End-to-end campaign pipeline with process parallelism.
+"""Campaign-cube merging and the streaming memory budget.
 
-Ties the substrates together the way a production analysis would: one
-scheduler run, then telemetry generation *and* joining proceed per node
-block — optionally across worker processes — and the partial campaign
-cubes are merged.  Because every telemetry stream is seeded by (job,
-node) identity, the result is bitwise identical for any worker count or
-block size (the mpi4py rank-decomposition contract), which the tests
-verify.
+Every campaign fold here is by node range: the batch builder streams
+node blocks through one :func:`~repro.core.join.join_campaign`, and the
+sharded engine (:mod:`repro.stream.shard`) folds fixed fold units in
+worker processes and left-folds their cubes with :func:`merge_cubes`.
+:func:`memory_footprint_estimate` is why the fold streams at all.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
 from .. import units
 from ..errors import JoinError
 from ..obs import runtime as _obs
-from ..parallel import chunked_map, partition
-from ..scheduler import SlurmSimulator, default_mix
-from ..scheduler.log import SchedulerLog
-from ..telemetry import FleetTelemetryGenerator
-from .join import CampaignCube, join_campaign
+from .join import CampaignCube
 
 
 def merge_cubes(a: CampaignCube, b: CampaignCube) -> CampaignCube:
@@ -54,67 +45,6 @@ def merge_cubes(a: CampaignCube, b: CampaignCube) -> CampaignCube:
             interval_s=a.interval_s,
             cpu_energy_j=a.cpu_energy_j + b.cpu_energy_j,
         )
-
-
-def _block_cube(log_arrays: dict, fleet_nodes: int, seed: int,
-                lo: int, hi: int) -> CampaignCube:
-    """Generate + join one node block (runs inside worker processes).
-
-    The scheduler log travels as plain arrays so the task pickles small
-    and reconstructs cheaply.
-    """
-    with _obs.span("pipeline.block", node_lo=lo, node_hi=hi):
-        log = SchedulerLog.from_arrays(log_arrays)
-        mix = default_mix(fleet_nodes=fleet_nodes)
-        gen = FleetTelemetryGenerator(log, mix, seed=seed)
-        chunks = (gen.node_chunk(nid) for nid in range(lo, hi))
-        cube = join_campaign(chunks, log)
-    _obs.counter_inc("pipeline_blocks_total")
-    return cube
-
-
-@dataclass(frozen=True)
-class CampaignRun:
-    """A complete simulated campaign."""
-
-    log: SchedulerLog
-    cube: CampaignCube
-
-
-def run_campaign(
-    *,
-    fleet_nodes: int = 96,
-    days: float = 4.0,
-    seed: int = 0,
-    workers: int = 1,
-    nodes_per_block: int = 16,
-    log: Optional[SchedulerLog] = None,
-) -> CampaignRun:
-    """Simulate, generate, and join one campaign.
-
-    ``workers > 1`` fans the node blocks out over a process pool; the
-    merged cube is identical to the serial result.
-    """
-    with _obs.span(
-        "pipeline.run_campaign", fleet_nodes=fleet_nodes, workers=workers
-    ):
-        if log is None:
-            mix = default_mix(fleet_nodes=fleet_nodes)
-            with _obs.span("pipeline.simulate"):
-                log = SlurmSimulator(mix).run(units.days(days), rng=seed)
-        telemetry_seed = seed + 1000
-        log_arrays = log.to_arrays()
-
-        n_blocks = max(1, -(-log.n_nodes // nodes_per_block))
-        blocks = [
-            (log_arrays, log.n_nodes, telemetry_seed, lo, hi)
-            for lo, hi in partition(log.n_nodes, n_blocks)
-        ]
-        cubes = chunked_map(_block_cube, blocks, workers=workers)
-        cube = cubes[0]
-        for other in cubes[1:]:
-            cube = merge_cubes(cube, other)
-    return CampaignRun(log=log, cube=cube)
 
 
 def memory_footprint_estimate(

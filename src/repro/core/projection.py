@@ -119,28 +119,21 @@ def _project(
             raise ProjectionError("campaign energy must be positive")
         scale = units.mwh(campaign_energy_mwh) / total_j
 
-    e_mi = region_energy[1] * scale     # region 2
-    e_ci = region_energy[2] * scale     # region 3
+    energy = region_energy * scale
     e_total = total_j * scale
-
     if dt_weighting == "energy":
-        w_mi, w_ci = e_mi, e_ci
-        w_total = e_total
+        hours, w_total = None, e_total
     else:
-        region_hours = cube.region_gpu_hours()
-        w_mi, w_ci = region_hours[1], region_hours[2]
-        w_total = cube.total_gpu_hours
+        hours, w_total = cube.region_gpu_hours(), cube.total_gpu_hours
 
     rows = []
     for cap in factors.caps():
-        f_ci, f_mi = factors.energy_at(cap)
-        rt_ci, rt_mi = factors.runtime_at(cap)
-        ci_save = e_ci * (1.0 - f_ci)
-        mi_save = e_mi * (1.0 - f_mi)
+        mi_save, ci_save, delay = factors.effect(cap, energy)
+        if hours is not None:
+            _, _, delay = factors.effect(cap, hours)
         total_save = ci_save + mi_save
-        dt = 100.0 * (
-            w_ci * max(rt_ci - 1.0, 0.0) + w_mi * max(rt_mi - 1.0, 0.0)
-        ) / w_total
+        dt = 100.0 * delay / w_total
+        rt_ci, rt_mi = factors.runtime_at(cap)
         no_slowdown = 0.0
         if rt_mi <= 1.0 + NO_SLOWDOWN_TOL:
             no_slowdown += mi_save

@@ -33,6 +33,26 @@ def _freeze_cube(cube: CampaignCube) -> CampaignCube:
     return cube
 
 
+def fold_campaign(
+    fleet_nodes: int, days: float, seed: int
+) -> tuple:
+    """(SchedulerLog, CampaignCube) for one configuration, uncached.
+
+    For callers that sweep many configurations once each (going
+    through :func:`build_campaign` would evict the shared campaign);
+    the cube is the caller's own and stays writable.
+    """
+    with _obs.span(
+        "campaign.build", fleet_nodes=fleet_nodes, days=days, seed=seed
+    ):
+        mix = default_mix(fleet_nodes=fleet_nodes)
+        with _obs.span("campaign.simulate"):
+            log = SlurmSimulator(mix).run(units.days(days), rng=seed)
+        gen = FleetTelemetryGenerator(log, mix, seed=seed + 1000)
+        # Stream in node blocks: memory stays bounded at any fleet size.
+        return log, join_campaign(gen.chunks(nodes_per_chunk=16), log)
+
+
 @lru_cache(maxsize=4)
 def build_campaign(
     fleet_nodes: int, days: float, seed: int
@@ -43,16 +63,8 @@ def build_campaign(
     caller aliases the same cached object, so consumers must copy
     before mutating.
     """
-    with _obs.span(
-        "campaign.build", fleet_nodes=fleet_nodes, days=days, seed=seed
-    ):
-        mix = default_mix(fleet_nodes=fleet_nodes)
-        with _obs.span("campaign.simulate"):
-            log = SlurmSimulator(mix).run(units.days(days), rng=seed)
-        gen = FleetTelemetryGenerator(log, mix, seed=seed + 1000)
-        # Stream in node blocks: memory stays bounded at any fleet size.
-        cube = join_campaign(gen.chunks(nodes_per_chunk=16), log)
-        return log, _freeze_cube(cube)
+    log, cube = fold_campaign(fleet_nodes, days, seed)
+    return log, _freeze_cube(cube)
 
 
 def campaign_cube(config) -> CampaignCube:

@@ -34,7 +34,7 @@ import numpy as np
 
 from .. import constants, units
 from ..core import join_campaign, measured_factors
-from ..core.join import region_index
+from ..core.join import cubes_equal, region_index
 from ..scheduler import SlurmSimulator, default_mix
 from ..serve import ControlPlane, JobAccumulator, decide_cap
 from ..serve.objectives import objective_names
@@ -77,13 +77,9 @@ class ClosedLoopBank:
             self.windows_uncapped += 1
             return
         cap = decision.cap
-        f_ci, f_mi = self.factors.energy_at(cap)
-        rt_ci, rt_mi = self.factors.runtime_at(cap)
-        e_mi, e_ci = float(region_j[1]), float(region_j[2])
-        self.capped_j += total_j - e_ci * (1.0 - f_ci) - e_mi * (1.0 - f_mi)
-        self.slowdown_weight_j += (
-            e_ci * max(rt_ci - 1.0, 0.0) + e_mi * max(rt_mi - 1.0, 0.0)
-        )
+        mi_save, ci_save, delay = self.factors.effect(cap, region_j)
+        self.capped_j += float(total_j - ci_save - mi_save)
+        self.slowdown_weight_j += float(delay)
         self.windows_capped += 1
 
     @property
@@ -91,14 +87,6 @@ class ClosedLoopBank:
         if self.uncapped_j <= 0:
             return 0.0
         return 100.0 * self.slowdown_weight_j / self.uncapped_j
-
-
-def _cubes_equal(a, b) -> bool:
-    return (
-        np.array_equal(a.energy_j, b.energy_j)
-        and np.array_equal(a.gpu_hours, b.gpu_hours)
-        and a.cpu_energy_j == b.cpu_energy_j
-    )
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -154,7 +142,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         and np.array_equal(offline_jobs.gpu_hours, plane.job_acc.gpu_hours)
         and np.array_equal(offline_jobs.samples, plane.job_acc.samples)
     )
-    cube_bitwise = _cubes_equal(offline_cube, final.snap.cube)
+    cube_bitwise = cubes_equal(offline_cube, final.snap.cube)
     offline_decision = decide_cap(
         offline_cube.region_energy_j(),
         plane.factors,

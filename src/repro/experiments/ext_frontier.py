@@ -27,6 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import constants
+from ..core.join import cubes_equal
 from ..stream.shard import ShardConfig, run_sharded_campaign
 from .registry import ExperimentConfig, ExperimentResult
 
@@ -48,18 +49,6 @@ MEASURE_SHARDS = 8
 GATED_SCALING_8W = 3.0
 
 
-def _cubes_equal(a, b) -> bool:
-    return (
-        np.array_equal(a.energy_j, b.energy_j)
-        and np.array_equal(a.gpu_hours, b.gpu_hours)
-        and np.array_equal(a.histogram.counts, b.histogram.counts)
-        and np.array_equal(
-            a.histogram.weight_sums, b.histogram.weight_sums
-        )
-        and a.cpu_energy_j == b.cpu_energy_j
-    )
-
-
 def campaign_rows(nodes: int, days: float) -> int:
     """Aggregated telemetry rows (node-ticks) of a campaign."""
     return nodes * int(np.floor(days * 86400.0 / constants.TELEMETRY_INTERVAL_S))
@@ -79,7 +68,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
         fleet_nodes=base_nodes, days=inv_days, seed=config.seed,
         shards=4, cfg=cfg,
     )
-    invariant = _cubes_equal(one.cube, four.cube)
+    invariant = cubes_equal(one.cube, four.cube)
 
     # 2. Measured tiers: a short slice of each, end to end.
     measured = {}

@@ -12,17 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..core import measured_factors, project_savings
-from ..core.pipeline import run_campaign
+from ._campaign import fold_campaign
 from .registry import ExperimentConfig, ExperimentResult
 
 SEEDS = (0, 1, 2)
 
 
 def _headline(fleet_nodes: int, days: float, seed: int, factors) -> dict:
-    run = run_campaign(fleet_nodes=fleet_nodes, days=days, seed=seed)
-    table = project_savings(
-        run.cube, factors, campaign_energy_mwh=16820.0
-    )
+    _log, cube = fold_campaign(fleet_nodes, days, seed)
+    table = project_savings(cube, factors, campaign_energy_mwh=16820.0)
     best = table.best_no_slowdown_row
     return {
         "seed": seed,

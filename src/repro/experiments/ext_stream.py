@@ -27,6 +27,7 @@ import numpy as np
 
 from .. import constants, units
 from ..core import decompose_modes, join_campaign, measured_factors
+from ..core.join import cubes_equal
 from ..obs.health import DriftReference, HealthMonitor, render_events
 from ..scheduler import SlurmSimulator, default_mix
 from ..stream import StreamEngine, canonical_windows, perturb, replay_store
@@ -37,18 +38,6 @@ from .registry import ExperimentConfig, ExperimentResult
 WINDOW_TICKS = 40
 LATENESS_TICKS = 8
 DUP_FRACTION = 0.05
-
-
-def _cubes_equal(a, b) -> bool:
-    return (
-        np.array_equal(a.energy_j, b.energy_j)
-        and np.array_equal(a.gpu_hours, b.gpu_hours)
-        and np.array_equal(a.histogram.counts, b.histogram.counts)
-        and np.array_equal(
-            a.histogram.weight_sums, b.histogram.weight_sums
-        )
-        and a.cpu_energy_j == b.cpu_energy_j
-    )
 
 
 def run(config: ExperimentConfig) -> ExperimentResult:
@@ -101,7 +90,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     data = {"bitwise": {}, "stats": {}}
     for label, engine in runs.items():
         cube = engine.cube()
-        equal = _cubes_equal(cube, batch)
+        equal = cubes_equal(cube, batch)
         s = engine.stats
         gap = float(np.abs(cube.energy_j - node_major.energy_j).max())
         lines.append(

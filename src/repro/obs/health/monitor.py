@@ -78,10 +78,13 @@ class HealthMonitor:
         Reads the engine's ingest counters and (when windows have been
         folded) the live Table IV decomposition of the engine's
         :meth:`~repro.stream.engine.StreamEngine.frame`, which a snapshot
-        after the same ingest reuses; never mutates engine state.
+        after the same ingest reuses; never mutates engine state.  The
+        per-sink seconds go into :attr:`registry` as they do into any
+        registry the engine exports to.
         """
         stats = engine.stats
         values = dict(engine.metric_values())
+        engine.export_sink_seconds(self.registry)
         if self.drift is not None and stats.windows_folded > 0:
             table4 = engine.frame().table4
             if table4 is not None:

@@ -30,6 +30,7 @@ segments and manifest, whatever ``chunk_rows`` sliced them.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
@@ -130,15 +131,12 @@ class _Level:
         self.tail_rows += block.shape[0]
         self._tail_cache = None
 
-    def take_tail(self, rows: int) -> np.ndarray:
-        """Remove and return the first ``rows`` tail rows as one block."""
-        tail = self.tail_array()
-        out = tail[:rows]
-        rest = tail[rows:]
+    def drop_tail(self, rows: int) -> None:
+        """Drop the first ``rows`` tail rows (once a segment holds them)."""
+        rest = self.tail_array()[rows:]
         self.tail_blocks = [rest] if rest.shape[0] else []
         self.tail_rows -= rows
         self._tail_cache = rest if rest.shape[0] else None
-        return out
 
 
 class HistoryStore:
@@ -287,9 +285,12 @@ class HistoryStore:
                 )
             self._last_t0 = float(t[-1])
         self._levels[0].push_tail(block)
-        self._flush_level(0)
         for lv in self._levels[1:]:
             self._roll_into(lv, block)
+        # Every level holds the block before any segment is written, so
+        # a failed write leaves all rows in memory for the next flush.
+        for lv in self._levels:
+            self._flush_level(lv.level)
 
     def _roll_into(self, lv: _Level, block: np.ndarray) -> None:
         """Fold any level-0 buckets this block completed into ``lv``."""
@@ -315,16 +316,15 @@ class HistoryStore:
         self._pending[k] = [rest] if rest.shape[0] else []
         self._pending_rows[k] = rest.shape[0]
         lv.push_tail(out)
-        self._flush_level(k)
 
     # -- segment management -------------------------------------------------------
 
     def _flush_level(self, level: int, *, force: bool = False) -> None:
         lv = self._levels[level]
         while lv.tail_rows >= self.chunk_rows:
-            self._emit_segment(lv, lv.take_tail(self.chunk_rows))
+            self._emit_segment(lv, self.chunk_rows)
         if force and lv.tail_rows:
-            self._emit_segment(lv, lv.take_tail(lv.tail_rows))
+            self._emit_segment(lv, lv.tail_rows)
 
     def _make_segment(self, level: int, block: np.ndarray) -> dict:
         # (n_cols, rows) C-order: one column of one segment is one
@@ -340,18 +340,28 @@ class HistoryStore:
             seg["array"] = cols
         else:
             name = f"L{level}-{self._next_file_id:06d}.npy"
+            # Synced before any manifest names it; a failed write leaves
+            # no partial file behind.
+            try:
+                with open(self.dir / name, "wb") as fh:
+                    np.save(fh, cols)
+                    fh.flush()
+                    os.fsync(fh.fileno())
+            except BaseException:
+                with contextlib.suppress(OSError):
+                    os.unlink(self.dir / name)
+                raise
             self._next_file_id += 1
-            # Synced before any manifest names it.
-            with open(self.dir / name, "wb") as fh:
-                np.save(fh, cols)
-                fh.flush()
-                os.fsync(fh.fileno())
             seg["file"] = name
             seg["array"] = None
         return seg
 
-    def _emit_segment(self, lv: _Level, block: np.ndarray) -> None:
+    def _emit_segment(self, lv: _Level, rows: int) -> None:
+        """Write the first ``rows`` tail rows as a segment, then drop them:
+        rows leave the tail only once a durable segment holds them."""
+        block = lv.tail_array()[:rows]
         lv.segments.append(self._make_segment(lv.level, block))
+        lv.drop_tail(rows)
 
     def _seg_array(self, seg: dict) -> np.ndarray:
         if seg["array"] is not None:

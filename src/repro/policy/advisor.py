@@ -62,17 +62,12 @@ class CapAdvisor:
         self, fp: JobFingerprint, cap: float
     ) -> tuple:
         """(expected saving J, expected slowdown %) for one cap."""
-        f_ci, f_mi = self.factors.energy_at(cap)
-        rt_ci, rt_mi = self.factors.runtime_at(cap)
-        e_mi = fp.region_energy_j[1]
-        e_ci = fp.region_energy_j[2]
-        saving = e_mi * (1.0 - f_mi) + e_ci * (1.0 - f_ci)
+        mi_save, ci_save, delay = self.factors.effect(
+            cap, fp.region_energy_j
+        )
+        saving = mi_save + ci_save
         slowdown = (
-            100.0
-            * (e_mi * max(rt_mi - 1.0, 0.0) + e_ci * max(rt_ci - 1.0, 0.0))
-            / fp.energy_j
-            if fp.energy_j > 0
-            else 0.0
+            100.0 * delay / fp.energy_j if fp.energy_j > 0 else 0.0
         )
         return saving, slowdown
 

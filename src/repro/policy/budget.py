@@ -64,14 +64,12 @@ def job_slowdown_pct(
     """Energy-weighted slowdown of a job under a cap (percent)."""
     if cap is None:
         return 0.0
-    rt_ci, rt_mi = factors.runtime_at(cap)
     e = fp.region_energy_j
     total = float(e.sum())
     if total <= 0:
         return 0.0
-    return 100.0 * (
-        e[1] * max(rt_mi - 1.0, 0.0) + e[2] * max(rt_ci - 1.0, 0.0)
-    ) / total
+    _, _, delay = factors.effect(cap, e)
+    return 100.0 * delay / total
 
 
 @dataclass(frozen=True)

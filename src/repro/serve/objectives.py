@@ -173,8 +173,6 @@ def decide_cap(
             f"region energy must have shape (4,), got "
             f"{region_energy_j.shape}"
         )
-    e_mi = float(region_energy_j[1])
-    e_ci = float(region_energy_j[2])
     base_j = float(region_energy_j.sum())
 
     def uncapped() -> CapDecision:
@@ -190,13 +188,10 @@ def decide_cap(
     best = uncapped()
     best_score = obj.score(base_j, 0.0, max_slowdown_pct)
     for cap in factors.caps():
-        f_ci, f_mi = factors.energy_at(cap)
-        rt_ci, rt_mi = factors.runtime_at(cap)
-        saving = e_ci * (1.0 - f_ci) + e_mi * (1.0 - f_mi)
+        mi_save, ci_save, delay = factors.effect(cap, region_energy_j)
+        saving = float(ci_save + mi_save)
         projected = base_j - saving
-        dt = 100.0 * (
-            e_ci * max(rt_ci - 1.0, 0.0) + e_mi * max(rt_mi - 1.0, 0.0)
-        ) / base_j
+        dt = 100.0 * float(delay) / base_j
         score = obj.score(projected, dt, max_slowdown_pct)
         if score < best_score:
             best_score = score

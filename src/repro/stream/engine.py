@@ -501,6 +501,15 @@ class StreamEngine:
         """
         for name, value in self.metric_values().items():
             registry.gauge(name).set(value)
+        self.export_sink_seconds(registry)
+
+    def export_sink_seconds(self, registry) -> None:
+        """Each window sink's wall seconds, as ``stream_sink_seconds_total``.
+
+        Labelled, so not part of :meth:`metric_values`; every registry
+        the ingest gauges go to (the global one, a plane's, a health
+        monitor's) gets these too.
+        """
         for sink, seconds in self.sink_seconds.items():
             registry.gauge(
                 SINK_SECONDS,

@@ -324,10 +324,9 @@ def _shard_task(
             t_s=float(counters[-1][-1]) if counters else 0.0,
             unit=start - 1, units_done=start,
         )
+    stop = len(units) if max_units is None else min(len(units), max_units)
     dirty = 0
-    for j in range(start, len(units)):
-        if max_units is not None and j >= max_units:
-            break
+    for j in range(start, stop):
         lo, hi = units[j]
         with _obs.span("shard.unit", node_lo=lo, node_hi=hi):
             state, cnt = _fold_unit(gen, template, lo, hi, cfg)
@@ -336,7 +335,7 @@ def _shard_task(
         _obs.counter_inc("shard_units_total")
         dirty += 1
         if checkpoint_path and (
-            dirty >= cfg.checkpoint_every or j + 1 == len(units)
+            dirty >= cfg.checkpoint_every or j + 1 == stop
         ):
             _save_shard_checkpoint(
                 checkpoint_path,
@@ -350,26 +349,10 @@ def _shard_task(
             _obs.log_event(
                 "info", "shard.checkpoint_write",
                 f"checkpointed {len(states)}/{len(units)} fold units",
-                t_s=float(counters[-1][-1]) if counters else 0.0,
+                t_s=float(counters[-1][-1]),
                 unit=j, node=int(lo), units_done=len(states),
             )
             dirty = 0
-    if checkpoint_path and dirty:
-        _save_shard_checkpoint(
-            checkpoint_path,
-            units=units,
-            cfg=cfg,
-            fleet_nodes=fleet_nodes,
-            seed=seed,
-            states=states,
-            counters=counters,
-        )
-        _obs.log_event(
-            "info", "shard.checkpoint_write",
-            f"checkpointed {len(states)}/{len(units)} fold units",
-            t_s=float(counters[-1][-1]) if counters else 0.0,
-            unit=len(states) - 1, units_done=len(states),
-        )
     return states, counters
 
 

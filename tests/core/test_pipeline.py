@@ -1,53 +1,39 @@
-"""Tests for the parallel campaign pipeline."""
+"""Tests for campaign construction, cube merging and the footprint model."""
 
 import numpy as np
 import pytest
 
-from repro.core.pipeline import (
-    memory_footprint_estimate,
-    merge_cubes,
-    run_campaign,
-)
+from repro.core.join import cubes_equal
+from repro.core.pipeline import memory_footprint_estimate, merge_cubes
 from repro.errors import JoinError
+from repro.experiments._campaign import build_campaign, fold_campaign
 
 
 @pytest.fixture(scope="module")
 def serial_run():
-    return run_campaign(fleet_nodes=24, days=0.5, seed=3, workers=1)
+    """(log, cube) of the cached batch builder; the cube is frozen."""
+    return build_campaign(24, 0.5, 3)
 
 
 class TestRunCampaign:
-    def test_parallel_identical_to_serial(self, serial_run):
-        parallel = run_campaign(
-            fleet_nodes=24, days=0.5, seed=3, workers=3
-        )
-        np.testing.assert_allclose(
-            parallel.cube.energy_j, serial_run.cube.energy_j
-        )
-        np.testing.assert_array_equal(
-            parallel.cube.histogram.counts,
-            serial_run.cube.histogram.counts,
-        )
+    """One campaign run through the batch builders (cached and not)."""
 
-    def test_block_size_irrelevant(self, serial_run):
-        other = run_campaign(
-            fleet_nodes=24, days=0.5, seed=3, workers=1, nodes_per_block=5
-        )
-        np.testing.assert_allclose(
-            other.cube.energy_j, serial_run.cube.energy_j
-        )
-
-    def test_reuses_provided_log(self, serial_run):
-        again = run_campaign(
-            fleet_nodes=24, days=0.5, seed=3, log=serial_run.log
-        )
-        assert again.log is serial_run.log
-        np.testing.assert_allclose(
-            again.cube.energy_j, serial_run.cube.energy_j
-        )
+    def test_uncached_fold_matches_cached_build(self, serial_run):
+        # The uncached builder is the same fold; it must not touch the
+        # shared cache, and its cube stays the caller's to mutate.
+        before = build_campaign.cache_info()
+        log, cube = fold_campaign(24, 0.5, 3)
+        assert build_campaign.cache_info() == before
+        assert cubes_equal(cube, serial_run[1])
+        cached = serial_run[0].to_arrays()
+        for key, column in log.to_arrays().items():
+            assert np.array_equal(column, cached[key]), key
+        cube.energy_j[0, 0, 0] += 1.0
+        with pytest.raises(ValueError):
+            serial_run[1].energy_j[0, 0, 0] += 1.0
 
     def test_cube_consistency(self, serial_run):
-        cube = serial_run.cube
+        _log, cube = serial_run
         assert cube.total_energy_j > 0
         assert cube.total_gpu_hours == pytest.approx(
             cube.histogram.total_count * 15.0 / 3600.0
@@ -56,15 +42,15 @@ class TestRunCampaign:
 
 class TestMergeCubes:
     def test_merge_rejects_mismatched_axes(self, serial_run):
-        other = run_campaign(fleet_nodes=24, days=0.5, seed=99)
-        a, b = serial_run.cube, other.cube
+        _log, other = fold_campaign(24, 0.5, 99)
+        a, b = serial_run[1], other
         if a.domains == b.domains:
             pytest.skip("same domain set; nothing to reject")
         with pytest.raises(JoinError):
             merge_cubes(a, b)
 
     def test_merge_does_not_mutate_inputs(self, serial_run):
-        a, b = serial_run.cube, serial_run.cube
+        a, b = serial_run[1], serial_run[1]
         a_counts = a.histogram.counts.copy()
         a_weights = a.histogram.weight_sums.copy()
         a_domain_counts = {
@@ -83,7 +69,7 @@ class TestMergeCubes:
         assert merged.histogram is not b.histogram
 
     def test_merging_twice_never_double_counts(self, serial_run):
-        a = serial_run.cube
+        a = serial_run[1]
         once = merge_cubes(a, a)
         twice = merge_cubes(a, a)
         np.testing.assert_array_equal(
@@ -97,7 +83,7 @@ class TestMergeCubes:
     def test_merge_result_is_writable(self, serial_run):
         # Partials may arrive with frozen arrays (the cached campaign);
         # the merged cube owns fresh state, so accumulation can go on.
-        merged = merge_cubes(serial_run.cube, serial_run.cube)
+        merged = merge_cubes(serial_run[1], serial_run[1])
         merged.histogram.counts[0] += 1.0
 
 

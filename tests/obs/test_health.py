@@ -16,6 +16,7 @@ import pytest
 from repro import constants, units
 from repro.cli import main as cli_main
 from repro.errors import HealthError
+from repro.obs.forensics import Forensics
 from repro.obs.health import (
     AlertEngine,
     Dashboard,
@@ -31,6 +32,7 @@ from repro.obs.health import (
     tv_distance,
 )
 from repro.obs.health.drift import REL_ERR_FLOOR_PCT
+from repro.obs.history import History
 from repro.obs.metrics import MetricsRegistry
 from repro.scheduler import SlurmSimulator, default_mix
 from repro.stream import StreamEngine, canonical_windows
@@ -320,6 +322,31 @@ class TestHealthServer:
 
             assert fetch_url(srv.url + "/")[0] == 200
             assert fetch_url(srv.url + "/nope")[0] == 404
+
+    def test_metrics_carry_each_sinks_seconds(self, fleet):
+        """The exporter serves the monitor's registry, which must hold
+        ``stream_sink_seconds_total`` for every attached sink (the
+        ``repro stream --serve`` wiring: no plane, no --obs)."""
+        log, chunks = fleet
+        monitor = HealthMonitor()
+        engine = StreamEngine(log, interval_s=constants.TELEMETRY_INTERVAL_S)
+        engine.attach(health=monitor, forensics=Forensics(),
+                      history=History())
+        for chunk in chunks:
+            engine.ingest(chunk)
+        engine.drain()
+        assert sorted(engine.sink_seconds) == ["forensics", "history"]
+        with HealthServer(monitor=monitor) as srv:
+            status, body = fetch_url(srv.url + "/metrics")
+        assert status == 200
+        family = monitor.registry.to_dict()["stream_sink_seconds_total"]
+        served = {
+            s["labels"]["sink"]: s["value"] for s in family["series"]
+        }
+        assert served == engine.sink_seconds
+        for sink, seconds in engine.sink_seconds.items():
+            assert seconds > 0
+            assert f'stream_sink_seconds_total{{sink="{sink}"}}' in body
 
     def test_health_turns_ok_after_resolution(self):
         monitor = self._degraded_monitor()

@@ -49,16 +49,31 @@ def _grown(plane, name: str, before: dict) -> dict:
         time.sleep(0.005)
 
 
-@pytest.fixture(scope="module")
-def served(campaign, windows):
+def _full_plane(campaign, windows):
     log, _store = campaign
-    plane = build_plane(
+    return build_plane(
         log, windows,
         monitor=HealthMonitor(drift=False),
         forensics=True,
         history=History(),
         event_log=EventLog(),
     )
+
+
+@pytest.fixture(scope="module")
+def served(campaign, windows):
+    plane = _full_plane(campaign, windows)
+    url = plane.serve(port=0).url
+    yield plane, url
+    plane.close()
+
+
+@pytest.fixture
+def served_alone(campaign, windows):
+    """A plane no earlier test has sent requests to: a request is metered
+    after its body reaches the client, so another test's last request
+    may still be landing in the shared plane's registry."""
+    plane = _full_plane(campaign, windows)
     url = plane.serve(port=0).url
     yield plane, url
     plane.close()
@@ -129,9 +144,9 @@ class TestEveryRoute:
 
 class TestBoundedLabels:
     def test_distinct_unknown_paths_add_at_most_one_series_per_status(
-        self, served
+        self, served_alone
     ):
-        plane, url = served
+        plane, url = served_alone
         before = _series(plane, "serve_requests_total")
         for i in range(50):
             assert fetch_url(url + f"/nope-{i}")[0] == 404

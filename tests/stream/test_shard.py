@@ -12,6 +12,7 @@ import pytest
 
 from repro.cli import main
 from repro.errors import TelemetryError
+from repro.scheduler import SlurmSimulator
 from repro.stream.shard import (
     ShardConfig,
     _shard_task,
@@ -102,6 +103,18 @@ def test_one_node_shards_bitwise_identical(cubes_equal):
 def test_worker_count_invariant(reference, cubes_equal):
     result = _run(4, workers=2)
     assert cubes_equal(result.cube, reference.cube)
+
+
+def test_reuses_provided_log(reference, cubes_equal, monkeypatch):
+    # A caller-supplied scheduler log is folded as given: no second
+    # simulation, and the same cube as the run that simulated it.
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("simulated although a log was given")
+
+    monkeypatch.setattr(SlurmSimulator, "run", no_simulation)
+    again = _run(2, log=reference.log)
+    assert again.log is reference.log
+    assert cubes_equal(again.cube, reference.cube)
 
 
 def test_duplicates_straddling_shard_boundary(cubes_equal):

@@ -248,6 +248,43 @@ def test_failed_history_retention_keeps_every_row(
     assert on_disk == named
 
 
+def test_failed_segment_write_keeps_every_row(tmp_path, monkeypatch):
+    """A segment write that fails keeps its rows in memory and leaves no
+    partial file; a retried sync writes them and the store reopens."""
+    store = history_store.HistoryStore(
+        {"t_start_s": "min", "x": "sum"}, dir=tmp_path, chunk_rows=4,
+        rollup_factors=(2,),
+    )
+    for i in range(9):
+        store.append_row({"t_start_s": 10.0 * i, "x": float(i)})
+    fsync = os.fsync
+    failed = []
+
+    def failing_first(fd):
+        if not failed:
+            failed.append(fd)
+            raise OSError("disk full")
+        fsync(fd)
+
+    monkeypatch.setattr(os, "fsync", failing_first)
+    with pytest.raises(OSError, match="disk full"):
+        store.sync()
+    monkeypatch.undo()
+    assert store.rows(0) == 9
+    store.sync()
+    store.close()
+    reopened = history_store.HistoryStore.open(tmp_path)
+    assert reopened.rows(0) == 9
+    assert reopened.column_slice("x", 0, 0, 9).tolist() == [
+        float(i) for i in range(9)
+    ]
+    assert verify_rollups(reopened) == []
+    named = {
+        seg["file"] for lv in reopened._levels for seg in lv.segments
+    }
+    assert {p.name for p in tmp_path.glob("*.npy")} == named
+
+
 def test_failed_log_gc_keeps_every_record(tmp_path, monkeypatch):
     store = log_store.LogStore(tmp_path, segment_records=2)
     records = [{"t_s": 10.0 * i, "seq": i} for i in range(9)]
