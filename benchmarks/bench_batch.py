@@ -23,7 +23,6 @@ enforces both that bar and the 2x regression gate on absolute times.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -35,6 +34,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np  # noqa: E402
 
+import bench_history  # noqa: E402
 from repro import constants, units  # noqa: E402
 from repro.bench.sweep import CapSweep  # noqa: E402
 from repro.bench.vai import VAIBenchmark  # noqa: E402
@@ -276,6 +276,15 @@ def check_overhead(results: dict) -> list:
 
 
 def check(results: dict) -> int:
+    failures = check_timings(results) if "fig4_grid" in results else []
+    failures.extend(check_overhead(results))
+    for f in failures:
+        print(f"FAIL: {f}")
+    return 1 if failures else 0
+
+
+def check_timings(results: dict) -> list:
+    """Failures against the speedup bar and the recorded baseline."""
     failures = []
     speedup = results["fig4_grid"]["speedup"]
     if speedup < MIN_SPEEDUP:
@@ -314,65 +323,44 @@ def check(results: dict) -> int:
                 )
     else:
         failures.append(f"no baseline at {BASELINE_PATH}; run with --record")
-    failures.extend(check_overhead(results))
-    for f in failures:
-        print(f"FAIL: {f}")
-    return 1 if failures else 0
+    return failures
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--record", action="store_true",
-                        help="write the measured times as the baseline")
-    parser.add_argument("--check", action="store_true",
-                        help="fail on >2x regression vs the baseline")
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer timing rounds (CI mode)")
-    parser.add_argument("--overhead-only", action="store_true",
-                        help="only measure/gate the no-op obs overhead")
-    parser.add_argument("--history", action="store_true",
-                        help="append this run to BENCH_history.jsonl and "
-                             "flag >20%% drift vs the trailing median")
-    args = parser.parse_args(argv)
-
-    rounds = 3 if args.quick else 7
+def measure_gate(args) -> dict:
+    results = {} if args.overhead_only else measure(3 if args.quick else 7)
     # The overhead A/B needs enough rounds for a stable best-of even in
     # --quick mode: the gate is a 2 % band, not a 2x factor.
-    overhead_rounds = 9
-    if args.overhead_only:
-        results = {"obs_overhead": measure_overhead(overhead_rounds)}
-        print(json.dumps(results, indent=2))
-        if args.check:
-            failures = check_overhead(results)
-            for f in failures:
-                print(f"FAIL: {f}")
-            return 1 if failures else 0
-        return 0
+    results["obs_overhead"] = measure_overhead(9)
+    return results
 
-    results = measure(rounds)
-    results["obs_overhead"] = measure_overhead(overhead_rounds)
-    print(json.dumps(results, indent=2))
 
-    if args.history:
-        # Advisory drift trail: flags vs the trailing median are printed
-        # but never fail the run — the hard gate stays --check's 2x bar.
-        import bench_history
+def timings(results: dict) -> dict:
+    return {
+        "fig4_scalar_ms": results["fig4_grid"]["scalar_capsweep_ms"],
+        "fig4_batched_ms": results["fig4_grid"]["batched_capsweep_ms"],
+        "join_ms": results["join"]["best_ms"],
+        "stream_ingest_ms": results["stream_ingest"]["best_ms"],
+    }
 
-        flags = bench_history.drift_flags(
-            bench_history.timings_from_results(results),
-            bench_history.load_history(),
-        )
-        bench_history.append_run(results, quick=args.quick)
-        for flag in flags:
-            print(f"DRIFT: {flag}")
 
-    if args.record:
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-    if args.check:
-        return check(results)
-    return 0
+GATE = bench_history.Gate(
+    source="bench_batch",
+    doc=__doc__,
+    baseline=BASELINE_PATH,
+    measure=measure_gate,
+    check=check,
+    timings=timings,
+    check_help="fail on >2x regression vs the baseline",
+    quick_help="fewer timing rounds (CI mode)",
+    flags=(
+        ("--overhead-only", dict(
+            action="store_true",
+            help="only measure/gate the no-op obs overhead",
+        )),
+    ),
+    partial="overhead_only",
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_history.run_gate(GATE))

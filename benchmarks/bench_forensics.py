@@ -55,7 +55,6 @@ Modes::
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
@@ -67,6 +66,8 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_forensics.json"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import bench_history  # noqa: E402
+from repro.core.join import cubes_equal  # noqa: E402
 from repro.obs.forensics import Forensics  # noqa: E402
 from repro.serve import ControlPlane  # noqa: E402
 from repro.stream import StreamEngine, simulated_fleet  # noqa: E402
@@ -157,11 +158,8 @@ def measure(*, rounds: int, seed: int = 0) -> dict:
         t_rec, rec, forensics = _one_pass(log, chunks, recorder=True)
         plain_ms.append(t_plain)
         recorded_ms.append(t_rec)
-        a, b = plain.cube(copy=False), rec.cube(copy=False)
-        bitwise = bitwise and (
-            np.array_equal(a.energy_j, b.energy_j)
-            and np.array_equal(a.gpu_hours, b.gpu_hours)
-            and a.cpu_energy_j == b.cpu_energy_j
+        bitwise = bitwise and cubes_equal(
+            plain.cube(copy=False), rec.cube(copy=False)
         )
         summary = forensics.summary()
 
@@ -252,56 +250,41 @@ def check(results: dict) -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--record", action="store_true",
-                        help="write the measured results as the baseline")
-    parser.add_argument("--check", action="store_true",
-                        help="gate bitwise identity and the overhead budget")
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer rounds (CI mode)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="timed rounds per side (default 3; 2 with "
-                             "--quick)")
-    parser.add_argument("--history", action="store_true",
-                        help="append this run to BENCH_history.jsonl and "
-                             "flag >20%% drift vs the trailing median")
-    args = parser.parse_args(argv)
+def timings(results: dict) -> dict:
+    load = results["forensics_overhead"]
+    return {
+        "forensics_plain_ms": load["plain_ms"],
+        "forensics_recorded_ms": load["recorded_ms"],
+        "forensics_reader_view_ms_p50": (
+            results["forensics_publish"]["reader_view_ms_p50"]
+        ),
+    }
 
+
+def measure_gate(args) -> dict:
     rounds = args.rounds
     if rounds is None:
         rounds = 2 if args.quick else 3
-    results = measure(rounds=rounds)
-    results["quick"] = args.quick
-    print(json.dumps(results, indent=2))
+    return measure(rounds=rounds)
 
-    if args.history:
-        import bench_history
 
-        load = results["forensics_overhead"]
-        timings = {
-            "forensics_plain_ms": load["plain_ms"],
-            "forensics_recorded_ms": load["recorded_ms"],
-            "forensics_reader_view_ms_p50": (
-                results["forensics_publish"]["reader_view_ms_p50"]
-            ),
-        }
-        flags = bench_history.drift_flags(
-            timings, bench_history.load_history()
-        )
-        bench_history.append_timings(
-            timings, quick=args.quick, source="bench_forensics",
-        )
-        for flag in flags:
-            print(f"DRIFT: {flag}")
-
-    if args.record:
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-    if args.check:
-        return check(results)
-    return 0
+GATE = bench_history.Gate(
+    source="bench_forensics",
+    doc=__doc__,
+    baseline=BASELINE_PATH,
+    measure=measure_gate,
+    check=check,
+    timings=timings,
+    check_help="gate bitwise identity and the overhead budget",
+    quick_help="fewer rounds (CI mode)",
+    flags=(
+        ("--rounds", dict(
+            type=int, default=None,
+            help="timed rounds per side (default 3; 2 with --quick)",
+        )),
+    ),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_history.run_gate(GATE))

@@ -1,19 +1,33 @@
 #!/usr/bin/env python
-"""Longitudinal benchmark history: append runs, flag slow drift.
+"""Benchmark gates and their longitudinal history.
 
-``bench_batch.py --check`` catches disasters — a timed target more than
-2x slower than the pinned baseline — but is blind to slow drift: five
+Every ``benchmarks/bench_*.py`` gate is one :class:`Gate` handed to
+:func:`run_gate`, which owns the shared command line::
+
+    --record    write the measured results as the gate's BENCH_*.json
+    --check     run the gate's hard checks; exit 1 on any FAIL line
+    --quick     the gate's CI-sized run (each gate says what it trims)
+    --history   append this run to BENCH_history.jsonl, flag drift
+
+A gate supplies what it measures (``measure(args)``), how it fails
+(``check(results)``), which figures it tracks over time
+(``timings(results)``) and any flags of its own.
+
+``--check`` catches disasters, such as a timed target more than 2x
+slower than the pinned baseline, but is blind to slow drift: five
 successive 15 % regressions pass every gate while doubling the runtime.
-This module keeps an append-only JSONL evidence trail
-(``benchmarks/BENCH_history.jsonl``) of every measured run — git SHA,
-UTC timestamp, and the scalar timings — and flags any timing more than
-:data:`REGRESSION_PCT` above the trailing median of recorded runs.
+This module therefore keeps an append-only JSONL evidence trail
+(``benchmarks/BENCH_history.jsonl``) of every measured run: git SHA,
+UTC timestamp, the ``source`` that wrote it (the gate's name, or the
+``repro obs profile`` command for ``--append``) and the scalar timings.
+Any timing more than :data:`REGRESSION_PCT` above the trailing median
+of recorded runs is flagged.
 
 Flags are advisory: shared CI runners are noisy enough that a hard gate
 at 20 % would flake, so drift lines are printed (``DRIFT: ...``) while
-the exit code stays with ``bench_batch --check``'s 2x gate.  The history
-file is the evidence trail for a human decision to re-record the
-baseline or hunt the regression.
+the exit code stays with ``--check``.  The history file is the evidence
+trail for a human decision to re-record the baseline or hunt the
+regression.
 
 Usage::
 
@@ -30,9 +44,10 @@ import json
 import statistics
 import subprocess
 import sys
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 HISTORY_PATH = Path(__file__).resolve().parent / "BENCH_history.jsonl"
 
@@ -58,37 +73,6 @@ def git_sha() -> str:
         return "unknown"
     sha = proc.stdout.strip()
     return sha if proc.returncode == 0 and sha else "unknown"
-
-
-def timings_from_results(results: dict) -> Dict[str, float]:
-    """Flatten a ``bench_batch.measure`` dict to the tracked scalars."""
-    out: Dict[str, float] = {}
-    fig4 = results.get("fig4_grid")
-    if fig4 is not None:
-        out["fig4_scalar_ms"] = fig4["scalar_capsweep_ms"]
-        out["fig4_batched_ms"] = fig4["batched_capsweep_ms"]
-    join = results.get("join")
-    if join is not None:
-        out["join_ms"] = join["best_ms"]
-    ingest = results.get("stream_ingest")
-    if ingest is not None:
-        out["stream_ingest_ms"] = ingest["best_ms"]
-    # Drift tracking is one-sided (above-median = slower), so only the
-    # wall-clock scalar is tracked for the shard bench; the scaling
-    # factor has its own hard gate in bench_shard --check.
-    shard = results.get("shard_scaling")
-    if shard is not None:
-        out["shard_serial_ms"] = shard["serial_ms"]
-    serve = results.get("serve_load")
-    if serve is not None:
-        out["serve_p50_ms"] = serve["p50_ms"]
-        out["serve_p99_ms"] = serve["p99_ms"]
-    query = results.get("history_query")
-    if query is not None:
-        out["query_ingest_ms"] = 1e3 * query["ingest_s"]
-        out["query_full_span_p99_ms"] = query["full_span"]["p99_ms"]
-        out["query_mixed_p99_ms"] = query["mixed"]["p99_ms"]
-    return out
 
 
 def load_history(path: Path = HISTORY_PATH) -> List[dict]:
@@ -118,12 +102,12 @@ def append_timings(
     sha: Optional[str] = None,
     timestamp: Optional[str] = None,
     quick: bool = False,
-    source: Optional[str] = None,
+    source: str,
 ) -> dict:
     """Append one timings mapping to the history file; returns the entry.
 
-    The shared writer behind :func:`append_run` (micro-benchmark runs)
-    and ``--append`` (per-span timings from ``repro obs profile``); both
+    The shared writer behind :func:`run_gate` (gate runs) and
+    ``--append`` (per-span timings from ``repro obs profile``); both
     kinds of entry share the JSONL schema, so :func:`drift_flags` tracks
     them uniformly — keys never collide because profile timings are
     namespaced ``span.*``.
@@ -136,31 +120,12 @@ def append_timings(
             else datetime.now(timezone.utc).isoformat(timespec="seconds")
         ),
         "quick": bool(quick),
+        "source": source,
         "timings": {k: float(v) for k, v in timings.items()},
     }
-    if source is not None:
-        entry["source"] = source
     with path.open("a") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")
     return entry
-
-
-def append_run(
-    results: dict,
-    *,
-    path: Path = HISTORY_PATH,
-    sha: Optional[str] = None,
-    timestamp: Optional[str] = None,
-    quick: bool = False,
-) -> dict:
-    """Append one measured run to the history file; returns the entry."""
-    return append_timings(
-        timings_from_results(results),
-        path=path,
-        sha=sha,
-        timestamp=timestamp,
-        quick=quick,
-    )
 
 
 def drift_flags(
@@ -194,6 +159,84 @@ def drift_flags(
                 f"(last {len(prior)} runs)"
             )
     return flags
+
+
+def percentile(sorted_ms: List[float], pct: float) -> float:
+    """The ``pct`` percentile of an ascending list (0.0 when empty)."""
+    if not sorted_ms:
+        return 0.0
+    idx = min(len(sorted_ms) - 1, int(pct / 100.0 * len(sorted_ms)))
+    return sorted_ms[idx]
+
+
+@dataclass(frozen=True)
+class Gate:
+    """One benchmark gate: what it measures, fails on and tracks.
+
+    ``measure(args)`` gets the parsed command line and returns the
+    results document; ``check(results)`` prints its ``FAIL:`` lines and
+    returns the exit code; ``timings(results)`` picks the figures the
+    history tracks, indexing the results directly so a renamed key
+    fails loudly instead of dropping a series.  ``flags`` are the
+    gate's own ``(option, add_argument kwargs)`` pairs.  A run with the
+    ``partial`` flag set is printed and checked but neither recorded as
+    the baseline nor appended to the history.
+    """
+
+    source: str
+    doc: str
+    baseline: Path
+    measure: Callable[[argparse.Namespace], dict]
+    check: Callable[[dict], int]
+    timings: Callable[[dict], Dict[str, float]]
+    check_help: str
+    quick_help: str
+    flags: Tuple[Tuple[str, dict], ...] = ()
+    partial: Optional[str] = None
+
+    def parser(self) -> argparse.ArgumentParser:
+        parser = argparse.ArgumentParser(description=self.doc)
+        parser.add_argument("--record", action="store_true",
+                            help="write the measured results as the "
+                                 "baseline")
+        parser.add_argument("--check", action="store_true",
+                            help=self.check_help)
+        parser.add_argument("--quick", action="store_true",
+                            help=self.quick_help)
+        for option, kwargs in self.flags:
+            parser.add_argument(option, **kwargs)
+        parser.add_argument("--history", action="store_true",
+                            help="append this run to BENCH_history.jsonl "
+                                 "and flag >20%% drift vs the trailing "
+                                 "median")
+        return parser
+
+
+def run_gate(gate: Gate, argv=None, *, history: Path = HISTORY_PATH) -> int:
+    """Measure, print, track, record and check one gate; the exit code."""
+    args = gate.parser().parse_args(argv)
+    results = gate.measure(args)
+    results["quick"] = args.quick
+    print(json.dumps(results, indent=2))
+
+    full = not (gate.partial and getattr(args, gate.partial))
+    if args.history and full:
+        # Advisory drift trail: flags vs the trailing median are printed
+        # but never fail the run; the hard gate stays --check.
+        timings = gate.timings(results)
+        flags = drift_flags(timings, load_history(history))
+        append_timings(
+            timings, path=history, quick=args.quick, source=gate.source,
+        )
+        for flag in flags:
+            print(f"DRIFT: {flag}")
+
+    if args.record and full:
+        gate.baseline.write_text(json.dumps(results, indent=2) + "\n")
+        print(f"baseline written to {gate.baseline}")
+    if args.check:
+        return gate.check(results)
+    return 0
 
 
 def main(argv=None) -> int:

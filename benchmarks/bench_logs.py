@@ -34,7 +34,6 @@ Modes::
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import resource
@@ -43,12 +42,12 @@ import tempfile
 import time
 from pathlib import Path
 
-import numpy as np
-
 BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_logs.json"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import bench_history  # noqa: E402
+from repro.core.join import cubes_equal  # noqa: E402
 from repro.obs.log import EventLog, LogStore, select  # noqa: E402
 from repro.stream import StreamEngine, simulated_fleet  # noqa: E402
 
@@ -116,13 +115,7 @@ def measure_overhead(*, rounds: int, seed: int = 0) -> dict:
     _, plain = _one_pass(log, chunks)
     live = EventLog(capacity=65_536)
     _, logged = _one_pass(log, chunks, eventlog=live)
-    a, b = plain.cube(copy=False), logged.cube(copy=False)
-    bitwise = (
-        np.array_equal(a.energy_j, b.energy_j)
-        and np.array_equal(a.gpu_hours, b.gpu_hours)
-        and np.array_equal(a.histogram.counts, b.histogram.counts)
-        and a.cpu_energy_j == b.cpu_energy_j
-    )
+    bitwise = cubes_equal(plain.cube(copy=False), logged.cube(copy=False))
     seals = sum(
         1 for r in live.records() if r["event"] == "stream.window_seal"
     )
@@ -140,13 +133,6 @@ def measure_overhead(*, rounds: int, seed: int = 0) -> dict:
         "windows_sealed": seals,
         "events_emitted_enabled": live.emitted,
     }
-
-
-def _percentile(sorted_ms: list, pct: float) -> float:
-    if not sorted_ms:
-        return 0.0
-    idx = min(len(sorted_ms) - 1, int(pct / 100.0 * len(sorted_ms)))
-    return sorted_ms[idx]
 
 
 def measure_store(*, events: int, n_queries: int, seed: int = 0) -> dict:
@@ -203,8 +189,8 @@ def measure_store(*, events: int, n_queries: int, seed: int = 0) -> dict:
         "rss_delta_mb": round(rss_delta_mb, 1),
         "ring_evicted": eventlog.evicted,
         "store_problems": problems,
-        "query_p50_ms": round(_percentile(latencies, 50.0), 3),
-        "query_p99_ms": round(_percentile(latencies, 99.0), 3),
+        "query_p50_ms": round(bench_history.percentile(latencies, 50.0), 3),
+        "query_p99_ms": round(bench_history.percentile(latencies, 99.0), 3),
         "query_max_ms": round(latencies[-1], 3) if latencies else 0.0,
     }
 
@@ -278,56 +264,41 @@ def check(results: dict) -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--record", action="store_true",
-                        help="write the measured results as the baseline")
-    parser.add_argument("--check", action="store_true",
-                        help="gate overhead, RSS, bitwise identity, p99")
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer rounds and events (CI mode)")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="paired timing rounds (default 3; 2 with "
-                             "--quick)")
-    parser.add_argument("--history", action="store_true",
-                        help="append this run to BENCH_history.jsonl and "
-                             "flag >20%% drift vs the trailing median")
-    args = parser.parse_args(argv)
+def timings(results: dict) -> dict:
+    return {
+        "logs_bare_ms": results["log_overhead"]["bare_ms"],
+        "logs_attached_ms": results["log_overhead"]["attached_ms"],
+        "logs_query_p99_ms": results["log_store"]["query_p99_ms"],
+    }
 
+
+def measure_gate(args) -> dict:
     # The overhead leg gates a <2 % live ratio, so it needs the same
     # round count bench_batch's estimator uses — one noisy round can
     # only overstate the ratio, and more rounds let the min converge.
     rounds = args.rounds
     if rounds is None:
         rounds = 5 if args.quick else 9
-    results = measure(rounds=rounds, quick=args.quick)
-    results["quick"] = args.quick
-    print(json.dumps(results, indent=2))
+    return measure(rounds=rounds, quick=args.quick)
 
-    if args.history:
-        import bench_history
 
-        timings = {
-            "logs_bare_ms": results["log_overhead"]["bare_ms"],
-            "logs_attached_ms": results["log_overhead"]["attached_ms"],
-            "logs_query_p99_ms": results["log_store"]["query_p99_ms"],
-        }
-        flags = bench_history.drift_flags(
-            timings, bench_history.load_history()
-        )
-        bench_history.append_timings(
-            timings, quick=args.quick, source="bench_logs",
-        )
-        for flag in flags:
-            print(f"DRIFT: {flag}")
-
-    if args.record:
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-    if args.check:
-        return check(results)
-    return 0
+GATE = bench_history.Gate(
+    source="bench_logs",
+    doc=__doc__,
+    baseline=BASELINE_PATH,
+    measure=measure_gate,
+    check=check,
+    timings=timings,
+    check_help="gate overhead, RSS, bitwise identity, p99",
+    quick_help="fewer rounds and events (CI mode)",
+    flags=(
+        ("--rounds", dict(
+            type=int, default=None,
+            help="paired timing rounds (default 9; 5 with --quick)",
+        )),
+    ),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_history.run_gate(GATE))

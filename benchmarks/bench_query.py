@@ -35,7 +35,6 @@ Modes::
 
 from __future__ import annotations
 
-import argparse
 import json
 import random
 import resource
@@ -50,6 +49,8 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_query.json"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import bench_history  # noqa: E402
+from repro.core.join import cubes_equal  # noqa: E402
 from repro.obs.history import History, history_columns  # noqa: E402
 from repro.obs.history.query import select  # noqa: E402
 from repro.obs.history.store import HistoryStore, fold_values  # noqa: E402
@@ -104,19 +105,12 @@ def ingest(store: HistoryStore, rows: int) -> float:
     return time.perf_counter() - t0
 
 
-def _percentile(sorted_ms: list, pct: float) -> float:
-    if not sorted_ms:
-        return 0.0
-    idx = min(len(sorted_ms) - 1, int(pct / 100.0 * len(sorted_ms)))
-    return sorted_ms[idx]
-
-
 def _stats(ms: list) -> dict:
     ms = sorted(ms)
     return {
         "queries": len(ms),
-        "p50_ms": round(_percentile(ms, 50.0), 4),
-        "p99_ms": round(_percentile(ms, 99.0), 4),
+        "p50_ms": round(bench_history.percentile(ms, 50.0), 4),
+        "p99_ms": round(bench_history.percentile(ms, 99.0), 4),
         "max_ms": round(ms[-1], 4) if ms else 0.0,
     }
 
@@ -199,12 +193,7 @@ def invisibility_smoke(*, seed: int = 0) -> bool:
             engine.ingest(chunk)
         engine.drain()
         cubes.append(engine.cube())
-    a, b = cubes
-    return (
-        np.array_equal(a.energy_j, b.energy_j)
-        and np.array_equal(a.gpu_hours, b.gpu_hours)
-        and a.cpu_energy_j == b.cpu_energy_j
-    )
+    return cubes_equal(*cubes)
 
 
 def measure(*, quick: bool = False, dir=None, seed: int = 0) -> dict:
@@ -306,45 +295,36 @@ def check(results: dict) -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--record", action="store_true",
-                        help="write the measured results as the baseline")
-    parser.add_argument("--check", action="store_true",
-                        help="gate RSS, latency, and bitwise exactness")
-    parser.add_argument("--quick", action="store_true",
-                        help="fewer timed queries (CI mode; same 90-day "
-                             "store — the RSS proof needs the full size)")
-    parser.add_argument("--dir", default=None, metavar="DIR",
-                        help="build the store here instead of a temp dir "
-                             "(kept afterwards, e.g. for CI artifacts)")
-    parser.add_argument("--history", action="store_true",
-                        help="append this run to BENCH_history.jsonl and "
-                             "flag >20%% drift vs the trailing median")
-    args = parser.parse_args(argv)
+def timings(results: dict) -> dict:
+    query = results["history_query"]
+    return {
+        "query_ingest_ms": 1e3 * query["ingest_s"],
+        "query_full_span_p99_ms": query["full_span"]["p99_ms"],
+        "query_mixed_p99_ms": query["mixed"]["p99_ms"],
+    }
 
-    results = measure(quick=args.quick, dir=args.dir)
-    results["quick"] = args.quick
-    print(json.dumps(results, indent=2))
 
-    if args.history:
-        import bench_history
-
-        flags = bench_history.drift_flags(
-            bench_history.timings_from_results(results),
-            bench_history.load_history(),
-        )
-        bench_history.append_run(results, quick=args.quick)
-        for flag in flags:
-            print(f"DRIFT: {flag}")
-
-    if args.record:
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-    if args.check:
-        return check(results)
-    return 0
+GATE = bench_history.Gate(
+    source="bench_query",
+    doc=__doc__,
+    baseline=BASELINE_PATH,
+    measure=lambda args: measure(quick=args.quick, dir=args.dir),
+    check=check,
+    timings=timings,
+    check_help="gate RSS, latency, and bitwise exactness",
+    quick_help=(
+        "fewer timed queries (CI mode; same 90-day store — the RSS "
+        "proof needs the full size)"
+    ),
+    flags=(
+        ("--dir", dict(
+            default=None, metavar="DIR",
+            help="build the store here instead of a temp dir (kept "
+                 "afterwards, e.g. for CI artifacts)",
+        )),
+    ),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_history.run_gate(GATE))

@@ -3,11 +3,12 @@
 
 Stands up a real :class:`repro.serve.ControlPlane` on an ephemeral TCP
 port, keeps ingest running in the background (so snapshots keep
-publishing mid-load), and hammers it with hundreds of concurrent
-clients over persistent HTTP/1.1 connections.  The traffic generator is
-deterministic: every client's request sequence and think-times come
-from its own seeded RNG, so two runs issue the identical request
-streams (only the wall-clock timings differ).
+publishing mid-load, at a fixed :data:`PUBLISH_HZ`), and hammers it
+with hundreds of concurrent clients over persistent HTTP/1.1
+connections.  The traffic generator is deterministic: every client's
+request sequence and think-times come from its own seeded RNG, so two
+runs issue the identical request streams (only the wall-clock timings
+differ).
 
 The mix models a fleet of pollers: dominated by ``/v1/fleet/cap`` (the
 endpoint every node's power agent polls), with fleet savings, policy
@@ -35,7 +36,6 @@ Modes::
 
 from __future__ import annotations
 
-import argparse
 import http.client
 import json
 import random
@@ -48,6 +48,7 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_serve.json"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+import bench_history  # noqa: E402
 from repro.serve import ControlPlane  # noqa: E402
 from repro.stream import simulated_fleet  # noqa: E402
 
@@ -65,6 +66,10 @@ DAYS = 1.0
 CHUNK_TICKS = 8
 #: Chunks folded before the load starts (a warm, populated cache).
 WARMUP_CHUNKS = 200
+#: Snapshot publishes per second while the load runs: the recorded
+#: baseline's rate (7 in its 4 s), held fixed so the refresh work the
+#: pollers compete with does not grow with the host's ingest speed.
+PUBLISH_HZ = 1.75
 
 #: (route, weight): the poller mix, heavily read-the-fleet-cap.
 MIX = (
@@ -130,14 +135,10 @@ def _client_worker(
         conn.close()
 
 
-def _percentile(sorted_ms: list, pct: float) -> float:
-    if not sorted_ms:
-        return 0.0
-    idx = min(len(sorted_ms) - 1, int(pct / 100.0 * len(sorted_ms)))
-    return sorted_ms[idx]
-
-
-def measure(*, clients: int, duration_s: float, seed: int = 0) -> dict:
+def measure(args) -> dict:
+    duration = args.duration
+    if duration is None:
+        duration = 2.0 if args.quick else 4.0
     # With hundreds of runnable threads, CPython's default 5 ms GIL
     # switch interval dominates the latency tail (a response can wait
     # several intervals behind other threads).  A finer interval trades
@@ -145,7 +146,7 @@ def measure(*, clients: int, duration_s: float, seed: int = 0) -> dict:
     old_switch = sys.getswitchinterval()
     sys.setswitchinterval(0.0005)
     try:
-        return _measure(clients=clients, duration_s=duration_s, seed=seed)
+        return _measure(clients=args.clients, duration_s=duration, seed=0)
     finally:
         sys.setswitchinterval(old_switch)
 
@@ -166,13 +167,14 @@ def _measure(*, clients: int, duration_s: float, seed: int) -> dict:
     stop = threading.Event()
 
     def ingest_loop() -> None:
-        # Keep snapshots publishing while the load runs; pacing keeps
-        # the GIL mostly free for request handling.
+        # Keep snapshots publishing at PUBLISH_HZ while the load runs;
+        # the waits keep the GIL mostly free for request handling.
+        next_publish = time.perf_counter()
         for chunk in chunks:
-            if stop.is_set():
+            if plane.ingest(chunk):
+                next_publish += 1.0 / PUBLISH_HZ
+            if stop.wait(max(next_publish - time.perf_counter(), 0.01)):
                 return
-            plane.ingest(chunk)
-            time.sleep(0.01)
 
     server = plane.serve(port=0)
     host, port = "127.0.0.1", server.port
@@ -232,12 +234,13 @@ def _measure(*, clients: int, duration_s: float, seed: int) -> dict:
             "requests": n,
             "errors": len(errors),
             "rps": round(n / wall_s, 1) if wall_s > 0 else 0.0,
-            "p50_ms": round(_percentile(latencies, 50.0), 4),
-            "p90_ms": round(_percentile(latencies, 90.0), 4),
-            "p99_ms": round(_percentile(latencies, 99.0), 4),
+            "p50_ms": round(bench_history.percentile(latencies, 50.0), 4),
+            "p90_ms": round(bench_history.percentile(latencies, 90.0), 4),
+            "p99_ms": round(bench_history.percentile(latencies, 99.0), 4),
             "max_ms": round(latencies[-1], 4) if latencies else 0.0,
             "version_start": version_start,
             "version_end": version_end,
+            "publish_hz": PUBLISH_HZ,
             "mix": {route: weight for route, weight in MIX},
         },
     }
@@ -287,49 +290,34 @@ def check(results: dict) -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--record", action="store_true",
-                        help="write the measured results as the baseline")
-    parser.add_argument("--check", action="store_true",
-                        help="gate errors, SLOs, and snapshot liveness")
-    parser.add_argument("--quick", action="store_true",
-                        help="shorter load window (CI mode)")
-    parser.add_argument("--clients", type=int, default=MIN_CLIENTS,
-                        help=f"concurrent pollers (default {MIN_CLIENTS})")
-    parser.add_argument("--duration", type=float, default=None,
-                        help="seconds of steady-state load (default 4; "
-                             "2 with --quick)")
-    parser.add_argument("--history", action="store_true",
-                        help="append this run to BENCH_history.jsonl and "
-                             "flag >20%% drift vs the trailing median")
-    args = parser.parse_args(argv)
+def timings(results: dict) -> dict:
+    return {
+        "serve_p50_ms": results["serve_load"]["p50_ms"],
+        "serve_p99_ms": results["serve_load"]["p99_ms"],
+    }
 
-    duration = args.duration
-    if duration is None:
-        duration = 2.0 if args.quick else 4.0
-    results = measure(clients=args.clients, duration_s=duration)
-    results["quick"] = args.quick
-    print(json.dumps(results, indent=2))
 
-    if args.history:
-        import bench_history
-
-        flags = bench_history.drift_flags(
-            bench_history.timings_from_results(results),
-            bench_history.load_history(),
-        )
-        bench_history.append_run(results, quick=args.quick)
-        for flag in flags:
-            print(f"DRIFT: {flag}")
-
-    if args.record:
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-    if args.check:
-        return check(results)
-    return 0
+GATE = bench_history.Gate(
+    source="bench_serve",
+    doc=__doc__,
+    baseline=BASELINE_PATH,
+    measure=measure,
+    check=check,
+    timings=timings,
+    check_help="gate errors, SLOs, and snapshot liveness",
+    quick_help="shorter load window (CI mode)",
+    flags=(
+        ("--clients", dict(
+            type=int, default=MIN_CLIENTS,
+            help=f"concurrent pollers (default {MIN_CLIENTS})",
+        )),
+        ("--duration", dict(
+            type=float, default=None,
+            help="seconds of steady-state load (default 4; 2 with --quick)",
+        )),
+    ),
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_history.run_gate(GATE))

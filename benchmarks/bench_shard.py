@@ -37,7 +37,6 @@ Modes::
 
 from __future__ import annotations
 
-import argparse
 import heapq
 import json
 import os
@@ -49,9 +48,9 @@ BASELINE_PATH = Path(__file__).resolve().parent / "BENCH_shard.json"
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-import numpy as np  # noqa: E402
-
+import bench_history  # noqa: E402
 from repro import units  # noqa: E402
+from repro.core.join import cubes_equal  # noqa: E402
 from repro.parallel import partition  # noqa: E402
 from repro.scheduler import SlurmSimulator, default_mix  # noqa: E402
 from repro.stream.shard import (  # noqa: E402
@@ -180,23 +179,14 @@ def measure_identity(quick: bool) -> dict:
     """Live contract checks: shard-count invariance + pool machinery."""
     nodes, days, cfg, log = _campaign_inputs(quick)
 
-    def cube_key(r):
-        c = r.cube
-        return (
-            c.energy_j.tobytes(), c.gpu_hours.tobytes(),
-            np.float64(c.cpu_energy_j).tobytes(),
-            c.histogram.counts.tobytes(),
-            c.histogram.weight_sums.tobytes(),
-        )
-
     kw = dict(fleet_nodes=nodes, days=days, seed=0, cfg=cfg, log=log)
-    ref = cube_key(run_sharded_campaign(shards=1, **kw))
+    ref = run_sharded_campaign(shards=1, **kw).cube
     shard_counts_ok = all(
-        cube_key(run_sharded_campaign(shards=s, **kw)) == ref
+        cubes_equal(run_sharded_campaign(shards=s, **kw).cube, ref)
         for s in (4,)
     )
-    pool_ok = (
-        cube_key(run_sharded_campaign(shards=4, workers=2, **kw)) == ref
+    pool_ok = cubes_equal(
+        run_sharded_campaign(shards=4, workers=2, **kw).cube, ref
     )
     return {
         "description": (
@@ -213,7 +203,6 @@ def measure(rounds: int, quick: bool) -> dict:
         "shard_scaling": measure_scaling(rounds, quick),
         "bitwise_identity": measure_identity(quick),
         "rounds": rounds,
-        "quick": quick,
     }
 
 
@@ -268,41 +257,24 @@ def check(results: dict) -> int:
     return 1 if failures else 0
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--record", action="store_true",
-                        help="write the measured results as the baseline")
-    parser.add_argument("--check", action="store_true",
-                        help="gate identity, scaling, and regressions")
-    parser.add_argument("--quick", action="store_true",
-                        help="half-size campaign, fewer rounds (CI mode)")
-    parser.add_argument("--history", action="store_true",
-                        help="append this run to BENCH_history.jsonl and "
-                             "flag >20%% drift vs the trailing median")
-    args = parser.parse_args(argv)
+def timings(results: dict) -> dict:
+    # Drift tracking is one-sided (above-median = slower), so only the
+    # wall-clock scalar is tracked; the scaling factor has its own hard
+    # gate in check().
+    return {"shard_serial_ms": results["shard_scaling"]["serial_ms"]}
 
-    rounds = 2 if args.quick else 4
-    results = measure(rounds, args.quick)
-    print(json.dumps(results, indent=2))
 
-    if args.history:
-        import bench_history
-
-        flags = bench_history.drift_flags(
-            bench_history.timings_from_results(results),
-            bench_history.load_history(),
-        )
-        bench_history.append_run(results, quick=args.quick)
-        for flag in flags:
-            print(f"DRIFT: {flag}")
-
-    if args.record:
-        BASELINE_PATH.write_text(json.dumps(results, indent=2) + "\n")
-        print(f"baseline written to {BASELINE_PATH}")
-    if args.check:
-        return check(results)
-    return 0
+GATE = bench_history.Gate(
+    source="bench_shard",
+    doc=__doc__,
+    baseline=BASELINE_PATH,
+    measure=lambda args: measure(2 if args.quick else 4, args.quick),
+    check=check,
+    timings=timings,
+    check_help="gate identity, scaling, and regressions",
+    quick_help="half-size campaign, fewer rounds (CI mode)",
+)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_history.run_gate(GATE))

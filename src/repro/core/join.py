@@ -220,14 +220,30 @@ class CampaignCube:
         )
 
 
+def _histograms_equal(a: StreamingHistogram, b: StreamingHistogram) -> bool:
+    return np.array_equal(a.counts, b.counts) and np.array_equal(
+        a.weight_sums, b.weight_sums
+    )
+
+
 def cubes_equal(a: CampaignCube, b: CampaignCube) -> bool:
-    """Bitwise equality of two cubes' energy, hours, histogram and CPU sums."""
+    """Bitwise equality of two whole cubes.
+
+    Compares the domain/class axes, the energy and GPU-hour arrays, the
+    system histogram, every per-domain histogram and the CPU sum: the
+    state every bitwise contract (stream vs batch, shard counts, sinks
+    attached or not) promises to reproduce.
+    """
     return (
-        np.array_equal(a.energy_j, b.energy_j)
+        a.domains == b.domains
+        and a.classes == b.classes
+        and np.array_equal(a.energy_j, b.energy_j)
         and np.array_equal(a.gpu_hours, b.gpu_hours)
-        and np.array_equal(a.histogram.counts, b.histogram.counts)
-        and np.array_equal(
-            a.histogram.weight_sums, b.histogram.weight_sums
+        and _histograms_equal(a.histogram, b.histogram)
+        and a.domain_histograms.keys() == b.domain_histograms.keys()
+        and all(
+            _histograms_equal(h, b.domain_histograms[name])
+            for name, h in a.domain_histograms.items()
         )
         and a.cpu_energy_j == b.cpu_energy_j
     )

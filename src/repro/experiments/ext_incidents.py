@@ -53,6 +53,7 @@ from __future__ import annotations
 import numpy as np
 
 from .. import constants, units
+from ..core.join import cubes_equal
 from ..obs.forensics import (
     Forensics,
     build_bundle,
@@ -239,12 +240,10 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     ]
     offline_parity = offline_timeline == window_content
 
-    cube_a, cube_p = plane_a.cache.view.snap.cube, \
-        plane_plain.cache.view.snap.cube
     recorder_bitwise = (
-        np.array_equal(cube_a.energy_j, cube_p.energy_j)
-        and np.array_equal(cube_a.gpu_hours, cube_p.gpu_hours)
-        and cube_a.cpu_energy_j == cube_p.cpu_energy_j
+        cubes_equal(
+            plane_a.cache.view.snap.cube, plane_plain.cache.view.snap.cube
+        )
         and np.array_equal(
             plane_a.job_acc.energy_j, plane_plain.job_acc.energy_j
         )

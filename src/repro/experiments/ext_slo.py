@@ -51,6 +51,7 @@ import tempfile
 import numpy as np
 
 from .. import constants, units
+from ..core.join import cubes_equal
 from ..obs.history import History, replay, verify_rollups
 from ..scheduler import SlurmSimulator, default_mix
 from ..stream import replay_store
@@ -199,12 +200,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     for chunk in replay_store(store, chunk_ticks=20):
         engine_plain.ingest(chunk)
     engine_plain.drain()
-    cube_a, cube_p = engine_a.cube(), engine_plain.cube()
-    history_invisible = (
-        np.array_equal(cube_a.energy_j, cube_p.energy_j)
-        and np.array_equal(cube_a.gpu_hours, cube_p.gpu_hours)
-        and cube_a.cpu_energy_j == cube_p.cpu_energy_j
-    )
+    history_invisible = cubes_equal(engine_a.cube(), engine_plain.cube())
 
     timeline = _events(hist_a)
     expected = _expected_timeline()

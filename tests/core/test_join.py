@@ -1,5 +1,8 @@
 """Tests for the telemetry x scheduler join."""
 
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +12,7 @@ from repro.core.join import (
     IDLE_DOMAIN,
     REGION_BOUNDS,
     DerivedWindow,
+    cubes_equal,
     join_campaign,
     region_index,
 )
@@ -127,6 +131,14 @@ class TestJoin:
             cube.select(["NOPE"], ["A"])
         with pytest.raises(JoinError):
             cube.select([cube.domains[0]], ["Z"])
+
+    def test_cubes_equal_compares_the_whole_cube(self, cube):
+        assert cubes_equal(cube, copy.deepcopy(cube))
+        other = copy.deepcopy(cube)
+        other.domain_histograms[cube.domains[0]].counts[0] += 1
+        assert not cubes_equal(cube, other)
+        renamed = dataclasses.replace(cube, classes=cube.classes[::-1])
+        assert not cubes_equal(cube, renamed)
 
     def test_empty_telemetry_raises(self, campaign):
         log, _store = campaign

@@ -7,11 +7,10 @@ comparison meaningful (float accumulation order is part of the
 contract; see docs/streaming.md).
 """
 
-import numpy as np
 import pytest
 
 from repro import constants, units
-from repro.core import join_campaign
+from repro.core import join, join_campaign
 from repro.scheduler import SlurmSimulator, default_mix
 from repro.stream import canonical_windows
 from repro.telemetry import FleetTelemetryGenerator
@@ -38,17 +37,4 @@ def batch_cube(campaign):
 
 @pytest.fixture(scope="package")
 def cubes_equal():
-    def check(a, b):
-        return (
-            np.array_equal(a.energy_j, b.energy_j)
-            and np.array_equal(a.gpu_hours, b.gpu_hours)
-            and np.array_equal(a.histogram.counts, b.histogram.counts)
-            and np.array_equal(
-                a.histogram.weight_sums, b.histogram.weight_sums
-            )
-            and a.cpu_energy_j == b.cpu_energy_j
-            and a.domains == b.domains
-            and a.classes == b.classes
-        )
-
-    return check
+    return join.cubes_equal
