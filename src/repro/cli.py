@@ -876,6 +876,8 @@ def _write_health_state(monitor, obs_dir) -> None:
     import json
     from pathlib import Path
 
+    from .durable import write_text_durably
+
     obs_dir = Path(obs_dir)
     obs_dir.mkdir(parents=True, exist_ok=True)
     payload = {
@@ -884,7 +886,7 @@ def _write_health_state(monitor, obs_dir) -> None:
         "alerts": monitor.to_alerts_dict(),
     }
     path = obs_dir / "health.json"
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+    write_text_durably(path, json.dumps(payload, indent=2) + "\n")
     print(f"health state written to {path}")
 
 
@@ -1355,8 +1357,8 @@ def _fetch_incidents(args) -> dict:
 def _obs_incidents(args) -> int:
     from pathlib import Path
 
-    from .obs.forensics import build_bundle, load_forensics, render_doc
-    from .obs.forensics import render_timeline
+    from .obs.forensics import build_bundle, load_forensics, render_timeline
+    from .obs.forensics.bundle import write_bundles
 
     _require_one(args, args.source, "--from FILE or --url")
     if args.action == "show" and args.incident is None:
@@ -1408,19 +1410,12 @@ def _obs_incidents(args) -> int:
                 f"energy {sum(r['energy_j'] for r in records):,.0f} J"
             )
     else:  # export
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        ids = [args.incident] if args.incident else [
-            i["id"] for i in incidents
-        ]
-        written = []
-        for incident_id in ids:
-            bundle = build_bundle(doc, incident_id)
-            path = out / f"incident_{incident_id}.json"
-            path.write_text(render_doc(bundle))
-            written.append(path)
+        written = write_bundles(
+            args.out, doc, [args.incident] if args.incident else None
+        )
         print(
-            f"exported {len(written)} bundle(s) from {origin} to {out}"
+            f"exported {len(written)} bundle(s) from {origin} to "
+            f"{Path(args.out)}"
         )
         for path in written:
             print(f"  {path}")
@@ -1471,7 +1466,7 @@ def _obs_query(args) -> int:
               else _render_query_result(result))
         return 0
 
-    from .obs.history import HistoryStore, select, verify_rollups
+    from .obs.history import HistoryStore, HistoryView, verify_rollups
 
     store = HistoryStore.open(args.store_dir)
     try:
@@ -1506,21 +1501,13 @@ def _obs_query(args) -> int:
             for name, agg in store.columns:
                 print(f"  {name:<28} [{agg}]")
             return 0
-        span = store.time_span()
-        if span is None:
-            print("history store has no rows", file=sys.stderr)
-            return 1
-        window_s = store.window_s or 0.0
-        t0 = args.t0 if args.t0 is not None else span[0]
-        t1 = args.t1 if args.t1 is not None else span[1] + window_s
-        step = (
-            args.step if args.step is not None
-            else max((t1 - t0) / 60.0, window_s)
-        )
-        result = select(
-            store, args.series, t0, t1, step,
+        result = HistoryView(store).query(
+            args.series, t0=args.t0, t1=args.t1, step=args.step,
             agg=args.agg, level=args.level,
         )
+        if result is None:
+            print("history store has no rows", file=sys.stderr)
+            return 1
         print(json.dumps(result.to_dict()) if args.json
               else _render_query_result(result.to_dict()))
         return 0

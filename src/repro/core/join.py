@@ -181,21 +181,9 @@ class CampaignCube:
 
     def busy_view(self) -> "CampaignCube":
         """The cube without the idle pseudo-domain/class rows."""
-        d = [x for x in self.domains if x != IDLE_DOMAIN]
-        c = [x for x in self.classes if x != IDLE_CLASS]
-        d_idx = [self.domains.index(x) for x in d]
-        c_idx = [self.classes.index(x) for x in c]
-        return CampaignCube(
-            domains=d,
-            classes=c,
-            energy_j=self.energy_j[np.ix_(d_idx, c_idx)],
-            gpu_hours=self.gpu_hours[np.ix_(d_idx, c_idx)],
-            histogram=self.histogram,
-            domain_histograms={
-                k: v for k, v in self.domain_histograms.items() if k in d
-            },
-            interval_s=self.interval_s,
-            cpu_energy_j=self.cpu_energy_j,
+        return self.select(
+            [x for x in self.domains if x != IDLE_DOMAIN],
+            [x for x in self.classes if x != IDLE_CLASS],
         )
 
     def select(

@@ -1,9 +1,11 @@
-"""Crash-safe persistence: every checkpoint and every store manifest.
+"""Crash-safe persistence: every checkpoint, store manifest and artifact.
 
 :func:`replace_durably` is the one file replacement (a crash leaves the
 old file or the new one, never a torn mix).  On it sit the versioned
-``.npz`` checkpoints and :class:`SegmentManifest`, the manifest of the
-history and event-log segment stores, which keep only their codecs.
+``.npz`` checkpoints, :class:`SegmentManifest`, the manifest of the
+history and event-log segment stores, which keep only their codecs, and
+:func:`write_text_durably`, behind ``incidents.json``, the incident
+bundles and ``health.json``.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ def replace_durably(path, write: Callable[[BinaryIO], None]) -> None:
     path = os.fspath(path)
     _replace(path, write)
     _fsync_dir(path)
+
+
+def write_text_durably(path, text: str) -> None:
+    """:func:`replace_durably` with ``text``, UTF-8 encoded."""
+    data = text.encode()
+    replace_durably(path, lambda fh: fh.write(data))
 
 
 def save_versioned_npz(path, version: int, arrays: Mapping) -> None:

@@ -133,7 +133,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     # Offline batch fold of the identical sealed windows: the parity
     # reference for everything the control plane served.
     windows = list(canonical_windows(store, window_s=window_s))
-    offline_jobs = JobAccumulator(plane.index)
+    offline_jobs = JobAccumulator(log)
     for window in windows:
         offline_jobs.update(window)
     offline_cube = join_campaign(iter(windows), log)

@@ -216,12 +216,6 @@ class Forensics:
             "capacity": self.recorder.capacity,
         }
 
-    def snapshot(self) -> dict:
-        """Incidents + summary, JSON-ready (the ``/v1/incidents`` body)."""
-        doc = self.incidents.snapshot()
-        doc["summary"] = self.summary()
-        return doc
-
     def reader_view(self) -> "ForensicsView":
         """Freeze what the served incident routes read, for one publish.
 
@@ -271,7 +265,8 @@ class ForensicsView:
 
     @cached_property
     def doc(self) -> dict:
-        """:meth:`Forensics.snapshot` as of publish, rendered on first read.
+        """Incidents + summary as of publish (the ``/v1/incidents`` body),
+        rendered on first read.
 
         A pure function of the frozen state: two racing first reads
         build equal documents, and either may be kept.

@@ -14,15 +14,18 @@ Two artifact shapes:
   and CI uploads.
 
 Bundles are deterministic given the run: serialization is sorted-key
-JSON and every field traces back to event-time state.
+JSON and every field traces back to event-time state.  Every file is
+written through :func:`repro.durable.write_text_durably`, so a crash leaves
+the previous file or the new one.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
+from ...durable import write_text_durably
 from ...errors import ForensicsError
 from ..manifest import _git_revision, _package_versions
 from ..metrics import WALL_CLOCK_METRICS
@@ -44,24 +47,27 @@ def forensics_doc(
     registry=None,
     monitor=None,
 ) -> dict:
-    """The full forensic state of one run as a JSON-ready document."""
+    """The full forensic state of one run as a JSON-ready document.
+
+    Incidents, summary and records are those of
+    :meth:`~repro.obs.forensics.Forensics.reader_view`, the frozen
+    state ``/v1/incidents`` renders.
+    """
     metrics_text = (
         registry.to_prometheus(skip=WALL_CLOCK_METRICS)
         if registry is not None else None
     )
     alerts = monitor.to_alerts_dict() if monitor is not None else None
     event_log = getattr(forensics, "event_log", None)
+    view = forensics.reader_view()
     return {
         "schema": SCHEMA_VERSION,
         "kind": "forensics",
         "command": command,
         "provenance": _provenance(),
-        "summary": forensics.summary(),
-        "incidents": [
-            i.to_dict(top_k=forensics.incidents.top_k)
-            for i in forensics.incidents.incidents
-        ],
-        "records": [r.to_dict() for r in forensics.recorder.records],
+        "summary": view.doc["summary"],
+        "incidents": view.doc["incidents"],
+        "records": [forensics.recorder.record_doc(r) for r in view.records],
         # Window-correlated log records only: their per-event occurrence
         # ids are rerun- and chunking-invariant, so the slice a bundle
         # embeds is exactly reproducible (cadence-driven records, e.g.
@@ -113,6 +119,22 @@ def render_doc(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
+def write_bundles(out_dir, doc: dict,
+                  ids: Optional[Sequence[str]] = None) -> List[Path]:
+    """Write one ``incident_<id>.json`` bundle per incident of ``doc``
+    (or per id of ``ids``) into ``out_dir``; returns the paths."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    if ids is None:
+        ids = [incident["id"] for incident in doc.get("incidents") or []]
+    paths = []
+    for incident_id in ids:
+        path = out / f"incident_{incident_id}.json"
+        write_text_durably(path, render_doc(build_bundle(doc, incident_id)))
+        paths.append(path)
+    return paths
+
+
 def load_forensics(path) -> dict:
     """Read an ``incidents.json`` (or bundle) back; validates the shape."""
     path = Path(path)
@@ -136,7 +158,6 @@ def write_forensics_artifacts(
     command: Optional[str] = None,
     registry=None,
     monitor=None,
-    bundles: bool = True,
 ) -> Dict[str, List[Path]]:
     """Write ``incidents.json`` plus one bundle per incident.
 
@@ -148,14 +169,8 @@ def write_forensics_artifacts(
         forensics, command=command, registry=registry, monitor=monitor,
     )
     incidents_path = out / "incidents.json"
-    incidents_path.write_text(render_doc(doc))
-    paths: Dict[str, List[Path]] = {
-        "incidents": [incidents_path], "bundles": [],
+    write_text_durably(incidents_path, render_doc(doc))
+    return {
+        "incidents": [incidents_path],
+        "bundles": write_bundles(out, doc),
     }
-    if bundles:
-        for incident in doc["incidents"]:
-            bundle = build_bundle(doc, incident["id"])
-            path = out / f"incident_{incident['id']}.json"
-            path.write_text(render_doc(bundle))
-            paths["bundles"].append(path)
-    return paths

@@ -310,9 +310,6 @@ class IncidentEngine:
                 return incident
         return None
 
-    def snapshot(self, *, top_k: Optional[int] = None) -> dict:
-        return self.render(self.incidents, self.findings_total, top_k=top_k)
-
     def freeze(self) -> Tuple[Incident, ...]:
         """The incident list as of now, for a later :meth:`render`.
 
@@ -322,23 +319,25 @@ class IncidentEngine:
         """
         return tuple(i.frozen() if i.open else i for i in self.incidents)
 
-    def render(self, incidents: Sequence[Incident], findings_total: int,
-               *, top_k: Optional[int] = None) -> dict:
-        """The snapshot document of an incident list (live or frozen)."""
-        k = top_k if top_k is not None else self.top_k
+    def render(self, incidents: Sequence[Incident],
+               findings_total: int) -> dict:
+        """The ``/v1/incidents`` document of an incident list (live or
+        frozen)."""
         return {
             "total": len(incidents),
             "open": sum(1 for i in incidents if i.open),
             "findings_total": findings_total,
-            "incidents": [self._doc(i, k) for i in incidents],
+            "incidents": [self._doc(i) for i in incidents],
         }
 
-    def _doc(self, incident: Incident, k: int) -> dict:
-        if incident.open or k != self.top_k:
-            return incident.to_dict(top_k=k)
+    def _doc(self, incident: Incident) -> dict:
+        if incident.open:
+            return incident.to_dict(top_k=self.top_k)
         doc = self._resolved_docs.get(incident.id)
         if doc is None:
-            doc = self._resolved_docs[incident.id] = incident.to_dict(top_k=k)
+            doc = self._resolved_docs[incident.id] = incident.to_dict(
+                top_k=self.top_k
+            )
         return doc
 
 

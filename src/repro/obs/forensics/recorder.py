@@ -27,7 +27,6 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -214,10 +213,9 @@ class FlightRecorder:
     ``windows_seen - len(ring)`` .. ``windows_seen - 1``.  Once
     ``capacity`` records are held the oldest is evicted (and counted in
     :attr:`evicted`), so memory stays bounded however long the stream
-    runs.  :meth:`window_range` slices by fold index for incident
-    bundles; :meth:`record_doc` renders each resident record's
-    ``to_dict()`` once for the served form, from whichever thread reads
-    it first.
+    runs.  :meth:`record_doc` renders each resident record's
+    ``to_dict()`` once for the served form and ``incidents.json``, from
+    whichever thread reads it first.
     """
 
     def __init__(self, *, capacity: int = DEFAULT_CAPACITY) -> None:
@@ -256,13 +254,6 @@ class FlightRecorder:
     @property
     def last(self) -> Optional[WindowRecord]:
         return self._ring[-1] if self._ring else None
-
-    def window_range(self, first: int, last: int) -> List[WindowRecord]:
-        """Records with ``first <= index <= last`` still in the ring."""
-        oldest = self.windows_seen - len(self._ring)
-        lo = max(first - oldest, 0)
-        hi = max(last - oldest + 1, lo)
-        return list(islice(self._ring, lo, hi))
 
     def record_doc(self, record: WindowRecord) -> dict:
         """``record.to_dict()``, rendered once while the record is resident.

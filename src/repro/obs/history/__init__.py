@@ -63,6 +63,7 @@ __all__ = [
     "FAST_BURN",
     "History",
     "HistoryStore",
+    "HistoryView",
     "QueryResult",
     "SLO",
     "SLOEvaluator",
@@ -336,56 +337,53 @@ class History:
         """Freeze the readable row counts for a published serve view."""
         if self.store is None:
             return None
-        return HistoryView(
-            self.store,
-            rows=tuple(
-                self.store.rows(level)
-                for level in range(self.store.n_levels)
-            ),
-            slo_rows=self.slo_rows(),
-        )
+        return HistoryView(self.store, slo_rows=self.slo_rows())
 
 
 class HistoryView:
     """A frozen read handle: store + per-level row counts at publish.
 
     The store is append-only (and live planes never compact/gc it), so
-    bounding every read to the frozen row counts makes each published
-    view's answers stable however far ingest advances afterwards —
-    the same immutability contract as the rest of
-    :class:`~repro.serve.cache.ServeView`.
+    bounding every read to the row counts frozen here makes each
+    published view's answers stable however far ingest advances
+    afterwards — the same immutability contract as the rest of
+    :class:`~repro.serve.cache.ServeView`.  ``repro obs query --dir``
+    answers from a view of the opened store, so it and ``/v1/query``
+    share one set of query defaults.
     """
 
-    def __init__(self, store, *, rows, slo_rows) -> None:
+    def __init__(self, store, *, slo_rows=None) -> None:
         self.store = store
-        self.rows = rows
+        self.rows = tuple(store.rows(level) for level in range(store.n_levels))
         self.slo_rows = slo_rows
 
-    def select(self, series, t0, t1, step, *, agg=None, level=None):
-        lvl = (
-            auto_level(self.store, float(step))
-            if level is None else int(level)
+    def query(self, series, *, t0=None, t1=None, step=None, agg=None,
+              level=None):
+        """:func:`~.query.select` over the frozen rows, or ``None`` before
+        the first row.  The ``/v1/query`` defaults: ``t0`` the first
+        window start, ``t1`` past the last window, ``step`` ~60 buckets
+        (at least one window), ``level`` automatic."""
+        span = self.store.time_span(self.rows[0])
+        if span is None:
+            return None
+        window_s = self.store.window_s or 0.0
+        t0 = span[0] if t0 is None else t0
+        t1 = span[1] + window_s if t1 is None else t1
+        if step is None:
+            step = max((t1 - t0) / 60.0, window_s)
+        level = (
+            auto_level(self.store, float(step)) if level is None
+            else int(level)
         )
-        max_row = (
-            self.rows[lvl] if 0 <= lvl < len(self.rows) else None
-        )
+        max_row = self.rows[level] if 0 <= level < len(self.rows) else None
         return select(
             self.store, series, t0, t1, step,
-            agg=agg, level=lvl, max_row=max_row,
+            agg=agg, level=level, max_row=max_row,
         )
-
-    def span(self):
-        """(first, last) window start of the *frozen* level-0 rows."""
-        n = self.rows[0] if self.rows else 0
-        if n == 0:
-            return None
-        first = self.store.column_slice("t_start_s", 0, 0, 1)[0]
-        last = self.store.column_slice("t_start_s", 0, n - 1, n)[0]
-        return float(first), float(last)
 
     def series_doc(self) -> dict:
         store = self.store
-        span = self.span()
+        span = store.time_span(self.rows[0])
         return {
             "series": [
                 {"name": n, "agg": a} for n, a in store.columns

@@ -508,14 +508,16 @@ class HistoryStore:
         """Local rows whose window start falls in ``[t0, t1)``."""
         return self._locate_time(level, t0), self._locate_time(level, t1)
 
-    def time_span(self) -> Optional[Tuple[float, float]]:
-        """(first window start, last window start) of readable level 0."""
-        if self._tix is None or self.rows(0) == 0:
+    def time_span(
+        self, rows: Optional[int] = None
+    ) -> Optional[Tuple[float, float]]:
+        """(first window start, last window start) of the first ``rows``
+        level-0 rows (default: all readable ones); ``None`` if empty."""
+        n = self.rows(0) if rows is None else rows
+        if self._tix is None or n == 0:
             return None
         first = self.column_slice("t_start_s", 0, 0, 1)[0]
-        last = self.column_slice(
-            "t_start_s", 0, self.rows(0) - 1, self.rows(0)
-        )[0]
+        last = self.column_slice("t_start_s", 0, n - 1, n)[0]
         return float(first), float(last)
 
     # -- maintenance --------------------------------------------------------------

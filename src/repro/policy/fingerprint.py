@@ -17,7 +17,6 @@ import numpy as np
 from .. import constants
 from ..errors import JoinError
 from ..scheduler.log import SchedulerLog
-from ..core.join import region_index
 from ..telemetry.schema import TelemetryChunk
 from ..telemetry.store import TelemetryStore
 
@@ -66,49 +65,34 @@ def fingerprint_jobs(
     telemetry: Union[TelemetryStore, Iterable[TelemetryChunk]],
     log: SchedulerLog,
 ) -> Dict[int, JobFingerprint]:
-    """Fingerprint every job in a campaign (streaming, O(jobs) memory)."""
+    """Fingerprint every job in a campaign (streaming, O(jobs) memory).
+
+    The per-job fold is the control plane's own
+    :class:`~repro.serve.analytics.JobAccumulator`: fed the windows a
+    plane folds, each fingerprint's region matrices are its served
+    ``/v1/jobs`` rows, bitwise.
+    """
+    # Imported here: serve imports the stream engine, which imports policy.
+    from ..serve.analytics import JobAccumulator
+
     jobs = log.job_by_id()
     if not jobs:
         raise JoinError("scheduler log has no jobs")
-    max_jid = max(jobs)
-    hours = np.zeros((max_jid + 1, 4))
-    energy = np.zeros((max_jid + 1, 4))
-
     if isinstance(telemetry, TelemetryStore):
         chunks: Iterable[TelemetryChunk] = [telemetry.chunk]
         interval = telemetry.interval_s
     else:
         chunks = telemetry
         interval = constants.TELEMETRY_INTERVAL_S
-    hours_per_sample = interval / 3600.0
-
-    saw_any = False
+    acc = JobAccumulator(log, interval_s=interval)
     for chunk in chunks:
-        saw_any = True
-        jid_row = np.zeros(len(chunk), dtype=np.int64)
-        for node in np.unique(chunk.node_id):
-            mask = chunk.node_id == node
-            jid_row[mask] = log.job_id_grid(chunk.time_s[mask], int(node))
-        power = chunk.gpu_power_w
-        reg = region_index(power)
-        key = (jid_row[:, None] * 4 + reg).reshape(-1)
-        flat_p = power.reshape(-1).astype(np.float64)
-        minlength = (max_jid + 1) * 4
-        energy += (
-            np.bincount(key, weights=flat_p, minlength=minlength)
-            .reshape(max_jid + 1, 4)
-            * interval
-        )
-        hours += (
-            np.bincount(key, minlength=minlength).reshape(max_jid + 1, 4)
-            * hours_per_sample
-        )
-    if not saw_any:
+        acc.update(chunk)
+    if not acc.windows_folded:
         raise JoinError("no telemetry chunks to fingerprint")
 
     out: Dict[int, JobFingerprint] = {}
     for jid, job in jobs.items():
-        h = hours[jid]
+        h = acc.gpu_hours[jid]
         if h.sum() == 0:
             continue  # job too short to be sampled
         out[jid] = JobFingerprint(
@@ -117,8 +101,8 @@ def fingerprint_jobs(
             size_class=job.size_class,
             num_nodes=job.num_nodes,
             gpu_hours=float(h.sum()),
-            energy_j=float(energy[jid].sum()),
+            energy_j=float(acc.energy_j[jid].sum()),
             region_hours=h.copy(),
-            region_energy_j=energy[jid].copy(),
+            region_energy_j=acc.energy_j[jid].copy(),
         )
     return out

@@ -2,7 +2,7 @@
 
 :class:`JobAccumulator` is the job-axis sibling of the campaign cube's
 :class:`~repro.core.join.CampaignAccumulator`: the same join (one
-composite-key ``searchsorted`` via :class:`~repro.serve.jobs.JobStateIndex`),
+composite-key ``searchsorted``, ``SchedulerLog.job_id_table``),
 the same region split (:func:`~repro.core.join.region_index`), the same
 one-``bincount`` fold — but keyed by ``job_id`` instead of
 ``(domain, class)``.  Feeding it the engine's sealed windows (via
@@ -12,6 +12,8 @@ derived) in canonical order makes the
 served per-job numbers bitwise-equal to an offline fold of
 :func:`~repro.stream.sources.canonical_windows` over the same data —
 the serving side of the streaming-vs-batch equivalence contract.
+:func:`repro.policy.fingerprint_jobs` (``repro advise``) folds through
+this class too, so the advisor and ``/v1/jobs`` agree bitwise.
 
 State is O(jobs x 4): a (max_job_id + 1, 4) energy/GPU-hour matrix plus
 per-job sample counts and first/last-seen event times.  Row 0 is the
@@ -27,8 +29,8 @@ import numpy as np
 
 from .. import constants
 from ..core.join import DerivedWindow
+from ..scheduler.log import SchedulerLog
 from ..telemetry.schema import TelemetryChunk
-from .jobs import JobStateIndex
 
 
 @dataclass(frozen=True)
@@ -55,13 +57,13 @@ class JobAccumulator:
 
     def __init__(
         self,
-        index: JobStateIndex,
+        log: SchedulerLog,
         *,
         interval_s: float = constants.TELEMETRY_INTERVAL_S,
     ) -> None:
-        self.index = index
+        self.log = log
         self.interval_s = interval_s
-        n = index.max_job_id + 1
+        n = max((job.job_id for job in log.jobs), default=0) + 1
         self.energy_j = np.zeros((n, 4))
         self.gpu_hours = np.zeros((n, 4))
         self.samples = np.zeros(n, dtype=np.int64)
@@ -74,12 +76,12 @@ class JobAccumulator:
 
         An engine's sealed window brings the job ids, region bins and
         samples the campaign join derived; any other window derives
-        them here through the job index.
+        them here through the scheduler log.
         """
         self.windows_folded += 1
         if not len(window):
             return
-        rows = DerivedWindow.of(window, self.index.tag, self.interval_s)
+        rows = DerivedWindow.of(window, self._job_ids, self.interval_s)
         interval = self.interval_s
         jid = rows.job_ids
         n_rows = self.energy_j.shape[0]
@@ -97,6 +99,9 @@ class JobAccumulator:
         self.samples += np.bincount(jid, minlength=n_rows)
         np.minimum.at(self.first_seen_s, jid, window.time_s)
         np.maximum.at(self.last_seen_s, jid, window.time_s)
+
+    def _job_ids(self, chunk: TelemetryChunk) -> np.ndarray:
+        return self.log.job_id_table(chunk.time_s, chunk.node_id)
 
     def snapshot(self) -> JobStats:
         """A copy of the fold state, safe to read while ingest continues."""

@@ -351,35 +351,32 @@ class ServeView:
         """Answer ``/v1/query?series=...`` from the frozen history view.
 
         Time-range and step parameters default from the view's frozen
-        span, so the rendered body is a pure function of the canonical
-        route key plus the view — cacheable like every other route.
+        span (:meth:`~repro.obs.history.HistoryView.query`), so the
+        rendered body is a pure function of the canonical route key
+        plus the view — cacheable like every other route.
         """
         history = self._history()
         series = params.get("series")
         if not series:
             return 400, {"error": "query requires series=<name>"}
-        span = history.span()
-        if span is None:
-            return 404, {"error": "no history rows yet"}
-        window_s = history.store.window_s or 0.0
         try:
-            t0 = float(params.get("t0", span[0]))
-            t1 = float(params.get("t1", span[1] + window_s))
-            step = float(
-                params.get("step", max((t1 - t0) / 60.0, window_s))
-            )
-            agg = params.get("agg")
+            bounds = {
+                key: float(params[key])
+                for key in ("t0", "t1", "step") if key in params
+            }
             level = (
                 int(params["level"]) if "level" in params else None
             )
         except ValueError as exc:
             return 400, {"error": f"bad query parameter: {exc}"}
         try:
-            result = history.select(
-                series, t0, t1, step, agg=agg, level=level
+            result = history.query(
+                series, agg=params.get("agg"), level=level, **bounds
             )
         except HistoryError as exc:
             return 400, {"error": str(exc)}
+        if result is None:
+            return 404, {"error": "no history rows yet"}
         doc = self._head()
         doc["query"] = result.to_dict()
         return 200, doc

@@ -76,8 +76,8 @@ class JobStateIndex:
     """Scheduler state, indexed for the serving path.
 
     Holds one :class:`JobMeta` per job and tags telemetry chunks with
-    job ids via the same join primitive the campaign cube uses, so the
-    per-job analytics attribute exactly the samples the fleet cube
+    job ids via the same join primitive the campaign cube uses, so
+    incident attribution charges exactly the samples the fleet cube
     counts.
     """
 
@@ -102,7 +102,6 @@ class JobStateIndex:
                 start_time_s=job.start_time_s,
                 end_time_s=job.end_time_s,
             )
-        self.max_job_id = max(self._meta, default=0)
 
     def __len__(self) -> int:
         return len(self._meta)

@@ -179,7 +179,7 @@ class ControlPlane:
             window_s=window_s,
             lateness_s=lateness_s,
         )
-        self.job_acc = JobAccumulator(self.index, interval_s=interval_s)
+        self.job_acc = JobAccumulator(log, interval_s=interval_s)
         self.engine.add_window_observer(self.job_acc.update)
         # The engine's hooks get partials over the cache and the buffer,
         # never bound methods of this plane: nothing the engine holds

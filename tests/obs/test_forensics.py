@@ -118,11 +118,6 @@ class TestFlightRecorder:
         assert ring.evicted == 2
         assert [r.index for r in ring.records] == [2, 3, 4, 5]
         assert ring.last.index == 5
-        assert [r.index for r in ring.window_range(3, 4)] == [3, 4]
-        # Evicted indices are simply gone, not an error.
-        assert ring.window_range(0, 1) == []
-        assert ring.window_range(4, 9) == ring.records[2:]
-        assert ring.window_range(5, 3) == []
         values = ring.metric_values()
         assert values["forensics_windows_recorded"] == 6.0
         assert values["forensics_records_resident"] == 4.0
@@ -330,7 +325,7 @@ class TestIncidentEngine:
         engine = IncidentEngine()
         self.fire(engine, 0)
         engine.finalize()
-        snap = engine.snapshot()
+        snap = engine.render(engine.freeze(), engine.findings_total)
         assert snap["total"] == 1 and snap["open"] == 0
         text = render_timeline(engine.incidents)
         assert "inc-001" in text and "straggler" in text
@@ -420,7 +415,7 @@ class TestForensicsFacade:
         # Across chunkings the *incident* content is invariant; record
         # ingest deltas legitimately differ (one big chunk seals many
         # windows, charging the whole delta to the first).
-        assert digest(a.snapshot()) == digest(c.snapshot())
+        assert digest(a.reader_view().doc) == digest(c.reader_view().doc)
 
     def test_canonical_windows_replay_matches_engine(self, campaign):
         log, store = campaign
@@ -436,7 +431,9 @@ class TestForensicsFacade:
         for window in canonical_windows(store, window_s=WINDOW_S):
             offline.observe_window(window)
         offline.finalize()
-        assert digest(offline.snapshot()) == digest(streamed.snapshot())
+        assert digest(offline.reader_view().doc) == digest(
+            streamed.reader_view().doc
+        )
 
 
 class TestBundles:
@@ -467,6 +464,36 @@ class TestBundles:
         path = tmp_path / "bundle.json"
         path.write_text(render_doc(bundle))
         assert render_doc(json.loads(path.read_text())) == render_doc(bundle)
+
+    def test_doc_is_the_served_view_plus_records(self, campaign):
+        """``incidents.json`` reads the state ``/v1/incidents`` renders,
+        mid-stream (open incidents) and after finalize."""
+        log, store = campaign
+        forensics = forensics_under_test()
+        engine = StreamEngine(log, window_s=WINDOW_S)
+        engine.attach(forensics=forensics)
+        for chunk in replay_store(store, chunk_ticks=16):
+            engine.ingest(chunk)
+        for finished in (False, True):
+            if finished:
+                engine.drain()
+            doc = forensics_doc(forensics)
+            view = forensics.reader_view()
+            assert doc["incidents"] == view.doc["incidents"]
+            assert doc["summary"] == view.doc["summary"]
+            assert doc["records"] == [
+                forensics.recorder.record_doc(r) for r in view.records
+            ]
+            # ...which is the live state rendered from scratch.
+            assert doc["summary"] == forensics.summary()
+            assert doc["incidents"] == [
+                i.to_dict(top_k=forensics.incidents.top_k)
+                for i in forensics.incidents.incidents
+            ]
+            assert doc["records"] == [
+                r.to_dict() for r in forensics.recorder.records
+            ]
+            assert any(i["status"] == "open" for i in doc["incidents"])
 
     def test_unknown_incident_raises(self, forensics):
         doc = forensics_doc(forensics)
@@ -604,7 +631,7 @@ class TestIncrementalServeDoc:
             counts.append(len(incidents.open_incidents))
             assert incidents.open_count == counts[-1]
             assert forensics.summary()["incidents_open"] == counts[-1]
-            assert forensics.snapshot()["open"] == counts[-1]
+            assert forensics.reader_view().doc["open"] == counts[-1]
             assert (
                 forensics.metric_values()["forensics_incidents_open"]
                 == counts[-1]

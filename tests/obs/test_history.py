@@ -324,9 +324,9 @@ class TestHistoryFacade:
         view = history.reader_view()
         doc = view.series_doc()
         assert doc["levels"][0]["rows"] == history.windows_recorded
-        span = view.span()
+        span = view.store.time_span(view.rows[0])
         assert span is not None and span[0] == 0.0
-        r = view.select("energy_j", span[0], span[1] + 60.0, 60.0)
+        r = view.query("energy_j", t0=span[0], t1=span[1] + 60.0, step=60.0)
         assert any(v is not None for v in r.values)
 
     def test_metric_values_carry_slo_gauges(self):

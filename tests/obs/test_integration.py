@@ -9,11 +9,11 @@ gauges.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro import constants, units
 from repro.cli import main as cli_main
+from repro.core.join import cubes_equal
 from repro.experiments import ExperimentConfig
 from repro.experiments import run as run_experiment
 from repro.experiments._campaign import build_campaign
@@ -100,15 +100,7 @@ class TestStreamIdentity:
         traced_engine = self._drained(log, chunks)
         traced = traced_engine.cube()
 
-        assert np.array_equal(plain.energy_j, traced.energy_j)
-        assert np.array_equal(plain.gpu_hours, traced.gpu_hours)
-        assert np.array_equal(
-            plain.histogram.counts, traced.histogram.counts
-        )
-        assert np.array_equal(
-            plain.histogram.weight_sums, traced.histogram.weight_sums
-        )
-        assert plain.cpu_energy_j == traced.cpu_energy_j
+        assert cubes_equal(plain, traced)
 
         names = {rec["name"] for rec in st.tracer.finished}
         assert {"stream.ingest", "stream.push", "stream.drain"} <= names
@@ -136,15 +128,7 @@ class TestStreamIdentity:
         watched_engine.drain()
         watched = watched_engine.cube()
 
-        assert np.array_equal(plain.energy_j, watched.energy_j)
-        assert np.array_equal(plain.gpu_hours, watched.gpu_hours)
-        assert np.array_equal(
-            plain.histogram.counts, watched.histogram.counts
-        )
-        assert np.array_equal(
-            plain.histogram.weight_sums, watched.histogram.weight_sums
-        )
-        assert plain.cpu_energy_j == watched.cpu_energy_j
+        assert cubes_equal(plain, watched)
         # ...while the monitor really evaluated along the way.
         assert monitor.alerts.evaluations > 0
         assert monitor.drift.last_report is not None

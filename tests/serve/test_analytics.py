@@ -3,14 +3,19 @@
 import numpy as np
 import pytest
 
-from repro.serve import JobAccumulator, JobStateIndex
+from repro.policy import fingerprint_jobs
+from repro.scheduler.sacct import read_sacct, write_sacct
+from repro.serve import JobAccumulator
+from repro.stream import canonical_windows
+from repro.telemetry.io_csv import read_telemetry_csv_chunks, write_telemetry_csv
+from tests.serve.conftest import WINDOW_S, build_plane
 
 
 @pytest.fixture(scope="module")
 def offline_jobs(campaign, windows):
     _log, _store = campaign
     log = campaign[0]
-    acc = JobAccumulator(JobStateIndex(log))
+    acc = JobAccumulator(log)
     for window in windows:
         acc.update(window)
     return acc
@@ -30,13 +35,53 @@ class TestStreamingEquivalence:
 
     def test_served_stats_are_a_frozen_copy(self, campaign, windows):
         log, _store = campaign
-        acc = JobAccumulator(JobStateIndex(log))
+        acc = JobAccumulator(log)
         acc.update(windows[0])
         stats = acc.snapshot()
         before = stats.energy_j.copy()
         acc.update(windows[1])
         assert np.array_equal(stats.energy_j, before)
         assert not np.array_equal(acc.energy_j, before)
+
+
+def assert_fingerprints_are_the_served_rows(fingerprints, plane):
+    """Every fingerprint's region matrices are the plane's job rows."""
+    live = plane.job_acc
+    assert sorted(fingerprints) == live.snapshot().active_job_ids()
+    for job_id, fp in fingerprints.items():
+        assert np.array_equal(fp.region_energy_j, live.energy_j[job_id])
+        assert np.array_equal(fp.region_hours, live.gpu_hours[job_id])
+
+
+class TestFingerprintsAreTheServedFold:
+    """``repro advise`` and ``/v1/jobs`` read one per-job fold."""
+
+    def test_fingerprints_equal_the_drained_plane(
+        self, campaign, windows, drained_plane
+    ):
+        log, _store = campaign
+        fingerprints = fingerprint_jobs(iter(windows), log)
+        assert fingerprints
+        assert_fingerprints_are_the_served_rows(fingerprints, drained_plane)
+
+    def test_fingerprints_equal_the_plane_through_the_adapters(
+        self, campaign, tmp_path
+    ):
+        log, store = campaign
+        write_sacct(log, tmp_path / "sacct.txt")
+        write_telemetry_csv(store, tmp_path / "telemetry.csv")
+        sacct_log = read_sacct(tmp_path / "sacct.txt")
+        csv_windows = list(canonical_windows(
+            read_telemetry_csv_chunks(tmp_path / "telemetry.csv"),
+            window_s=WINDOW_S,
+        ))
+        plane = build_plane(sacct_log, csv_windows)
+        try:
+            fingerprints = fingerprint_jobs(iter(csv_windows), sacct_log)
+            assert fingerprints
+            assert_fingerprints_are_the_served_rows(fingerprints, plane)
+        finally:
+            plane.close()
 
 
 class TestConservation:

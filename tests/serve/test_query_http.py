@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 from repro import constants, units
+from repro.cli import main
 from repro.obs.history import History
 from repro.obs.httpd import fetch_url
 from repro.scheduler import SlurmSimulator, default_mix
 from repro.serve import ControlPlane, ControlPlaneServer
 from repro.stream import replay_store
+from repro.telemetry import FleetTelemetryGenerator
 from repro.telemetry.schema import TelemetryChunk
 from repro.telemetry.store import TelemetryStore
 
@@ -179,6 +181,46 @@ class TestQueryErrors:
         )
         assert status == 400
         assert "time range" in doc["error"]
+
+
+@pytest.fixture(scope="module")
+def served_store(tmp_path_factory):
+    """A plane whose history persists to a directory, served live."""
+    store_dir = tmp_path_factory.mktemp("history")
+    mix = default_mix(fleet_nodes=NODES)
+    log = SlurmSimulator(mix).run(units.days(0.2), rng=0)
+    store = FleetTelemetryGenerator(log, mix, seed=7).generate()
+    plane = ControlPlane(
+        log, window_s=WINDOW_S, history=History(dir=store_dir)
+    )
+    for chunk in replay_store(store, chunk_ticks=WINDOW_TICKS):
+        plane.ingest(chunk)
+    plane.drain()
+    server = plane.serve(port=0)
+    yield str(store_dir), server.url
+    plane.close()
+
+
+class TestCliQueryIsTheRoute:
+    """``repro obs query --dir`` answers like ``/v1/query`` on one store."""
+
+    @pytest.mark.parametrize("params", [
+        {},
+        {"step": 3 * WINDOW_S, "agg": "max"},
+        {"t0": 2.5 * WINDOW_S, "t1": 40 * WINDOW_S},
+        {"t0": WINDOW_S, "level": 0},
+    ])
+    @pytest.mark.parametrize("series", ["energy_j", "cap_w"])
+    def test_same_query_dict(self, served_store, series, params, capsys):
+        store_dir, url = served_store
+        query = "".join(f"&{k}={v}" for k, v in params.items())
+        status, doc = get_doc(f"{url}/v1/query?series={series}{query}")
+        assert status == 200
+        flags = [f"--{k}={v}" for k, v in params.items()]
+        assert main(
+            ["obs", "query", series, "--dir", store_dir, "--json", *flags]
+        ) == 0
+        assert json.loads(capsys.readouterr().out) == doc["query"]
 
 
 class TestHistoryDisabled:

@@ -1,7 +1,8 @@
 """Every persisted file is replaced through the one durable write.
 
-For each of the four writers — the engine checkpoint, the shard
-checkpoint, the history manifest and the event-log manifest — the data
+For each of the six writers — the engine checkpoint, the shard
+checkpoint, the history manifest, the event-log manifest,
+``incidents.json`` and ``health.json`` — the data
 is fsynced before the rename and the directory after it (history
 segments are fsynced before the manifest names them), and a write that
 fails leaves the previous file loadable and no temporary file behind.
@@ -27,9 +28,15 @@ import stat
 import numpy as np
 import pytest
 
-from repro.cli import main
+from repro.cli import _write_health_state, main
 from repro.durable import MANIFEST_NAME
 from repro.errors import HistoryError, LogError, TelemetryError
+from repro.obs.forensics import (
+    Forensics,
+    load_forensics,
+    write_forensics_artifacts,
+)
+from repro.obs.health import HealthMonitor
 from repro.obs.history import store as history_store
 from repro.obs.history.query import verify_rollups
 from repro.obs.log import store as log_store
@@ -110,6 +117,20 @@ class Writers:
             (self.log_dir / MANIFEST_NAME).read_text()
         )
 
+    def incidents(self, generation: int):
+        write_forensics_artifacts(
+            self.tmp_path / "obs", Forensics(), command=f"run {generation}"
+        )
+
+    def load_incidents(self):
+        return load_forensics(self.tmp_path / "obs" / "incidents.json")
+
+    def health(self, generation: int):
+        _write_health_state(HealthMonitor(), self.tmp_path / "obs")
+
+    def load_health(self):
+        return json.loads((self.tmp_path / "obs" / "health.json").read_text())
+
     def cases(self):
         return {
             "checkpoint": (self.checkpoint, self.load_checkpoint,
@@ -120,10 +141,14 @@ class Writers:
                         self.history_dir / MANIFEST_NAME),
             "log": (self.log_records, self.load_logs,
                     self.log_dir / MANIFEST_NAME),
+            "incidents": (self.incidents, self.load_incidents,
+                          self.tmp_path / "obs" / "incidents.json"),
+            "health": (self.health, self.load_health,
+                       self.tmp_path / "obs" / "health.json"),
         }
 
 
-CASES = ("checkpoint", "shard", "history", "log")
+CASES = ("checkpoint", "shard", "history", "log", "incidents", "health")
 
 
 def _record(monkeypatch):
