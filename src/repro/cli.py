@@ -324,18 +324,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="inject this fraction of duplicate records (with --shuffle)",
     )
     stream_p.add_argument(
-        "--shards", type=int, default=None, metavar="N",
-        help=(
-            "run the campaign sharded by node range instead of one "
-            "engine (shorthand for 'repro campaign --shards N'; only "
-            "simulated-fleet options apply)"
-        ),
-    )
-    stream_p.add_argument(
-        "--workers", type=int, default=0,
-        help="process-pool width for --shards (default serial)",
-    )
-    stream_p.add_argument(
         "--snapshot-every", type=int, default=0, metavar="N",
         help="print a live snapshot every N ingested chunks",
     )
@@ -471,7 +459,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--from", dest="source", default=None, metavar="FILE",
         help=(
             "an incidents.json written by 'repro serve --obs', "
-            "'repro stream --obs', or 'repro run ext_incidents --out'"
+            "'repro stream --obs', or 'repro run ext_incidents --out', "
+            "or one incident_<id>.json bundle"
         ),
     )
     obs_inc.add_argument(
@@ -982,8 +971,7 @@ def _report_sinks(args, command, monitor, forensics, history, eventlog,
 
 
 def _campaign(args) -> int:
-    """``repro campaign``, and ``repro stream --shards`` via
-    :func:`_stream_sharded`."""
+    """``repro campaign``: the sharded campaign fold."""
     from . import constants
     from .stream.shard import ShardConfig, run_sharded_campaign
 
@@ -1035,42 +1023,7 @@ def _campaign(args) -> int:
     return 0
 
 
-def _stream_sharded(args) -> int:
-    """``repro stream --shards N``: delegate to the campaign engine."""
-    blocked = [
-        ("--from-file", args.from_file is not None),
-        ("--sacct", args.sacct is not None),
-        ("--max-chunks", args.max_chunks is not None),
-        ("--snapshot-every", bool(args.snapshot_every)),
-        ("--checkpoint", args.checkpoint is not None),
-        ("--resume", args.resume is not None),
-        ("--watch", args.watch),
-        ("--serve", args.serve is not None),
-        ("--rules", args.rules is not None),
-        ("--history-dir", args.history_dir is not None),
-        ("--log-dir", args.log_dir is not None),
-    ]
-    bad = [flag for flag, used in blocked if used]
-    if bad:
-        print(
-            f"--shards runs the sharded campaign engine over a "
-            f"simulated fleet; {', '.join(bad)} only applies to the "
-            f"single-engine stream (use 'repro campaign' for "
-            f"checkpointed sharded runs)",
-            file=sys.stderr,
-        )
-        return 2
-    # The campaign-only flags, fixed to one unattended pass.
-    return _campaign(argparse.Namespace(**{
-        **vars(args), "unit_nodes": 8, "checkpoint_dir": None,
-        "resume": False, "checkpoint_every": 1, "max_units": None,
-        "shuffle_s": args.lateness_s if args.shuffle else 0.0,
-    }))
-
-
 def _stream(args) -> int:
-    if args.shards is not None:
-        return _stream_sharded(args)
     if args.dup_fraction and not args.shuffle:
         print("--dup-fraction needs --shuffle", file=sys.stderr)
         return 1
@@ -1103,14 +1056,13 @@ def _stream(args) -> int:
     forensics = None
     if args.watch or args.obs or args.obs_dir:
         from .obs.forensics import Forensics
-        from .serve.jobs import JobStateIndex
 
         reference = (
             monitor.drift.reference
             if monitor is not None and monitor.drift is not None
             else None
         )
-        forensics = Forensics(reference=reference, tagger=JobStateIndex(log))
+        forensics = Forensics(reference=reference, log=log)
     history, eventlog = _open_stores(
         args, in_memory=args.watch, resume=args.resume is not None
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -85,19 +85,19 @@ class DerivedWindow(TelemetryChunk):
     def of(
         cls,
         chunk: TelemetryChunk,
-        tag: Optional[Callable[[TelemetryChunk], np.ndarray]],
+        log: Optional[SchedulerLog],
         interval_s: float,
     ) -> "DerivedWindow":
         """``chunk`` itself if already derived, else a wrapper over it.
 
-        ``tag(chunk)`` labels the rows with job ids (0 = idle);
-        ``interval_s`` prices a row's power as energy.
+        ``log`` labels the rows with job ids (``None`` for a reader that
+        reads none); ``interval_s`` prices a row's power as energy.
         """
         if isinstance(chunk, DerivedWindow):
             return chunk
         # The chunk was validated when built: share its columns as they are.
         window = object.__new__(cls)
-        window.__dict__.update(chunk.__dict__, _tag=tag, interval_s=interval_s)
+        window.__dict__.update(chunk.__dict__, _log=log, interval_s=interval_s)
         return window
 
     @cached_property
@@ -112,8 +112,9 @@ class DerivedWindow(TelemetryChunk):
 
     @cached_property
     def job_ids(self) -> np.ndarray:
-        """Job id of every row (0 = idle node)."""
-        return _read_only(self._tag(self))
+        """Job id of every row (0 = idle node): the one telemetry x
+        scheduler-log row join (one composite-key ``searchsorted``)."""
+        return _read_only(self._log.job_id_table(self.time_s, self.node_id))
 
     @cached_property
     def nodes(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -314,17 +315,13 @@ class CampaignAccumulator:
         new._cls_of_job = self._cls_of_job
         return new
 
-    def _job_ids(self, chunk: TelemetryChunk) -> np.ndarray:
-        # One composite-key searchsorted over the whole chunk (no node loop).
-        return self.log.job_id_table(chunk.time_s, chunk.node_id)
-
     def derive(self, chunk: TelemetryChunk) -> DerivedWindow:
         """``chunk`` as a :class:`DerivedWindow` labelled by this join's log.
 
         The streaming engine hands this one object to every reader of a
         sealed window, so the window is labelled and binned once.
         """
-        return DerivedWindow.of(chunk, self._job_ids, self.interval_s)
+        return DerivedWindow.of(chunk, self.log, self.interval_s)
 
     def update(self, chunk: TelemetryChunk) -> None:
         """Fold one chunk into the running campaign state.

@@ -64,7 +64,6 @@ from ..obs.log import EventLog
 from ..obs.health.drift import DriftReference
 from ..scheduler import SlurmSimulator, default_mix
 from ..serve import ControlPlane
-from ..serve.jobs import JobStateIndex
 from ..stream import canonical_windows, replay_store
 from ..telemetry.schema import TelemetryChunk
 from ..telemetry.store import TelemetryStore
@@ -230,7 +229,7 @@ def run(config: ExperimentConfig) -> ExperimentResult:
     # Offline recorder: the canonical windows fed straight to a bare
     # Forensics — no engine, no publication feed.  The window-content
     # incidents (straggler, cap violation) must come out identical.
-    offline = Forensics(detectors=_detectors(), tagger=JobStateIndex(log))
+    offline = Forensics(detectors=_detectors(), log=log)
     for window in canonical_windows(store, window_s=WINDOW_S):
         offline.observe_window(window)
     offline.finalize()

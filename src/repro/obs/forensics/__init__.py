@@ -88,10 +88,10 @@ class Forensics:
     canonical fold order, with the engine's record of it (ingest and
     alert deltas, the decision in force).
 
-    ``tagger`` (anything with a ``tag(chunk)`` returning each row's job
-    id) switches job attribution on.  An engine's sealed windows already
+    ``log`` (the run's :class:`~repro.scheduler.log.SchedulerLog`)
+    switches job attribution on.  An engine's sealed windows already
     carry the job ids of the engine's own scheduler log, and those are
-    used; the tagger labels only windows observed without an engine.
+    used; the log labels only windows observed without an engine.
     """
 
     def __init__(
@@ -100,7 +100,7 @@ class Forensics:
         capacity: int = DEFAULT_CAPACITY,
         detectors: Optional[List[Detector]] = None,
         reference=None,
-        tagger=None,
+        log=None,
         merge_gap: int = 2,
         top_k: int = 5,
         interval_s: float = constants.TELEMETRY_INTERVAL_S,
@@ -112,7 +112,7 @@ class Forensics:
         )
         self.incidents = IncidentEngine(
             merge_gap=merge_gap, top_k=top_k,
-            tagger=tagger, interval_s=interval_s,
+            log=log, interval_s=interval_s,
         )
         self.interval_s = float(interval_s)
         self.event_log = None
@@ -127,9 +127,9 @@ class Forensics:
             detector.bind(window_s=float(engine.buffer.window_s))
         return self
 
-    def set_tagger(self, tagger) -> "Forensics":
+    def set_log(self, log) -> "Forensics":
         """Switch job attribution on (see the class docstring)."""
-        self.incidents.tagger = tagger
+        self.incidents.log = log
         return self
 
     def set_event_log(self, event_log) -> "Forensics":

@@ -136,7 +136,13 @@ def write_bundles(out_dir, doc: dict,
 
 
 def load_forensics(path) -> dict:
-    """Read an ``incidents.json`` (or bundle) back; validates the shape."""
+    """Read an ``incidents.json`` (or bundle) back; validates the shape.
+
+    A bundle reads as a one-incident document (``incidents:
+    [incident]``) with its records, logs, metrics, alerts and
+    provenance, so a reader of ``incidents`` sees its incident and
+    :func:`build_bundle` over it gives the bundle back.
+    """
     path = Path(path)
     try:
         doc = json.loads(path.read_text())
@@ -148,6 +154,8 @@ def load_forensics(path) -> dict:
         "incidents" not in doc and "incident" not in doc
     ):
         raise ForensicsError(f"{path} is not a forensics document")
+    if "incidents" not in doc:
+        doc["incidents"] = [doc["incident"]]
     return doc
 
 

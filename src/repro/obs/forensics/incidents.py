@@ -12,7 +12,7 @@ folds the per-window :class:`~.detectors.Finding` stream into
   ...), so a replayed campaign reproduces the identical id sequence;
 * every incident accumulates top-k attribution along three axes —
   nodes (energy of the implicated nodes), jobs (energy by job id via
-  the scheduler join, when a tagger is attached), and power modes
+  the scheduler join, when a scheduler log is set), and power modes
   (region energy) — plus a pointer into the flight recorder's window
   range (``first_window``/``last_window``) for bundle slicing.
 
@@ -160,14 +160,15 @@ class IncidentEngine:
         *,
         merge_gap: int = DEFAULT_MERGE_GAP,
         top_k: int = 5,
-        tagger=None,
+        log=None,
         interval_s: float = constants.TELEMETRY_INTERVAL_S,
     ) -> None:
         self.merge_gap = int(merge_gap)
         self.top_k = int(top_k)
-        #: Job attribution is on when set.  It labels offline windows
-        #: only: an engine's sealed window carries its own job ids.
-        self.tagger = tagger
+        #: The scheduler log; job attribution is on when set.  It labels
+        #: offline windows only: an engine's sealed window carries its
+        #: own job ids.
+        self.log = log
         self.interval_s = float(interval_s)
         self.incidents: List[Incident] = []
         self._open: Dict[str, Incident] = {}
@@ -275,12 +276,12 @@ class IncidentEngine:
             for i in order
         })
         incident.attribute_modes(record.region_energy_j)
-        if self.tagger is None or window is None or not len(window):
+        if self.log is None or window is None or not len(window):
             return
         # The engine's sealed window carries its job ids, row energies
-        # and node positions (the tagger is not consulted); an offline
+        # and node positions (the log is not consulted); an offline
         # window derives them here.
-        rows = DerivedWindow.of(window, self.tagger.tag, self.interval_s)
+        rows = DerivedWindow.of(window, self.log, self.interval_s)
         # Row axis: each row's node position picks its node's mask bit.
         row_mask = node_mask[rows.nodes[1]]
         if not row_mask.any():

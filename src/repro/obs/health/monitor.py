@@ -1,9 +1,9 @@
 """The health monitor: registry snapshots in, alert state out.
 
-:class:`HealthMonitor` owns one :class:`~repro.obs.metrics.MetricsRegistry`
-(or wraps one it is given), an :class:`~repro.obs.health.rules.AlertEngine`,
-and a :class:`~repro.obs.health.drift.DriftDetector`, and advances all of
-them from a single deterministic input: a flat metric snapshot plus an
+:class:`HealthMonitor` owns one :class:`~repro.obs.metrics.MetricsRegistry`,
+an :class:`~repro.obs.health.rules.AlertEngine` and a
+:class:`~repro.obs.health.drift.DriftDetector`, and advances all of them
+from a single deterministic input: a flat metric snapshot plus an
 event-time stamp.  Everything downstream — the ``/health`` and
 ``/alerts`` endpoints, the ``--watch`` dashboard, the ``ext_stream``
 alert timeline — reads the monitor; nothing writes back into the
@@ -34,14 +34,11 @@ class HealthMonitor:
         rules: Optional[List[RuleSpec]] = None,
         *,
         reference: Optional[DriftReference] = None,
-        registry: Optional[MetricsRegistry] = None,
         drift: bool = True,
-        history_size: int = 256,
     ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         self.alerts = AlertEngine(
-            rules if rules is not None else default_rules(),
-            history_size=history_size,
+            rules if rules is not None else default_rules()
         )
         self.drift: Optional[DriftDetector] = (
             DriftDetector(reference) if drift else None

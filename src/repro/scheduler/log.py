@@ -107,9 +107,9 @@ class SchedulerLog:
         """Allocation columns sorted by ``(node, start)``, built once.
 
         The log is frozen after a run, but :meth:`job_id_table` runs per
-        chunk in the streaming join and per window in the forensics job
-        tagger — rebuilding these arrays from the Python allocation list
-        each call dominated its cost.
+        chunk in the join (:attr:`repro.core.join.DerivedWindow.job_ids`)
+        — rebuilding these arrays from the Python allocation list each
+        call dominated its cost.
         """
         a_node = np.array([a.node_id for a in self.allocations], dtype=np.int64)
         a_start = np.array([a.start_time_s for a in self.allocations])

@@ -1,10 +1,10 @@
 """Per-job energy analytics, folded live from sealed stream windows.
 
 :class:`JobAccumulator` is the job-axis sibling of the campaign cube's
-:class:`~repro.core.join.CampaignAccumulator`: the same join (one
-composite-key ``searchsorted``, ``SchedulerLog.job_id_table``),
-the same region split (:func:`~repro.core.join.region_index`), the same
-one-``bincount`` fold — but keyed by ``job_id`` instead of
+:class:`~repro.core.join.CampaignAccumulator`: the same row join
+(:attr:`~repro.core.join.DerivedWindow.job_ids`), the same region
+split (:func:`~repro.core.join.region_index`), the same one-``bincount``
+fold — but keyed by ``job_id`` instead of
 ``(domain, class)``.  Feeding it the engine's sealed windows (via
 :meth:`StreamEngine.add_window_observer`; each arrives as a
 :class:`~repro.core.join.DerivedWindow` carrying what the campaign join
@@ -81,7 +81,7 @@ class JobAccumulator:
         self.windows_folded += 1
         if not len(window):
             return
-        rows = DerivedWindow.of(window, self._job_ids, self.interval_s)
+        rows = DerivedWindow.of(window, self.log, self.interval_s)
         interval = self.interval_s
         jid = rows.job_ids
         n_rows = self.energy_j.shape[0]
@@ -99,9 +99,6 @@ class JobAccumulator:
         self.samples += np.bincount(jid, minlength=n_rows)
         np.minimum.at(self.first_seen_s, jid, window.time_s)
         np.maximum.at(self.last_seen_s, jid, window.time_s)
-
-    def _job_ids(self, chunk: TelemetryChunk) -> np.ndarray:
-        return self.log.job_id_table(chunk.time_s, chunk.node_id)
 
     def snapshot(self) -> JobStats:
         """A copy of the fold state, safe to read while ingest continues."""

@@ -1,13 +1,12 @@
-"""Job-state join index: tag every telemetry sample with its job.
+"""Job-state index: the serving-side metadata of every logged job.
 
 The control plane mirrors the slurm-monitor + nvml-monitor pattern:
 one monitor watches the scheduler (who runs where), one watches the
 GPUs (what power each draws), and a join keys the second by the first.
 Here the scheduler side is a :class:`~repro.scheduler.log.SchedulerLog`
-and the join primitive is its vectorized
-:meth:`~repro.scheduler.log.SchedulerLog.job_id_table` — one
-composite-key ``searchsorted`` labels a whole telemetry chunk with job
-ids (0 = idle), exactly as the campaign join does.
+and the join is the campaign join's own
+(:attr:`~repro.core.join.DerivedWindow.job_ids`); this index holds what
+``/v1/jobs`` says about each job id that join yields.
 
 The simulated SLURM log carries no user or partition columns, so
 :class:`JobMeta` derives both deterministically: the user from the
@@ -21,11 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from ..errors import ServeError
 from ..scheduler.log import SchedulerLog
-from ..telemetry.schema import TelemetryChunk
 
 #: Table VII size class -> batch partition (synthesized; the simulated
 #: scheduler log has no partition column).  Classes A/B are the
@@ -73,13 +69,8 @@ class JobMeta:
 
 
 class JobStateIndex:
-    """Scheduler state, indexed for the serving path.
-
-    Holds one :class:`JobMeta` per job and tags telemetry chunks with
-    job ids via the same join primitive the campaign cube uses, so
-    incident attribution charges exactly the samples the fleet cube
-    counts.
-    """
+    """Scheduler state, indexed for the serving path: one
+    :class:`JobMeta` per job."""
 
     def __init__(self, log: SchedulerLog) -> None:
         self.log = log
@@ -120,12 +111,3 @@ class JobStateIndex:
 
     def job_ids(self) -> List[int]:
         return sorted(self._meta)
-
-    def tag(self, chunk: TelemetryChunk) -> np.ndarray:
-        """Job id of every row in ``chunk`` (0 = idle node).
-
-        A control plane's engine tags each sealed window once and shares
-        the ids with every fold and sink of it
-        (:class:`~repro.core.join.DerivedWindow`).
-        """
-        return self.log.job_id_table(chunk.time_s, chunk.node_id)

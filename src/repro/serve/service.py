@@ -155,7 +155,6 @@ class ControlPlane:
         window_s: float = DEFAULT_WINDOW_S,
         lateness_s: float = 0.0,
         monitor=None,
-        registry: Optional[MetricsRegistry] = None,
         forensics=True,
         history=None,
         event_log=None,
@@ -170,9 +169,10 @@ class ControlPlane:
             knob=self.factors.knob,
             campaign_energy_mwh=campaign_energy_mwh,
         )
+        #: What ``/v1/jobs`` says about each job id.
+        self.index = JobStateIndex(log)
         # The engine labels each sealed window once; the per-job fold
         # and incident attribution read those job ids off the window.
-        self.index = JobStateIndex(log)
         self.engine = StreamEngine(
             log,
             interval_s=interval_s,
@@ -195,13 +195,8 @@ class ControlPlane:
             forensics = Forensics()
         self.forensics = forensics if forensics else None
         if self.forensics is not None:
-            self.forensics.set_tagger(self.index)
-        self.registry = (
-            registry
-            if registry is not None
-            else (monitor.registry if monitor is not None
-                  else MetricsRegistry())
-        )
+            self.forensics.set_log(log)
+        self.registry = monitor.registry if monitor is not None else MetricsRegistry()
         #: Guards metric writes vs /metrics renders (the registry's own
         #: lock only covers family creation, not series iteration).
         self.metrics_lock = threading.Lock()

@@ -21,10 +21,9 @@ Semantics
   the reorder horizon: the first arrival wins, later copies are counted
   and discarded at seal time.  Copies separated by more than the
   reorder horizon surface as late drops instead.
-* **Aggregation** — with ``aggregate=True`` the buffer accepts raw
-  sensor-cadence samples (the paper's 2 s feed) and mean-aggregates
-  each sealed window onto the 15 s analysis grid with the same
-  floor-window rule as :func:`repro.telemetry.sampler.aggregate_sensor_trace`.
+
+Samples arrive on the 15 s analysis grid: the 2 s -> 15 s
+pre-aggregation is :func:`repro.telemetry.sampler.aggregate_sensor_trace`.
 
 Layout
 ------
@@ -41,7 +40,7 @@ seal, and seals are paced by the watermark, not by arrivals.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -64,6 +63,24 @@ def _empty_like_columns() -> Dict[str, np.ndarray]:
     }
 
 
+def buffer_config(arrays: Dict[str, np.ndarray]) -> Tuple[float, float, float]:
+    """``(interval_s, window_s, lateness_s)`` of a saved buffer state.
+
+    ``buf_config`` keeps a fourth, reserved field that is always 0.0; a
+    state with any other value there cannot be resumed faithfully, so
+    it raises :class:`~repro.errors.TelemetryError` instead of loading.
+    """
+    interval, window, lateness, reserved = (
+        float(x) for x in arrays["buf_config"]
+    )
+    if reserved != 0.0:
+        raise TelemetryError(
+            f"buffer state has reserved config field {reserved:g} "
+            "(expected 0): cannot resume it"
+        )
+    return interval, window, lateness
+
+
 class ReorderBuffer:
     """Bounded reorder/dedup stage between ingestion and the fold."""
 
@@ -73,7 +90,6 @@ class ReorderBuffer:
         interval_s: float = constants.TELEMETRY_INTERVAL_S,
         window_s: float = DEFAULT_WINDOW_S,
         lateness_s: float = 0.0,
-        aggregate: bool = False,
     ) -> None:
         if interval_s <= 0:
             raise TelemetryError("interval must be positive")
@@ -84,7 +100,6 @@ class ReorderBuffer:
         self.interval_s = interval_s
         self.window_s = window_s
         self.lateness_s = lateness_s
-        self.aggregate = aggregate
 
         #: Pending arrival chunks (column dicts), consolidated lazily at
         #: seal time; ``_n_resident`` tracks the total row count.
@@ -273,11 +288,6 @@ class ReorderBuffer:
                     time[keep], node[keep], gpu[keep], cpu[keep],
                 )
 
-        if self.aggregate:
-            time, node, gpu, cpu = self._aggregate_to_grid(
-                time, node, gpu, cpu
-            )
-
         # Split into event-time windows: one searchsorted over the
         # precomputed window boundaries (the rows are already in
         # canonical time order), instead of a floor-divide over every
@@ -311,52 +321,6 @@ class ReorderBuffer:
             self.samples_out += hi - lo
         return out
 
-    def _aggregate_to_grid(self, time, node, gpu, cpu):
-        """Mean-aggregate raw-cadence rows onto the analysis grid.
-
-        Same floor-window rule as the 2 s -> 15 s pre-processing: the
-        output tick ``k`` averages rows with ``time in [k*dt, (k+1)*dt)``
-        per node.  Input is canonically sorted; cell members stay in
-        time order, so the bincount means are order-stable.
-        """
-        tick = np.floor(time / self.interval_s).astype(np.int64)
-        # Regroup by (tick, node): rows of one cell are contiguous.
-        order = np.lexsort((time, node, tick))
-        tick, node, gpu, cpu = (
-            tick[order], node[order], gpu[order], cpu[order],
-        )
-        new = np.ones(len(tick), dtype=bool)
-        new[1:] = (tick[1:] != tick[:-1]) | (node[1:] != node[:-1])
-        gid = np.cumsum(new) - 1
-        n_cells = int(gid[-1]) + 1 if len(gid) else 0
-        counts = np.bincount(gid, minlength=n_cells).astype(np.float64)
-        gpu_out = np.empty(
-            (n_cells, constants.GPUS_PER_NODE), dtype=np.float64
-        )
-        for g in range(constants.GPUS_PER_NODE):
-            gpu_out[:, g] = np.bincount(
-                gid, weights=gpu[:, g].astype(np.float64),
-                minlength=n_cells,
-            )
-        gpu_out /= counts[:, None]
-        cpu_out = (
-            np.bincount(
-                gid, weights=cpu.astype(np.float64), minlength=n_cells
-            )
-            / counts
-        )
-        first = np.flatnonzero(new)
-        out_time = tick[first] * self.interval_s
-        out_node = node[first]
-        # Back to canonical (time, node) order.
-        order = np.lexsort((out_node, out_time))
-        return (
-            out_time[order],
-            out_node[order],
-            gpu_out[order].astype(np.float32),
-            cpu_out[order].astype(np.float32),
-        )
-
     # -- checkpoint support --------------------------------------------------------
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
@@ -373,7 +337,7 @@ class ReorderBuffer:
                     self.interval_s,
                     self.window_s,
                     self.lateness_s,
-                    1.0 if self.aggregate else 0.0,
+                    0.0,  # reserved: see buffer_config
                 ]
             ),
             "buf_clock": np.array(
@@ -398,13 +362,9 @@ class ReorderBuffer:
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
         """Inverse of :meth:`state_arrays`."""
-        interval, window, lateness, aggregate = (
-            float(x) for x in arrays["buf_config"]
+        self.interval_s, self.window_s, self.lateness_s = buffer_config(
+            arrays
         )
-        self.interval_s = interval
-        self.window_s = window
-        self.lateness_s = lateness
-        self.aggregate = bool(aggregate)
         cols = {
             "time": np.array(arrays["buf_time"], dtype=np.float64),
             "node": np.array(arrays["buf_node"], dtype=np.int32),

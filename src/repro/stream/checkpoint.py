@@ -19,6 +19,7 @@ import numpy as np
 
 from ..durable import load_versioned_npz, save_versioned_npz
 from ..scheduler.log import SchedulerLog
+from .buffer import buffer_config
 from .engine import StreamEngine
 
 #: Format version written into every checkpoint.
@@ -46,18 +47,14 @@ def load_checkpoint(path, log: SchedulerLog) -> StreamEngine:
 
     ``log`` must be the same scheduler log the checkpointed engine was
     joining against (validated via the cube axes).  An unreadable,
-    corrupt or incomplete file raises :class:`~repro.errors.TelemetryError`.
+    corrupt or incomplete file, or one whose reserved buffer field is
+    not 0 (see :func:`~repro.stream.buffer.buffer_config`), raises
+    :class:`~repro.errors.TelemetryError`.
     """
     arrays = load_versioned_npz(path, CHECKPOINT_VERSION)
-    interval, window, lateness, aggregate = (
-        float(x) for x in arrays["buf_config"]
-    )
+    interval, window, lateness = buffer_config(arrays)
     engine = StreamEngine(
-        log,
-        interval_s=interval,
-        window_s=window,
-        lateness_s=lateness,
-        aggregate=bool(aggregate),
+        log, interval_s=interval, window_s=window, lateness_s=lateness
     )
     engine.buffer.load_state_arrays(arrays)
     engine.accumulator.load_state_arrays(arrays)

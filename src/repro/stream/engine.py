@@ -187,14 +187,10 @@ class StreamEngine:
         interval_s: float = constants.TELEMETRY_INTERVAL_S,
         window_s: float = DEFAULT_WINDOW_S,
         lateness_s: float = 0.0,
-        aggregate: bool = False,
     ) -> None:
         self.log = log
         self.buffer = ReorderBuffer(
-            interval_s=interval_s,
-            window_s=window_s,
-            lateness_s=lateness_s,
-            aggregate=aggregate,
+            interval_s=interval_s, window_s=window_s, lateness_s=lateness_s
         )
         self.accumulator = CampaignAccumulator(log, interval_s=interval_s)
         self.chunks_in = 0

@@ -17,6 +17,7 @@ from repro.core.join import (
     region_index,
 )
 from repro.errors import JoinError
+from repro.scheduler.log import SchedulerLog
 from repro.telemetry import TelemetryChunk
 
 
@@ -156,9 +157,9 @@ def test_derived_window_arrays_are_read_only():
         gpu_power_w=np.full((n, constants.GPUS_PER_NODE), 300.0, np.float32),
         cpu_power_w=np.full(n, 100.0, np.float32),
     )
-    window = DerivedWindow.of(
-        chunk, lambda c: np.zeros(len(c), np.int64), 15.0
-    )
+    idle_log = SchedulerLog(jobs=[], allocations=[], n_nodes=4,
+                            horizon_s=n * 15.0)
+    window = DerivedWindow.of(chunk, idle_log, 15.0)
     assert DerivedWindow.of(window, None, 15.0) is window
     derived = [window.samples, window.regions, window.job_ids,
                *window.nodes, window.row_energy_j]

@@ -9,6 +9,7 @@ The layer's two contracts, asserted here:
 """
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import constants, units
+from repro.cli import main
 from repro.core import join_campaign
 from repro.core.join import cubes_equal
 from repro.errors import ForensicsError
@@ -399,7 +401,7 @@ class TestForensicsFacade:
         log, store = campaign
 
         def one_pass(chunk_ticks):
-            forensics = self.build(tagger=None)
+            forensics = self.build(log=None)
             engine = StreamEngine(log, window_s=WINDOW_S)
             engine.attach(forensics=forensics)
             for chunk in replay_store(store, chunk_ticks=chunk_ticks):
@@ -419,39 +421,46 @@ class TestForensicsFacade:
 
     def test_canonical_windows_replay_matches_engine(self, campaign):
         log, store = campaign
-        streamed = self.build(tagger=None)
+        streamed = self.build(log=log)
         engine = StreamEngine(log, window_s=WINDOW_S)
         engine.attach(forensics=streamed)
         for chunk in replay_store(store, chunk_ticks=16):
             engine.ingest(chunk)
         engine.drain()
-        offline = self.build(tagger=None)
+        offline = self.build(log=log)
         for detector in offline.detectors:
             detector.bind(window_s=WINDOW_S)
         for window in canonical_windows(store, window_s=WINDOW_S):
             offline.observe_window(window)
         offline.finalize()
-        assert digest(offline.reader_view().doc) == digest(
-            streamed.reader_view().doc
-        )
+        doc = streamed.reader_view().doc
+        assert digest(offline.reader_view().doc) == digest(doc)
+        # The offline windows were labelled through the log, the
+        # engine's by its own join: the same jobs either way.
+        assert any(incident["top_jobs"] for incident in doc["incidents"])
+
+
+def straggler_run(faulty) -> Forensics:
+    """Eight finalized windows with node 2 straggling in ``faulty``."""
+    forensics = Forensics(
+        interval_s=INTERVAL_S,
+        detectors=default_detectors(
+            reference=DriftReference(
+                gpu_hours_pct=(0.0, 100.0, 0.0, 0.0), label="all MI"
+            ),
+            z_threshold=6.0,
+        ),
+    )
+    for i in range(8):
+        node_w = {2: 540.0} if i in faulty else None
+        forensics.observe_window(make_window(i, node_w=node_w))
+    return forensics.finalize()
 
 
 class TestBundles:
     @pytest.fixture()
     def forensics(self):
-        forensics = Forensics(
-            interval_s=INTERVAL_S,
-            detectors=default_detectors(
-                reference=DriftReference(
-                    gpu_hours_pct=(0.0, 100.0, 0.0, 0.0), label="all MI"
-                ),
-                z_threshold=6.0,
-            ),
-        )
-        for i in range(8):
-            node_w = {2: 540.0} if 3 <= i <= 4 else None
-            forensics.observe_window(make_window(i, node_w=node_w))
-        return forensics.finalize()
+        return straggler_run(range(3, 5))
 
     def test_doc_bundle_roundtrip(self, forensics, tmp_path):
         doc = forensics_doc(forensics, command="pytest")
@@ -521,6 +530,54 @@ class TestBundles:
         missing = tmp_path / "missing.json"
         with pytest.raises(ForensicsError, match="cannot read"):
             load_forensics(missing)
+
+
+class TestBundleAsDocument:
+    """``repro obs incidents --from`` a bundle reads its one incident."""
+
+    def bundle(self, tmp_path, faulty) -> str:
+        paths = write_forensics_artifacts(
+            tmp_path, straggler_run(faulty), command="pytest"
+        )
+        return str(paths["bundles"][0])
+
+    def test_load_keeps_the_bundle_as_one_incident(self, tmp_path):
+        path = self.bundle(tmp_path, range(3, 5))
+        bundle = json.loads(Path(path).read_text())
+        doc = load_forensics(path)
+        assert doc["incidents"] == [bundle["incident"]]
+        for key in ("records", "logs", "metrics", "alerts", "provenance"):
+            assert doc[key] == bundle[key], key
+
+    def test_list_shows_the_incident(self, tmp_path, capsys):
+        path = self.bundle(tmp_path, range(3, 5))
+        assert main(["obs", "incidents", "--check", "--from", path]) == 0
+        out = capsys.readouterr().out
+        assert "0 open / 1 total" in out and "inc-001" in out
+
+    def test_check_fails_on_an_open_incident(self, tmp_path, capsys):
+        path = self.bundle(tmp_path, range(6, 8))
+        assert main(["obs", "incidents", "--check", "--from", path]) == 1
+        captured = capsys.readouterr()
+        assert "1 open / 1 total" in captured.out
+        assert "inc-001" in captured.err
+
+    def test_show_reads_the_incident(self, tmp_path, capsys):
+        path = self.bundle(tmp_path, range(3, 5))
+        assert main(["obs", "incidents", "show", "inc-001",
+                     "--from", path]) == 0
+        out = capsys.readouterr().out
+        assert "incident inc-001" in out and "recorder slice" in out
+
+    def test_export_rewrites_the_bundle_byte_for_byte(self, tmp_path, capsys):
+        path = self.bundle(tmp_path / "run", range(3, 5))
+        out = tmp_path / "export"
+        assert main(["obs", "incidents", "export", "--from", path,
+                     "--out", str(out)]) == 0
+        assert "exported 1 bundle(s)" in capsys.readouterr().out
+        assert (out / "incident_inc-001.json").read_bytes() == (
+            Path(path).read_bytes()
+        )
 
 
 #: Per-window faults for the incremental serve_doc tests, each tripping

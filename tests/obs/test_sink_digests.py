@@ -28,6 +28,7 @@ from repro.obs.health import DriftReference, HealthMonitor
 from repro.obs.history import History
 from repro.obs.log import EventLog, LogStore
 from repro.obs.metrics import WALL_CLOCK_METRICS
+from repro.scheduler.log import SchedulerLog
 from repro.serve import ControlPlane
 from repro.stream import StreamEngine, perturb, simulated_fleet
 from tests.serve.conftest import route_key
@@ -211,8 +212,12 @@ def _counting(monkeypatch, module_prefix: str, name: str, fn) -> list:
 
 def test_publishes_pin_registry_and_incident_bytes(tmp_path, monkeypatch):
     """Every publish renders the same registry and incident bytes, with
-    one region binning per sealed window and no ``np.isin`` in incident
-    attribution."""
+    one region binning and one job-id join per sealed window and no
+    ``np.isin`` in incident attribution.
+
+    The plane runs both readers of a window's job ids (the per-job fold
+    and incident attribution), so one ``job_id_table`` call per window
+    pins that neither labels a window again."""
     log, source = simulated_fleet(fleet_nodes=NODES, days=DAYS, seed=SEED)
     chunks = list(perturb(source, seed=SEED, dup_fraction=0.01,
                           lateness_s=900.0))
@@ -228,6 +233,14 @@ def test_publishes_pin_registry_and_incident_bytes(tmp_path, monkeypatch):
     binnings = _counting(monkeypatch, "repro", "region_index",
                          join.region_index)
     isin_calls = _counting(monkeypatch, "numpy", "isin", np.isin)
+    joins = []
+    job_id_table = SchedulerLog.job_id_table
+
+    def counted_join(self, *args, **kwargs):
+        joins.append(len(args[0]))
+        return job_id_table(self, *args, **kwargs)
+
+    monkeypatch.setattr(SchedulerLog, "job_id_table", counted_join)
     isin_in_attribution = []
     attribute = IncidentEngine._attribute
 
@@ -260,6 +273,8 @@ def test_publishes_pin_registry_and_incident_bytes(tmp_path, monkeypatch):
     windows = plane.engine.stats.windows_folded
     assert windows > 0 and isin_in_attribution
     assert len(binnings) == windows
+    assert len(joins) == windows
+    assert sum(joins) == plane.engine.stats.samples_folded
     assert sum(isin_in_attribution) == 0
     assert {
         "registry": registry.hexdigest(),

@@ -1,10 +1,12 @@
-"""Job-state index: metadata synthesis and the sample-tagging join."""
+"""Job-state index metadata, and the row join it serves job ids for."""
 
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from repro.constants import TELEMETRY_INTERVAL_S as INTERVAL_S
+from repro.core.join import DerivedWindow
 from repro.errors import ServeError
 from repro.serve import JobStateIndex
 from repro.serve.jobs import PARTITION_BY_CLASS, user_of_project
@@ -54,13 +56,18 @@ class TestIndex:
 
 
 class TestTagging:
+    """The one row join (``DerivedWindow.job_ids``) against the
+    per-node ``job_id_grid`` oracle."""
+
     def test_tag_is_the_campaign_join_primitive(self, campaign, windows):
         log, _store = campaign
-        index = JobStateIndex(log)
         # The t=0 window is all-idle; the mid-campaign ones carry jobs.
         window = windows[len(windows) // 2]
-        tagged = index.tag(window)
-        expected = log.job_id_table(window.time_s, window.node_id)
+        tagged = DerivedWindow.of(window, log, INTERVAL_S).job_ids
+        expected = np.zeros(len(window), dtype=np.int64)
+        for node in np.unique(window.node_id):
+            rows = window.node_id == node
+            expected[rows] = log.job_id_grid(window.time_s[rows], int(node))
         assert np.array_equal(tagged, expected)
         # The campaign actually allocates jobs, so tags are non-trivial.
         assert tagged.max() > 0
@@ -69,5 +76,6 @@ class TestTagging:
         log, _store = campaign
         index = JobStateIndex(log)
         for window in windows[:5]:
-            for jid in np.unique(index.tag(window)):
+            job_ids = DerivedWindow.of(window, log, INTERVAL_S).job_ids
+            for jid in np.unique(job_ids):
                 assert jid == 0 or int(jid) in index

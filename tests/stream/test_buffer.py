@@ -6,7 +6,6 @@ import pytest
 from repro import constants
 from repro.errors import TelemetryError
 from repro.stream import ReorderBuffer
-from repro.telemetry.sampler import aggregate_sensor_trace
 from repro.telemetry.schema import TelemetryChunk
 
 DT = constants.TELEMETRY_INTERVAL_S
@@ -94,59 +93,6 @@ def test_watermark_holds_back_sealing():
     out = buf.push(mk_chunk([7 * DT]))  # watermark 5*DT -> seal [0, 4*DT)
     assert len(out) == 1 and len(out[0]) == 4
     assert buf.watermark_lag_s == 7 * DT - 4 * DT
-
-
-def test_aggregate_mode_matches_sampler():
-    # Two nodes of raw 2 s cadence; the buffer's windowed aggregation
-    # must reproduce aggregate_sensor_trace per node and GPU.
-    rng = np.random.default_rng(42)
-    n_raw = 60  # 120 s of 2 s samples
-    raw_t = np.arange(n_raw) * constants.SENSOR_INTERVAL_S
-    parts = []
-    raw = {}
-    for nid in (0, 1):
-        gpu = rng.uniform(80.0, 400.0, size=(n_raw, constants.GPUS_PER_NODE))
-        cpu = rng.uniform(100.0, 300.0, size=n_raw)
-        raw[nid] = (gpu, cpu)
-        parts.append(
-            TelemetryChunk(
-                time_s=raw_t.astype(np.float64),
-                node_id=np.full(n_raw, nid, dtype=np.int32),
-                gpu_power_w=gpu.astype(np.float32),
-                cpu_power_w=cpu.astype(np.float32),
-            )
-        )
-    arrival = TelemetryChunk.concatenate(parts)
-    shuffle = np.random.default_rng(7).permutation(len(arrival))
-    buf = ReorderBuffer(
-        interval_s=DT, window_s=4 * DT, lateness_s=0.0, aggregate=True
-    )
-    windows = buf.push(
-        TelemetryChunk(
-            time_s=arrival.time_s[shuffle],
-            node_id=arrival.node_id[shuffle],
-            gpu_power_w=arrival.gpu_power_w[shuffle],
-            cpu_power_w=arrival.cpu_power_w[shuffle],
-        )
-    )
-    windows += buf.flush()
-    out = TelemetryChunk.concatenate(windows)
-    assert np.array_equal(np.unique(out.time_s), np.arange(8) * DT)
-    for nid in (0, 1):
-        sel = out.node_id == nid
-        gpu, cpu = raw[nid]
-        for g in range(constants.GPUS_PER_NODE):
-            expected = aggregate_sensor_trace(
-                gpu[:, g].astype(np.float32), raw_interval_s=2.0
-            )
-            np.testing.assert_allclose(
-                out.gpu_power_w[sel, g], expected, rtol=1e-6
-            )
-        np.testing.assert_allclose(
-            out.cpu_power_w[sel],
-            aggregate_sensor_trace(cpu.astype(np.float32), raw_interval_s=2.0),
-            rtol=1e-6,
-        )
 
 
 def test_state_roundtrip_preserves_everything():

@@ -5,6 +5,7 @@ import contextlib
 import numpy as np
 import pytest
 
+from repro import constants
 from repro.errors import ReproError, TelemetryError
 from repro.stream import (
     StreamEngine,
@@ -152,3 +153,51 @@ def test_save_appends_the_npz_suffix_like_numpy(
     save_checkpoint(engine, tmp_path / "ckpt")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.npz"]
     assert load_checkpoint(tmp_path / "ckpt.npz", log).chunks_in == 4
+
+
+def _resaved(path, tmp_path, reserved):
+    """``path`` re-saved with ``buf_config``'s reserved field set."""
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    interval, window, lateness, _ = arrays["buf_config"]
+    arrays["buf_config"] = np.array([interval, window, lateness, reserved])
+    out = tmp_path / f"reserved-{reserved:g}.npz"
+    np.savez_compressed(out, **arrays)
+    return out, arrays
+
+
+def test_four_field_buffer_config_resumes_bitwise(
+    campaign, arrival_chunks, batch_cube, cubes_equal, tmp_path
+):
+    # The layout every checkpoint has had: [interval, window, lateness,
+    # 0.0].  One written field by field that way resumes bitwise.
+    log, _gen, _store = campaign
+    split = len(arrival_chunks) // 3
+    uninterrupted = _fresh(log).run(arrival_chunks)
+    path = tmp_path / "mid.npz"
+    save_checkpoint(_fresh(log).run(arrival_chunks[:split], drain=False), path)
+    with np.load(path, allow_pickle=False) as data:
+        written = data["buf_config"]
+    assert written.dtype == np.float64 and written.tolist() == [
+        constants.TELEMETRY_INTERVAL_S, WINDOW_S, LATENESS_S, 0.0,
+    ]
+    layout, _ = _resaved(path, tmp_path, 0.0)
+    resumed = load_checkpoint(layout, log).run(arrival_chunks[split:])
+    assert cubes_equal(resumed.cube(), uninterrupted.cube())
+    assert cubes_equal(resumed.cube(), batch_cube)
+    assert resumed.stats == uninterrupted.stats
+
+
+def test_nonzero_reserved_buffer_field_is_rejected(
+    campaign, arrival_chunks, tmp_path
+):
+    log, _gen, _store = campaign
+    path = tmp_path / "ck.npz"
+    save_checkpoint(_fresh(log).run(arrival_chunks[:2], drain=False), path)
+    bad, arrays = _resaved(path, tmp_path, 1.0)
+    with pytest.raises(TelemetryError, match="reserved"):
+        load_checkpoint(bad, log)
+    buffer = _fresh(log).buffer
+    with pytest.raises(TelemetryError, match="reserved"):
+        buffer.load_state_arrays(arrays)
+    assert buffer.samples_in == 0 and buffer.resident_samples == 0

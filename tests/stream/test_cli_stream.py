@@ -49,10 +49,6 @@ def test_stream_flag_validation(capsys, tmp_path):
                  "--dup-fraction", "0.1"]) == 1
     # --from-file needs the scheduler log.
     assert main(["stream", "--from-file", str(tmp_path / "x.npz")]) == 1
-    # The sharded engine persists no event log.
-    assert main(["stream", "--nodes", "4", "--days", "0.2", "--shards",
-                 "2", "--log-dir", str(tmp_path / "lg")]) == 2
-    assert not (tmp_path / "lg").exists()
     capsys.readouterr()
 
 

@@ -265,17 +265,11 @@ def test_cli_campaign_checkpoint_resume(capsys, tmp_path):
     assert "sharded campaign (complete)" in out
 
 
-def test_cli_stream_shards_shorthand(capsys):
-    rc = main(["stream", "--nodes", "8", "--days", "0.2",
-               "--shards", "2", "--lateness-s", "0"])
-    out = capsys.readouterr().out
-    assert rc == 0
-    assert "sharded campaign (complete)" in out
-
-
-def test_cli_stream_shards_rejects_single_engine_flags(capsys):
-    rc = main(["stream", "--nodes", "8", "--shards", "2",
-               "--max-chunks", "5"])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "--max-chunks" in err
+def test_cli_stream_rejects_shards(capsys):
+    # `repro campaign` is the one sharded entry point: the stream
+    # command has no --shards/--workers, with or without other flags.
+    for extra in ([], ["--max-chunks", "5"], ["--workers", "2"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["stream", "--nodes", "8", "--shards", "2", *extra])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err

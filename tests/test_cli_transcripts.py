@@ -97,8 +97,8 @@ DIGESTS = {
     "stdout:stream": (
         "ecd595e06dd949822110730fca81a2c17724235b47f52ea0de79da2e5c2ffc35"
     ),
-    "stdout:stream-shards": (
-        "e1bdb28050e1781d56cf728420acba666055c02d5c383a7d0036607ddb9cfdc0"
+    "stdout:stream-obs": (
+        "b5bba79ce512f24123257ca00e1a98ce7ad6b4872be987dfd5f8eb917fb74e6d"
     ),
     "stdout:stream-sinks": (
         "82e97387aef6c9e59aaebf3c7ad0dcdae9c90dbf1dc604027002f5224a4b5876"
@@ -153,8 +153,8 @@ OPTIONS = {
         "--campaign-energy-mwh --checkpoint --days --drift-ref "
         "--dup-fraction --from-file --help --history-dir --lateness-s "
         "--log-dir --max-chunks --max-slowdown --nodes --obs "
-        "--obs-dir --resume --rules --sacct --seed --serve --shards "
-        "--shuffle --snapshot-every --watch --window-s --workers -h"
+        "--obs-dir --resume --rules --sacct --seed --serve --shuffle "
+        "--snapshot-every --watch --window-s -h"
     ),
 }
 
@@ -205,9 +205,9 @@ def _transcripts(root: Path) -> dict:
             "--dup-fraction", "0.01", "--snapshot-every", "20",
             "--obs-dir", s, "--history-dir", s / "h", "--log-dir", s / "l",
         ],
-        "stream-shards": [
-            "stream", "--nodes", "16", "--days", "0.25", "--shards", "2",
-            "--obs", "--obs-dir", root / "sh",
+        "stream-obs": [
+            "stream", "--nodes", "16", "--days", "0.25", "--obs",
+            "--obs-dir", root / "sh",
         ],
         "serve": [
             "serve", "--port", "0", "--exit-after-drain", "--nodes", "8",
