@@ -62,9 +62,8 @@ class StreamingHistogram:
 
         ``bins`` is each value's bin, clamped into range; ``clipped``
         flags the values that fell outside it.  The one bin formula of
-        :meth:`add` and :func:`add_grouped`; a caller that folds the
-        same values into several histograms computes it once and passes
-        it as ``bins=``.
+        :meth:`add`; a caller that folds the same values into several
+        histograms computes it once and passes it as ``bins=``.
         """
         scaled = np.subtract(values, self.lo, dtype=np.float64)
         scaled /= self.bin_width
@@ -149,69 +148,6 @@ class StreamingHistogram:
         kernel = np.exp(-0.5 * (x / sigma_bins) ** 2)
         kernel /= kernel.sum()
         return np.convolve(dens, kernel, mode="same")
-
-
-def add_grouped(
-    hists: List[StreamingHistogram],
-    group_idx: np.ndarray,
-    values: np.ndarray,
-    weights: Optional[np.ndarray] = None,
-    *,
-    bins: Optional[Tuple[np.ndarray, np.ndarray]] = None,
-) -> None:
-    """Accumulate each sample into ``hists[group_idx[i]]`` in one pass.
-
-    A single composite-key ``bincount`` (group major, bin minor) replaces
-    one masked :meth:`StreamingHistogram.add` call per group.  ``bincount``
-    accumulates sequentially in array order — the same element order each
-    per-group subset saw — so the resulting state is bitwise identical to
-    the per-group path.  All histograms must share their binning;
-    ``bins`` is their :meth:`~StreamingHistogram.bin_index` of
-    ``values``, if already known.
-    """
-    if not hists:
-        raise TelemetryError("add_grouped needs at least one histogram")
-    ref = hists[0]
-    for h in hists[1:]:
-        if (
-            h.lo != ref.lo
-            or h.hi != ref.hi
-            or h.bin_width != ref.bin_width
-        ):
-            raise TelemetryError("add_grouped needs identically binned histograms")
-    values = np.asarray(values, dtype=float).reshape(-1)
-    group_idx = np.asarray(group_idx, dtype=np.int64).reshape(-1)
-    if group_idx.shape != values.shape:
-        raise TelemetryError("group indices must match values")
-    if group_idx.size and (
-        group_idx.min() < 0 or group_idx.max() >= len(hists)
-    ):
-        raise TelemetryError("group index out of range")
-    n_groups, n_bins = len(hists), ref.n_bins
-
-    idx, clipped = ref.bin_index(values) if bins is None else bins
-    key = group_idx * n_bins
-    key += idx
-    minlength = n_groups * n_bins
-    counts = np.bincount(key, minlength=minlength).reshape(n_groups, n_bins)
-    if weights is None:
-        w = values
-    else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape != values.shape:
-            raise TelemetryError("weights must match values")
-    wsums = np.bincount(key, weights=w, minlength=minlength).reshape(
-        n_groups, n_bins
-    )
-    n_clip = (
-        np.bincount(group_idx[clipped], minlength=n_groups)
-        if clipped.any()
-        else np.zeros(n_groups, dtype=np.int64)
-    )
-    for g, h in enumerate(hists):
-        h.counts += counts[g]
-        h.weight_sums += wsums[g]
-        h.n_clipped += int(n_clip[g])
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ from ..obs import runtime as _obs
 from ..scheduler.log import SchedulerLog
 from ..telemetry.schema import TelemetryChunk
 from ..telemetry.store import TelemetryStore
-from .histogram import StreamingHistogram, add_grouped
+from .histogram import StreamingHistogram
 
 #: Pseudo-domain for samples with no running job.
 IDLE_DOMAIN = "_idle"
@@ -95,9 +95,10 @@ class DerivedWindow(TelemetryChunk):
         """
         if isinstance(chunk, DerivedWindow):
             return chunk
-        # The chunk was validated when built: share its columns as they are.
-        window = object.__new__(cls)
-        window.__dict__.update(chunk.__dict__, _log=log, interval_s=interval_s)
+        window = cls.from_validated(
+            chunk.time_s, chunk.node_id, chunk.gpu_power_w, chunk.cpu_power_w
+        )
+        window.__dict__.update(_log=log, interval_s=interval_s)
         return window
 
     @cached_property
@@ -238,6 +239,30 @@ def cubes_equal(a: CampaignCube, b: CampaignCube) -> bool:
     )
 
 
+def _histogram_rows(
+    like: StreamingHistogram,
+    names: List[str],
+    counts: np.ndarray,
+    weights: np.ndarray,
+    clipped,
+) -> Tuple[StreamingHistogram, Dict[str, StreamingHistogram]]:
+    """``(system histogram, {name: domain histogram})`` over array rows.
+
+    ``counts`` and ``weights`` are ``(1 + len(names), n_bins)``: row 0
+    is the system histogram, row ``1 + i`` domain ``names[i]``.  Each
+    histogram is binned like ``like`` and its ``counts``/``weight_sums``
+    are views of its row, so one ``+=`` on the rows adds to every domain
+    at once; ``clipped`` seeds each one's ``n_clipped``.
+    """
+    hists = []
+    for row_counts, row_weights, n_clipped in zip(counts, weights, clipped):
+        h = StreamingHistogram(like.lo, like.hi, like.bin_width)
+        h.counts, h.weight_sums = row_counts, row_weights
+        h.n_clipped = int(n_clipped)
+        hists.append(h)
+    return hists[0], dict(zip(names, hists[1:]))
+
+
 class CampaignAccumulator:
     """Incremental telemetry-x-log fold into a :class:`CampaignCube`.
 
@@ -269,10 +294,7 @@ class CampaignAccumulator:
 
         self.energy_j = np.zeros((len(self.domains), len(self.classes), 4))
         self.gpu_hours = np.zeros_like(self.energy_j)
-        self.histogram = StreamingHistogram()
-        self.domain_histograms = {
-            name: StreamingHistogram() for name in self.domains
-        }
+        self._zero_histograms()
         self.cpu_energy_j = 0.0
         self.n_chunks = 0
 
@@ -305,15 +327,40 @@ class CampaignAccumulator:
         new.classes = self.classes
         new.energy_j = np.zeros_like(self.energy_j)
         new.gpu_hours = np.zeros_like(self.gpu_hours)
-        new.histogram = StreamingHistogram()
-        new.domain_histograms = {
-            name: StreamingHistogram() for name in self.domains
-        }
+        new._zero_histograms()
         new.cpu_energy_j = 0.0
         new.n_chunks = 0
         new._dom_of_job = self._dom_of_job
         new._cls_of_job = self._cls_of_job
         return new
+
+    def _hold_histograms(
+        self,
+        like: StreamingHistogram,
+        counts: np.ndarray,
+        weights: np.ndarray,
+        clipped,
+    ) -> None:
+        """Hold the system and per-domain histograms as rows of one
+        array pair (see :func:`_histogram_rows`)."""
+        self._hist_counts, self._hist_weights = counts, weights
+        self.histogram, self.domain_histograms = _histogram_rows(
+            like, self.domains, counts, weights, clipped
+        )
+
+    def _zero_histograms(self) -> None:
+        like = StreamingHistogram()
+        shape = (1 + len(self.domains), like.n_bins)
+        self._hold_histograms(
+            like, np.zeros(shape), np.zeros(shape),
+            np.zeros(shape[0], dtype=np.int64),
+        )
+
+    def _clipped(self) -> List[int]:
+        """``n_clipped`` of each histogram row, system first."""
+        return [self.histogram.n_clipped] + [
+            h.n_clipped for h in self.domain_histograms.values()
+        ]
 
     def derive(self, chunk: TelemetryChunk) -> DerivedWindow:
         """``chunk`` as a :class:`DerivedWindow` labelled by this join's log.
@@ -373,17 +420,29 @@ class CampaignAccumulator:
             n_d, n_c, 4
         ) * (interval / 3600.0)
 
-        # One bin index for the system histogram and the per-domain ones
-        # (one composite-key bincount pass); the repeat aligns row labels
-        # with the row-major sample flattening.
-        bins = self.histogram.bin_index(flat_p)
-        self.histogram.add(flat_p, bins=bins)
-        add_grouped(
-            [self.domain_histograms[name] for name in self.domains],
-            np.repeat(d_row, power.shape[1]),
-            flat_p,
-            bins=bins,
-        )
+        # One bin index for the system histogram and the per-domain ones;
+        # the per-domain rows take one composite-key (domain major, bin
+        # minor) bincount of each kind.  ``bincount`` adds in array
+        # order, the order each domain's subset would see, so the rows
+        # are bitwise what per-domain adds would give.  The repeat
+        # aligns row labels with the row-major sample flattening.
+        bins, clipped = self.histogram.bin_index(flat_p)
+        self.histogram.add(flat_p, bins=(bins, clipped))
+        n_bins = self.histogram.n_bins
+        d_sample = np.repeat(d_row, power.shape[1])
+        key = d_sample * n_bins
+        key += bins
+        minlength = n_d * n_bins
+        self._hist_counts[1:] += np.bincount(
+            key, minlength=minlength
+        ).reshape(n_d, n_bins)
+        self._hist_weights[1:] += np.bincount(
+            key, weights=flat_p, minlength=minlength
+        ).reshape(n_d, n_bins)
+        if clipped.any():
+            n_clip = np.bincount(d_sample[clipped], minlength=n_d)
+            for name, n in zip(self.domains, n_clip):
+                self.domain_histograms[name].n_clipped += int(n)
 
     def cube(self, *, copy: bool = False) -> CampaignCube:
         """The campaign cube of everything folded so far.
@@ -392,11 +451,13 @@ class CampaignAccumulator:
         so further ``update`` calls do not mutate it (live queries).
         """
         if copy:
-            hist = self.histogram.copy()
-            domain_hists = {
-                name: h.copy()
-                for name, h in self.domain_histograms.items()
-            }
+            hist, domain_hists = _histogram_rows(
+                self.histogram,
+                self.domains,
+                self._hist_counts.copy(),
+                self._hist_weights.copy(),
+                self._clipped(),
+            )
             return CampaignCube(
                 domains=list(self.domains),
                 classes=list(self.classes),
@@ -422,9 +483,6 @@ class CampaignAccumulator:
 
     def state_arrays(self) -> Dict[str, np.ndarray]:
         """Columnar form of the accumulator state for npz persistence."""
-        hists = [self.histogram] + [
-            self.domain_histograms[n] for n in self.domains
-        ]
         return {
             "acc_domains": np.array(self.domains),
             "acc_classes": np.array(self.classes),
@@ -440,11 +498,9 @@ class CampaignAccumulator:
                     self.histogram.bin_width,
                 ]
             ),
-            "acc_hist_counts": np.stack([h.counts for h in hists]),
-            "acc_hist_weights": np.stack([h.weight_sums for h in hists]),
-            "acc_hist_clipped": np.array(
-                [h.n_clipped for h in hists], dtype=np.int64
-            ),
+            "acc_hist_counts": self._hist_counts.copy(),
+            "acc_hist_weights": self._hist_weights.copy(),
+            "acc_hist_clipped": np.array(self._clipped(), dtype=np.int64),
         }
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
@@ -461,19 +517,12 @@ class CampaignAccumulator:
         self.cpu_energy_j = float(arrays["acc_scalars"][0])
         self.n_chunks = int(arrays["acc_scalars"][1])
         self.interval_s = float(arrays["acc_scalars"][2])
-        hists = [StreamingHistogram(lo, hi, width)]
-        for _ in self.domains:
-            hists.append(StreamingHistogram(lo, hi, width))
-        for i, h in enumerate(hists):
-            h.counts = np.array(
-                arrays["acc_hist_counts"][i], dtype=np.float64
-            )
-            h.weight_sums = np.array(
-                arrays["acc_hist_weights"][i], dtype=np.float64
-            )
-            h.n_clipped = int(arrays["acc_hist_clipped"][i])
-        self.histogram = hists[0]
-        self.domain_histograms = dict(zip(self.domains, hists[1:]))
+        self._hold_histograms(
+            StreamingHistogram(lo, hi, width),
+            np.array(arrays["acc_hist_counts"], dtype=np.float64),
+            np.array(arrays["acc_hist_weights"], dtype=np.float64),
+            arrays["acc_hist_clipped"],
+        )
 
 
 def join_campaign(

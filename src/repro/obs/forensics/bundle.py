@@ -135,6 +135,14 @@ def write_bundles(out_dir, doc: dict,
     return paths
 
 
+#: Fields every incident of a loaded document must carry: the ones the
+#: timeline and the incident listing read.
+_INCIDENT_KEYS = (
+    "id", "detector", "severity", "status", "first_window", "last_window",
+    "t_start_s", "t_end_s", "windows_firing",
+)
+
+
 def load_forensics(path) -> dict:
     """Read an ``incidents.json`` (or bundle) back; validates the shape.
 
@@ -156,6 +164,17 @@ def load_forensics(path) -> dict:
         raise ForensicsError(f"{path} is not a forensics document")
     if "incidents" not in doc:
         doc["incidents"] = [doc["incident"]]
+    incidents = doc["incidents"]
+    if not isinstance(incidents, list):
+        raise ForensicsError(f"{path}: 'incidents' is not a list")
+    for i, incident in enumerate(incidents):
+        if not isinstance(incident, dict):
+            raise ForensicsError(f"{path}: incident {i} is not an object")
+        missing = [k for k in _INCIDENT_KEYS if k not in incident]
+        if missing:
+            raise ForensicsError(
+                f"{path}: incident {i} lacks {', '.join(missing)}"
+            )
     return doc
 
 

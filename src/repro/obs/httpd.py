@@ -214,6 +214,16 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
         return doc if isinstance(doc, dict) else {}
 
 
+class _Server(ThreadingHTTPServer):
+    """The threading server behind every :class:`HttpService`."""
+
+    #: Listen backlog.  socketserver's default of 5 overflows when a
+    #: client herd connects at once (the kernel drops the SYNs and the
+    #: clients retry after a 1 s timeout); 1024 admits the whole herd.
+    request_queue_size = 1024
+    daemon_threads = True
+
+
 class HttpService:
     """One ``ThreadingHTTPServer`` on a daemon thread, closed cleanly."""
 
@@ -268,7 +278,7 @@ class HttpService:
         if self._server is not None:
             return self
         try:
-            server = ThreadingHTTPServer(
+            server = _Server(
                 (self.host, self._requested_port), self.handler_class
             )
         except OSError as exc:
@@ -276,7 +286,6 @@ class HttpService:
                 f"cannot bind {self.service_name} on {self.host}:"
                 f"{self._requested_port}: {exc}"
             ) from exc
-        server.daemon_threads = True
         server.handler_errors = 0
         server.service = self
         self._server = server

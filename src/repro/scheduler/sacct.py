@@ -19,6 +19,7 @@ Expected columns (header row, ``|``-separated, the classic sacct layout)::
 from __future__ import annotations
 
 import csv
+import math
 import re
 from pathlib import Path
 from typing import List, Optional
@@ -56,13 +57,19 @@ def parse_nodelist(nodelist: str) -> List[int]:
         part = part.strip()
         if "-" in part:
             lo_s, hi_s = part.split("-", 1)
-            lo, hi = int(lo_s), int(hi_s)
+            lo, hi = _node_index(lo_s, nodelist), _node_index(hi_s, nodelist)
             if hi < lo:
                 raise ScheduleError(f"inverted range {part!r}")
             nodes.extend(range(lo, hi + 1))
         else:
-            nodes.append(int(part))
+            nodes.append(_node_index(part, nodelist))
     return nodes
+
+
+def _node_index(text: str, nodelist: str) -> int:
+    if not text.strip().isdecimal():
+        raise ScheduleError(f"bad node index {text!r} in {nodelist!r}")
+    return int(text)
 
 
 def domain_of_account(account: str) -> str:
@@ -71,6 +78,33 @@ def domain_of_account(account: str) -> str:
     if not match:
         raise ScheduleError(f"account {account!r} has no domain prefix")
     return match.group(1).upper()
+
+
+def _parse_row(r: dict, where: str) -> tuple:
+    """``(job id, account, domain, nnodes, nodes, submit, start, end)``.
+
+    Times are as written (not yet shifted).  Any malformed field raises
+    :class:`~repro.errors.ScheduleError` naming ``where`` and the job.
+    """
+    where = f"{where} (job {r.get('JobID')!r})"
+    short = [c for c in REQUIRED_COLUMNS if r.get(c) is None]
+    if short:
+        raise ScheduleError(f"{where}: short row, no {', '.join(short)}")
+    try:
+        job_id = int(r["JobID"])
+        nodes = parse_nodelist(r["NodeList"])
+        nnodes = int(r["NNodes"])
+        domain = domain_of_account(r["Account"])
+        times = [float(r[c]) for c in ("Submit", "Start", "End")]
+    except (ValueError, ScheduleError) as exc:
+        raise ScheduleError(f"{where}: {exc}") from exc
+    if not all(math.isfinite(t) for t in times):
+        raise ScheduleError(f"{where}: non-finite time {times}")
+    if len(nodes) != nnodes:
+        raise ScheduleError(
+            f"{where}: NNodes={nnodes} but NodeList has {len(nodes)} nodes"
+        )
+    return (job_id, r["Account"], domain, nnodes, nodes, *times)
 
 
 def read_sacct(
@@ -86,9 +120,8 @@ def read_sacct(
     zero (the analysis pipeline's convention).
     """
     path = Path(path)
-    jobs: List[Job] = []
-    allocations: List[NodeAllocation] = []
-
+    rows: List[tuple] = []
+    first_line = {}
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh, delimiter=delimiter)
         if reader.fieldnames is None:
@@ -98,35 +131,31 @@ def read_sacct(
             raise ScheduleError(
                 f"{path}: missing columns {', '.join(missing)}"
             )
-        rows = list(reader)
+        for r in reader:
+            line = reader.line_num
+            row = _parse_row(r, f"{path}: line {line}")
+            seen = first_line.setdefault(row[0], line)
+            if seen != line:
+                raise ScheduleError(
+                    f"{path}: line {line}: duplicate JobID {row[0]} "
+                    f"(first on line {seen})"
+                )
+            rows.append(row)
     if not rows:
         raise ScheduleError(f"{path}: no jobs")
 
-    t0 = min(float(r["Submit"]) for r in rows)
+    t0 = min(row[5] for row in rows)  # the earliest Submit
+    jobs: List[Job] = []
+    allocations: List[NodeAllocation] = []
     max_node = 0
     horizon = 0.0
-    for r in rows:
-        try:
-            job_id = int(r["JobID"])
-            nodes = parse_nodelist(r["NodeList"])
-            nnodes = int(r["NNodes"])
-            submit = float(r["Submit"]) - t0
-            start = float(r["Start"]) - t0
-            end = float(r["End"]) - t0
-        except (ValueError, ScheduleError) as exc:
-            raise ScheduleError(
-                f"{path}: bad row for job {r.get('JobID')!r}: {exc}"
-            ) from exc
-        if len(nodes) != nnodes:
-            raise ScheduleError(
-                f"job {job_id}: NNodes={nnodes} but NodeList has "
-                f"{len(nodes)} nodes"
-            )
+    for job_id, account, domain, nnodes, nodes, *times in rows:
+        submit, start, end = (t - t0 for t in times)
         jobs.append(
             Job(
                 job_id=job_id,
-                project_id=r["Account"],
-                domain=domain_of_account(r["Account"]),
+                project_id=account,
+                domain=domain,
                 num_nodes=nnodes,
                 submit_time_s=submit,
                 start_time_s=start,

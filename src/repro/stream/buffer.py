@@ -35,7 +35,9 @@ layout re-concatenated every resident column on every arrival, which
 made a quiet stream (no seals) quadratic in the reorder horizon.  An
 in-order arrival chunk is retained by reference (no copy at all); the
 consolidation at seal time re-copies each resident sample once per
-seal, and seals are paced by the watermark, not by arrivals.
+seal, and seals are paced by the watermark, not by arrivals.  When the
+pending samples arrived in event-time order, a seal slices off a prefix
+and, if that prefix is already in canonical order, skips the sort.
 """
 
 from __future__ import annotations
@@ -79,6 +81,20 @@ def buffer_config(arrays: Dict[str, np.ndarray]) -> Tuple[float, float, float]:
             "(expected 0): cannot resume it"
         )
     return interval, window, lateness
+
+
+def _ascending(time: np.ndarray) -> bool:
+    """Whether event times never decrease in arrival order."""
+    return bool((time[1:] >= time[:-1]).all())
+
+
+def _strictly_ascending(time: np.ndarray, node: np.ndarray) -> bool:
+    """Whether time-ascending rows are strictly ascending in ``(time, node)``.
+
+    With times non-decreasing, a row is above its predecessor exactly
+    when its time is later or, at the same time, its node is higher.
+    """
+    return bool(((time[1:] > time[:-1]) | (node[1:] > node[:-1])).all())
 
 
 class ReorderBuffer:
@@ -250,43 +266,50 @@ class ReorderBuffer:
     def _emit(self, until_s: float) -> List[TelemetryChunk]:
         """Release all windows below ``until_s`` in canonical form."""
         c = self._consolidate()
-        take = c["time"] < until_s
+        t = c["time"]
         self.sealed_until_s = until_s
-        if not take.any():
-            return []
-        if take.all():
-            time, node, gpu, cpu, seq = (
-                c["time"], c["node"], c["gpu"], c["cpu"], c["seq"],
-            )
-            self._pending = []
-            self._n_resident = 0
+        in_order = _ascending(t)
+        if in_order:
+            # Time-ordered delivery: the rows to seal are a prefix.
+            n_take = int(np.searchsorted(t, until_s, side="left"))
+            take, rest = slice(0, n_take), slice(n_take, None)
         else:
-            time = c["time"][take]
-            node = c["node"][take]
-            gpu = c["gpu"][take]
-            cpu = c["cpu"][take]
-            seq = c["seq"][take]
+            take = t < until_s
+            n_take = int(np.count_nonzero(take))
             rest = ~take
-            self._pending = [{k: v[rest] for k, v in c.items()}]
-            self._n_resident = int(rest.sum())
-
-        # Canonical order: (time, node), first arrival first among ties.
-        order = np.lexsort((seq, node, time))
-        time, node, gpu, cpu = (
-            time[order], node[order], gpu[order], cpu[order],
+            if n_take == len(t):
+                take = slice(None)
+        if n_take == 0:
+            return []
+        self._n_resident = len(t) - n_take
+        self._pending = (
+            [{key: v[rest] for key, v in c.items()}]
+            if self._n_resident else []
+        )
+        time, node, gpu, cpu, seq = (
+            c[key][take] for key in ("time", "node", "gpu", "cpu", "seq")
         )
 
-        # Dedup exact (time, node) keys: the first arrival wins.
-        if len(time) > 1:
-            dup = np.zeros(len(time), dtype=bool)
-            dup[1:] = (time[1:] == time[:-1]) & (node[1:] == node[:-1])
-            n_dup = int(dup.sum())
-            if n_dup:
-                self.duplicates += n_dup
-                keep = ~dup
-                time, node, gpu, cpu = (
-                    time[keep], node[keep], gpu[keep], cpu[keep],
-                )
+        # Rows strictly ascending in (time, node) are already canonical
+        # and duplicate-free; anything else is sorted and deduplicated.
+        if not (in_order and _strictly_ascending(time, node)):
+            # Canonical order: (time, node), first arrival first among ties.
+            order = np.lexsort((seq, node, time))
+            time, node, gpu, cpu = (
+                time[order], node[order], gpu[order], cpu[order],
+            )
+
+            # Dedup exact (time, node) keys: the first arrival wins.
+            if len(time) > 1:
+                dup = np.zeros(len(time), dtype=bool)
+                dup[1:] = (time[1:] == time[:-1]) & (node[1:] == node[:-1])
+                n_dup = int(dup.sum())
+                if n_dup:
+                    self.duplicates += n_dup
+                    keep = ~dup
+                    time, node, gpu, cpu = (
+                        time[keep], node[keep], gpu[keep], cpu[keep],
+                    )
 
         # Split into event-time windows: one searchsorted over the
         # precomputed window boundaries (the rows are already in
@@ -309,12 +332,10 @@ class ReorderBuffer:
             if hi == lo:
                 # A whole window with no samples (fleet gap): no chunk.
                 continue
+            # Rows of validated arrival chunks: no second check.
             out.append(
-                TelemetryChunk(
-                    time_s=time[lo:hi],
-                    node_id=node[lo:hi],
-                    gpu_power_w=gpu[lo:hi],
-                    cpu_power_w=cpu[lo:hi],
+                TelemetryChunk.from_validated(
+                    time[lo:hi], node[lo:hi], gpu[lo:hi], cpu[lo:hi]
                 )
             )
             self.windows_emitted += 1
@@ -361,7 +382,13 @@ class ReorderBuffer:
         }
 
     def load_state_arrays(self, arrays: Dict[str, np.ndarray]) -> None:
-        """Inverse of :meth:`state_arrays`."""
+        """Inverse of :meth:`state_arrays`.
+
+        Sealed windows reuse their rows unchecked, so the restored rows
+        (the only ones no arrival chunk validated) are checked here: a
+        NaN or negative power, or ragged columns, raise
+        :class:`~repro.errors.TelemetryError`.
+        """
         self.interval_s, self.window_s, self.lateness_s = buffer_config(
             arrays
         )
@@ -372,6 +399,14 @@ class ReorderBuffer:
             "cpu": np.array(arrays["buf_cpu"], dtype=np.float32),
             "seq": np.array(arrays["buf_seq"], dtype=np.int64),
         }
+        TelemetryChunk(
+            time_s=cols["time"],
+            node_id=cols["node"],
+            gpu_power_w=cols["gpu"],
+            cpu_power_w=cols["cpu"],
+        )
+        if len(cols["seq"]) != len(cols["time"]):
+            raise TelemetryError("buffer state columns have unequal length")
         self._pending = [cols] if len(cols["time"]) else []
         self._n_resident = int(len(cols["time"]))
         clock = arrays["buf_clock"]

@@ -116,14 +116,18 @@ class FleetTelemetryGenerator:
         n_nodes = self.log.n_nodes
         renderer = _Renderer(self, range(n_nodes))
         times = self._sample_times()
-        nodes = np.arange(n_nodes, dtype=np.int32)
+        # One read-only node column, sliced by every chunk.
+        node_col = np.tile(
+            np.arange(n_nodes, dtype=np.int32), min(chunk_ticks, n)
+        )
+        node_col.flags.writeable = False
         for t_lo in range(0, n, chunk_ticks):
             t_hi = min(t_lo + chunk_ticks, n)
             gpu, cpu = renderer.render(t_lo, t_hi)
             rows = (t_hi - t_lo) * n_nodes
             yield TelemetryChunk(
                 time_s=np.repeat(times[t_lo:t_hi], n_nodes),
-                node_id=np.tile(nodes, t_hi - t_lo),
+                node_id=node_col[:rows],
                 gpu_power_w=gpu.reshape(rows, constants.GPUS_PER_NODE),
                 cpu_power_w=cpu.reshape(rows),
             )
@@ -215,8 +219,8 @@ class _Renderer:
         pending.sort(key=lambda p: p[0])
         self._pending = pending
         self._next = 0
-        #: (lo, hi, column, GPU trace (hi - lo, 4), CPU load) per live
-        #: allocation.
+        #: (lo, hi, column, float32 GPU trace (hi - lo, 4), CPU load) per
+        #: live allocation.
         self._live: List[tuple] = []
 
     def _idle_rows(self, t_lo: int, t_hi: int) -> np.ndarray:
@@ -249,7 +253,10 @@ class _Renderer:
         )
         trace += rng.normal(0.0, self._noise, size=trace.shape)
         np.maximum(trace, 0.0, out=trace)
-        return lo, hi, j, trace.T, rng.uniform(0.2, 0.55)
+        # Cast once, here: every chunk's write is then a same-dtype copy
+        # of contiguous rows, and each sample rounds exactly as before.
+        trace32 = np.ascontiguousarray(trace.T, dtype=np.float32)
+        return lo, hi, j, trace32, rng.uniform(0.2, 0.55)
 
     def render(self, t_lo: int, t_hi: int):
         """``(gpu, cpu)`` float32 power of ticks ``[t_lo, t_hi)``.

@@ -56,6 +56,29 @@ class TelemetryChunk:
             if not np.isfinite(self.time_s).all():
                 raise TelemetryError("non-finite timestamp")
 
+    @classmethod
+    def from_validated(
+        cls,
+        time_s: np.ndarray,
+        node_id: np.ndarray,
+        gpu_power_w: np.ndarray,
+        cpu_power_w: np.ndarray,
+    ) -> "TelemetryChunk":
+        """A chunk over columns already checked by an earlier chunk.
+
+        Skips the shape and finiteness checks: the caller vouches that
+        the columns are (row subsets of) validated chunk columns.  The
+        columns are shared, not copied.
+        """
+        chunk = object.__new__(cls)
+        chunk.__dict__.update(
+            time_s=time_s,
+            node_id=node_id,
+            gpu_power_w=gpu_power_w,
+            cpu_power_w=cpu_power_w,
+        )
+        return chunk
+
     def __len__(self) -> int:
         return len(self.time_s)
 

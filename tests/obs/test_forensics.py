@@ -531,6 +531,27 @@ class TestBundles:
         with pytest.raises(ForensicsError, match="cannot read"):
             load_forensics(missing)
 
+    @pytest.mark.parametrize("doc, reason", [
+        ({"incidents": "x"}, "not a list"),
+        ({"incidents": [1, 2]}, "incident 0 is not an object"),
+        ({"incident": "x"}, "incident 0 is not an object"),
+        ({"incidents": [{"id": "inc-001"}]}, "incident 0 lacks detector"),
+    ])
+    def test_load_rejects_malformed_incidents(
+        self, tmp_path, capsys, doc, reason
+    ):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        with pytest.raises(ForensicsError, match=reason):
+            load_forensics(bad)
+        # The CLI reports it on one line and exits non-zero, no traceback.
+        assert main(["obs", "incidents", "list", "--from", str(bad)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("obs FAILED:")
+        assert reason in err[0]
+
 
 class TestBundleAsDocument:
     """``repro obs incidents --from`` a bundle reads its one incident."""

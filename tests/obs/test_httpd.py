@@ -71,6 +71,17 @@ class TestSharedLifecycle:
         assert not server.running
         server.close()  # no-op, no raise
 
+    @pytest.mark.parametrize("which", ["health", "plane"])
+    def test_listen_backlog_admits_a_herd(self, plane, which):
+        # socketserver's default backlog of 5 overflows under a herd
+        # of simultaneous connects; the started server listens with 1024.
+        server = (
+            make_health() if which == "health" else make_plane_server(plane)
+        )
+        with server:
+            assert server._server.request_queue_size == 1024
+            assert server._server.daemon_threads
+
     def test_port_raises_own_error_class_when_down(self, plane):
         with pytest.raises(HealthError, match="not running"):
             _ = make_health().port

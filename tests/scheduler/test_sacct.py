@@ -124,3 +124,47 @@ class TestRoundtrip:
             assert job.start_time_s == pytest.approx(
                 orig.start_time_s - t0, abs=2.0
             )
+
+
+class TestHostileRows:
+    """Malformed rows raise ScheduleError naming the row, never a bare
+    ValueError/TypeError, and nothing malformed is accepted."""
+
+    HEADER = "JobID|Account|NNodes|Submit|Start|End|NodeList\n"
+    GOOD = "1|chm1|1|100|200|300|node1\n"
+
+    def _read(self, tmp_path, body):
+        path = tmp_path / "sacct.txt"
+        path.write_text(self.HEADER + body)
+        return read_sacct(path)
+
+    def test_iso_submit(self, tmp_path):
+        with pytest.raises(ScheduleError, match=r"line 3 \(job '2'\)"):
+            self._read(
+                tmp_path,
+                self.GOOD + "2|chm1|1|2023-04-01T00:00:00|200|300|node2\n",
+            )
+
+    def test_short_row(self, tmp_path):
+        with pytest.raises(ScheduleError, match=r"line 2 .*short row"):
+            self._read(tmp_path, "1|chm1|1|100\n")
+
+    def test_duplicate_job_id(self, tmp_path):
+        with pytest.raises(
+            ScheduleError, match=r"line 3: duplicate JobID 1 \(first on line 2\)"
+        ):
+            self._read(tmp_path, self.GOOD + "1|chm1|1|400|500|600|node2\n")
+
+    def test_non_numeric_node_range(self, tmp_path):
+        with pytest.raises(ScheduleError, match="node\\[a-b\\]"):
+            parse_nodelist("node[a-b]")
+        with pytest.raises(ScheduleError, match=r"line 2 \(job '1'\)"):
+            self._read(tmp_path, "1|chm1|1|100|200|300|node[a-b]\n")
+
+    def test_non_finite_time(self, tmp_path):
+        with pytest.raises(ScheduleError, match="non-finite"):
+            self._read(tmp_path, "1|chm1|1|100|nan|300|node1\n")
+
+    def test_account_without_domain_names_the_row(self, tmp_path):
+        with pytest.raises(ScheduleError, match=r"line 2 \(job '1'\)"):
+            self._read(tmp_path, "1|123|1|100|200|300|node1\n")
