@@ -134,8 +134,10 @@ def replay_generator(
     ``chunk_ticks`` ticks of every node in ``(time, node)`` order,
     bitwise-equal to :func:`replay_store` over ``gen.generate()``.
     Every allocation is rendered once, so the cost is linear in the
-    horizon, and memory is bounded by the allocations live in one
-    chunk (see :meth:`FleetTelemetryGenerator.time_chunks`).
+    horizon.  Chunks are rendered a block at a time, so memory is
+    bounded by one block of whole chunks within a fixed row budget (or
+    one chunk, when a chunk alone is larger) and the allocations live
+    in it (see :meth:`FleetTelemetryGenerator.time_chunks`).
     """
     yield from gen.time_chunks(chunk_ticks)
 

@@ -15,6 +15,11 @@ exercised by the Fig 2(a) comparison.
 Generation is deterministic per (job, node): every stream gets its own
 seed derived from ids, so chunked, parallel, and serial generation all
 produce identical data (the mpi4py rank-decomposition idiom).
+
+The time-major replay (:meth:`FleetTelemetryGenerator.time_chunks`)
+renders whole chunks a block at a time, within a fixed row budget (one
+chunk when a chunk alone is larger), so its memory is bounded by one
+block and the allocations live in it, not by the horizon.
 """
 
 from __future__ import annotations
@@ -43,6 +48,10 @@ _SAMPLES_PER_WINDOW = (
 
 #: Idle-noise ticks drawn per node at a time by :class:`_Renderer`.
 _IDLE_BLOCK_TICKS = 1024
+
+#: Row budget of one :meth:`FleetTelemetryGenerator.time_chunks` render
+#: (whole chunks; one chunk when a chunk alone is larger).
+_BLOCK_ROWS = 16384
 
 
 class FleetTelemetryGenerator:
@@ -107,8 +116,11 @@ class FleetTelemetryGenerator:
 
         Rows come in ``(time, node)`` order and equal :meth:`generate`'s
         bitwise.  Each allocation is rendered once, when its first tick
-        comes up, and dropped after its last, so memory is bounded by the
-        allocations live in one chunk, not by the horizon.
+        comes up, and dropped after its last.  Whole chunks are rendered
+        and validated a block at a time, as many as fit in
+        :data:`_BLOCK_ROWS` rows (at least one), and yielded as read-only
+        row slices of that block: memory is bounded by one block and the
+        allocations live in it, not by the horizon.
         """
         if chunk_ticks <= 0:
             raise TelemetryError("chunk_ticks must be positive")
@@ -116,21 +128,33 @@ class FleetTelemetryGenerator:
         n_nodes = self.log.n_nodes
         renderer = _Renderer(self, range(n_nodes))
         times = self._sample_times()
-        # One read-only node column, sliced by every chunk.
+        chunk_rows = chunk_ticks * n_nodes
+        block_ticks = chunk_ticks * max(1, _BLOCK_ROWS // chunk_rows)
+        # One read-only node column, sliced by every block.
         node_col = np.tile(
-            np.arange(n_nodes, dtype=np.int32), min(chunk_ticks, n)
+            np.arange(n_nodes, dtype=np.int32), min(block_ticks, n)
         )
         node_col.flags.writeable = False
-        for t_lo in range(0, n, chunk_ticks):
-            t_hi = min(t_lo + chunk_ticks, n)
+        for t_lo in range(0, n, block_ticks):
+            t_hi = min(t_lo + block_ticks, n)
             gpu, cpu = renderer.render(t_lo, t_hi)
             rows = (t_hi - t_lo) * n_nodes
-            yield TelemetryChunk(
+            block = TelemetryChunk(
                 time_s=np.repeat(times[t_lo:t_hi], n_nodes),
                 node_id=node_col[:rows],
                 gpu_power_w=gpu.reshape(rows, constants.GPUS_PER_NODE),
                 cpu_power_w=cpu.reshape(rows),
             )
+            cols = (
+                block.time_s, block.node_id, block.gpu_power_w,
+                block.cpu_power_w,
+            )
+            for col in cols:
+                col.flags.writeable = False
+            for lo in range(0, rows, chunk_rows):
+                yield TelemetryChunk.from_validated(
+                    *(col[lo : lo + chunk_rows] for col in cols)
+                )
 
     # -- fleet-scale iteration -------------------------------------------------------
 

@@ -67,19 +67,23 @@ class PowerProfile:
 
     @cached_property
     def _walk(self) -> tuple:
-        """``(draw_p, mean_dwell, dwell_means, means, stds)`` of the walk.
+        """``(cdf, mean_dwell, dwell_means, means, stds)`` of the walk.
 
         ``weight`` is the stationary *time* share; with unequal dwell
         times the draw frequency must be weight / dwell (a short-dwell
-        phase needs more visits to hold the same time share).
+        phase needs more visits to hold the same time share).  ``cdf``
+        is that draw distribution's CDF, computed as
+        ``Generator.choice(p=draw_p)`` computes it.
         """
         dwell_means = np.array([p.dwell_mean_s for p in self.phases])
         draw_p = self.weights / dwell_means
         draw_p = draw_p / draw_p.sum()
         mean_dwell = float(np.dot(draw_p, dwell_means))
+        cdf = draw_p.cumsum()
+        cdf /= cdf[-1]
         means = np.array([p.mean_w for p in self.phases])
         stds = np.array([p.std_w for p in self.phases])
-        return draw_p, mean_dwell, dwell_means, means, stds
+        return cdf, mean_dwell, dwell_means, means, stds
 
     def sample_trace(
         self,
@@ -99,14 +103,16 @@ class PowerProfile:
         if n_samples <= 0 or n_streams <= 0:
             raise TelemetryError("need positive n_samples and n_streams")
         gen = ensure_rng(rng)
-        draw_p, mean_dwell, dwell_means, means, stds = self._walk
+        cdf, mean_dwell, dwell_means, means, stds = self._walk
         total_t = n_samples * interval_s
         # Enough dwell draws to cover the horizon with margin.
         n_draws = max(4, int(np.ceil(total_t / mean_dwell * 2.5)) + 8)
-        phase_idx = gen.choice(
-            len(self.phases), size=(n_streams, n_draws), p=draw_p
-        )
-        dwells = gen.exponential(dwell_means[phase_idx])
+        # ``choice(p=)`` and ``exponential(scale)`` take these very steps
+        # on the same bit stream, after argument checks that cost more
+        # than the draws at this size.
+        shape = (n_streams, n_draws)
+        phase_idx = cdf.searchsorted(gen.random(shape), side="right")
+        dwells = dwell_means[phase_idx] * gen.standard_exponential(shape)
         edges = np.cumsum(dwells, axis=1)
         # Guarantee coverage of the full horizon.
         edges[:, -1] = np.maximum(edges[:, -1], total_t + interval_s)

@@ -53,8 +53,15 @@ class TelemetryChunk:
                 raise TelemetryError("non-finite GPU power sample")
             if (self.gpu_power_w < 0).any():
                 raise TelemetryError("negative GPU power sample")
+            if not np.isfinite(self.cpu_power_w).all():
+                raise TelemetryError("non-finite CPU power sample")
+            if (self.cpu_power_w < 0).any():
+                raise TelemetryError("negative CPU power sample")
             if not np.isfinite(self.time_s).all():
                 raise TelemetryError("non-finite timestamp")
+            # An id beyond the fleet is legal: the join books it as idle.
+            if (self.node_id < 0).any():
+                raise TelemetryError("negative node id")
 
     @classmethod
     def from_validated(

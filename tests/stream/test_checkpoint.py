@@ -107,6 +107,24 @@ def test_mismatched_log_axes_are_rejected(
         load_checkpoint(bad, log)
 
 
+def test_nan_cpu_in_a_buffered_row_is_rejected(
+    campaign, arrival_chunks, tmp_path
+):
+    # Restored rows seal unchecked later, so the load validates them:
+    # a NaN CPU row would otherwise fold into a NaN cpu_energy_j.
+    log, _gen, _store = campaign
+    path = tmp_path / "ck.npz"
+    save_checkpoint(_fresh(log).run(arrival_chunks[:2], drain=False), path)
+    with np.load(path, allow_pickle=False) as data:
+        arrays = dict(data)
+    assert len(arrays["buf_cpu"])
+    arrays["buf_cpu"][0] = np.nan
+    bad = tmp_path / "nan-cpu.npz"
+    np.savez_compressed(bad, **arrays)
+    with pytest.raises(TelemetryError, match="CPU power"):
+        load_checkpoint(bad, log)
+
+
 def test_a_failed_save_keeps_the_previous_checkpoint(
     campaign, arrival_chunks, tmp_path, monkeypatch
 ):

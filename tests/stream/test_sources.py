@@ -1,8 +1,11 @@
 """Stream sources: replay, files, perturbation, canonical windowing."""
 
+import itertools
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro import units
@@ -13,12 +16,15 @@ from repro.stream import (
     StreamEngine,
     canonical_windows,
     file_source,
+    load_checkpoint,
     perturb,
     replay_generator,
     replay_store,
+    save_checkpoint,
     simulated_fleet,
 )
 from repro.telemetry import FleetTelemetryGenerator, TelemetryStore
+from repro.telemetry import generator as generator_mod
 from repro.telemetry.io_csv import write_telemetry_csv
 from repro.telemetry.profiles import PowerProfile
 from repro.telemetry.schema import TelemetryChunk
@@ -153,25 +159,105 @@ def test_simulated_fleet_matches_its_own_batch_join(cubes_equal):
     assert_same_chunks(chunks, list(replay_store(store)))
 
 
+def block_ticks(gen, chunk_ticks):
+    """Ticks ``time_chunks`` renders at once: whole chunks in the budget."""
+    rows = chunk_ticks * gen.log.n_nodes
+    return chunk_ticks * max(1, generator_mod._BLOCK_ROWS // rows)
+
+
 @given(
     nodes=st.integers(min_value=1, max_value=6),
     days=st.sampled_from([0.05, 0.1, 0.25]),
     seed=st.integers(min_value=0, max_value=2**16),
     chunk_ticks=st.sampled_from([1, 7, 20, 97, None]),
+    block_rows=st.sampled_from([None, 1, 64, 1000]),
 )
+# One chunk over the row budget: every block is a single chunk.
+@example(nodes=3, days=0.05, seed=1, chunk_ticks=7, block_rows=1)
+# 25-chunk blocks of 500 ticks over a 576-tick horizon.
+@example(nodes=2, days=0.1, seed=5, chunk_ticks=20, block_rows=1000)
 @settings(max_examples=20, deadline=None)
-def test_generator_replay_equals_store_replay(nodes, days, seed, chunk_ticks):
+def test_generator_replay_equals_store_replay(
+    nodes, days, seed, chunk_ticks, block_rows
+):
     # Slabs of 1, 7, 20 and 97 ticks split allocations mid-trace; None
-    # stands for one slab longer than the horizon.
+    # stands for one slab longer than the horizon.  ``block_rows`` None
+    # keeps the real render budget; the small ones split the horizon
+    # into many blocks, the last one short.
     mix = default_mix(fleet_nodes=nodes)
     log = SlurmSimulator(mix).run(units.days(days), rng=seed)
     gen = FleetTelemetryGenerator(log, mix, seed=seed + 1000)
     if chunk_ticks is None:
         chunk_ticks = gen.n_samples + 1
+    budget = generator_mod._BLOCK_ROWS if block_rows is None else block_rows
+    with mock.patch.object(generator_mod, "_BLOCK_ROWS", budget):
+        got = list(replay_generator(gen, chunk_ticks=chunk_ticks))
     assert_same_chunks(
-        list(replay_generator(gen, chunk_ticks=chunk_ticks)),
-        list(replay_store(gen.generate(), chunk_ticks=chunk_ticks)),
+        got, list(replay_store(gen.generate(), chunk_ticks=chunk_ticks))
     )
+    assert all(len(c) == chunk_ticks * nodes for c in got[:-1])
+    assert 0 < len(got[-1]) <= chunk_ticks * nodes
+    for c in got:
+        for field in ("time_s", "node_id", "gpu_power_w", "cpu_power_w"):
+            assert not getattr(c, field).flags.writeable, field
+
+
+@pytest.mark.parametrize("chunk_ticks, block_rows", [
+    (20, None),   # 51 chunks of 16 nodes per block, three blocks
+    (7, None),
+    (20, 100),    # one chunk over the budget: one chunk per block
+    (20, 1700),   # five-chunk blocks, the last one short
+])
+def test_generator_replay_renders_once_per_block(
+    campaign, monkeypatch, chunk_ticks, block_rows
+):
+    # Structural guard against rendering per chunk: one
+    # ``_Renderer.render`` call per block of whole chunks.
+    _log, gen, _store = campaign
+    if block_rows is not None:
+        monkeypatch.setattr(generator_mod, "_BLOCK_ROWS", block_rows)
+    calls = []
+    render = generator_mod._Renderer.render
+
+    def counted(self, t_lo, t_hi):
+        calls.append((t_lo, t_hi))
+        return render(self, t_lo, t_hi)
+
+    monkeypatch.setattr(generator_mod._Renderer, "render", counted)
+    chunks = list(replay_generator(gen, chunk_ticks=chunk_ticks))
+    n = gen.n_samples
+    step = block_ticks(gen, chunk_ticks)
+    assert len(chunks) == -(-n // chunk_ticks)
+    assert len(calls) == -(-n // step)
+    assert calls == [(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
+def test_resume_inside_a_block_equals_the_continuous_run(
+    campaign, cubes_equal, tmp_path
+):
+    # Chunk 60 lies inside the second 51-chunk block: the resumed
+    # source re-renders that block from the start and skips the chunks
+    # the checkpointed engine already ingested.
+    log, gen, _store = campaign
+    assert 60 % (block_ticks(gen, 20) // 20)
+
+    def engine():
+        return StreamEngine(log, window_s=WINDOW_S, lateness_s=LATENESS_S)
+
+    continuous = engine().run(replay_generator(gen, chunk_ticks=20))
+    first = engine().run(
+        itertools.islice(replay_generator(gen, chunk_ticks=20), 60),
+        drain=False,
+    )
+    path = tmp_path / "mid-block.npz"
+    save_checkpoint(first, path)
+    resumed = load_checkpoint(path, log)
+    resumed.run(itertools.islice(
+        replay_generator(gen, chunk_ticks=20), resumed.chunks_in, None
+    ))
+    assert resumed.chunks_in == continuous.chunks_in
+    assert cubes_equal(resumed.cube(), continuous.cube())
+    assert resumed.stats == continuous.stats
 
 
 def test_generator_replay_renders_each_allocation_once(campaign, monkeypatch):

@@ -106,6 +106,28 @@ class TestStore:
             back.chunk.gpu_power_w, small.chunk.gpu_power_w
         )
 
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("cpu", np.nan, "non-finite CPU power"),
+            ("cpu", np.inf, "non-finite CPU power"),
+            ("cpu", -1.0, "negative CPU power"),
+            ("node", -3, "negative node id"),
+        ],
+    )
+    def test_chunk_rejects_bad_cpu_power_and_node_ids(
+        self, column, value, message
+    ):
+        cols = dict(
+            time_s=np.zeros(3),
+            node_id=np.zeros(3, dtype=np.int32),
+            gpu_power_w=np.zeros((3, 4), dtype=np.float32),
+            cpu_power_w=np.zeros(3, dtype=np.float32),
+        )
+        cols["cpu_power_w" if column == "cpu" else "node_id"][1] = value
+        with pytest.raises(TelemetryError, match=message):
+            TelemetryChunk(**cols)
+
     def test_chunk_validation(self):
         with pytest.raises(TelemetryError):
             TelemetryChunk(

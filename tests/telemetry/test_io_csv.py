@@ -59,6 +59,15 @@ class TestRead:
         with pytest.raises(TelemetryError):
             read_telemetry_csv(path)
 
+    def test_nan_cpu_rejected(self, tmp_path):
+        path = tmp_path / "nan_cpu.csv"
+        path.write_text(
+            "time_s,node_id,gpu0_w,gpu1_w,gpu2_w,gpu3_w,cpu_w\n"
+            "0,0,100,100,100,100,nan\n"
+        )
+        with pytest.raises(TelemetryError, match="CPU power"):
+            read_telemetry_csv(path)
+
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("")

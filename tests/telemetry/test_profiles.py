@@ -89,6 +89,54 @@ class TestSampleTrace:
             p.sample_trace(10, 15.0, n_streams=0)
 
 
+def _reference_trace(profile, n_samples, interval_s, gen, n_streams):
+    """``sample_trace`` as written with ``choice(p=)`` and ``exponential``."""
+    dwell_means = np.array([p.dwell_mean_s for p in profile.phases])
+    draw_p = profile.weights / dwell_means
+    draw_p = draw_p / draw_p.sum()
+    mean_dwell = float(np.dot(draw_p, dwell_means))
+    means = np.array([p.mean_w for p in profile.phases])
+    stds = np.array([p.std_w for p in profile.phases])
+    total_t = n_samples * interval_s
+    n_draws = max(4, int(np.ceil(total_t / mean_dwell * 2.5)) + 8)
+    phase_idx = gen.choice(
+        len(profile.phases), size=(n_streams, n_draws), p=draw_p
+    )
+    dwells = gen.exponential(dwell_means[phase_idx])
+    edges = np.cumsum(dwells, axis=1)
+    edges[:, -1] = np.maximum(edges[:, -1], total_t + interval_s)
+    t = (np.arange(n_samples) + 0.5) * interval_s
+    runs = dwell_runs(edges, t).reshape(-1)
+    active = phase_idx.reshape(-1)
+    out = gen.normal(0.0, 1.0, size=(n_streams, n_samples))
+    out *= np.repeat(stds[active], runs).reshape(out.shape)
+    out += np.repeat(means[active], runs).reshape(out.shape)
+    return np.maximum(out, 0.0, out=out)
+
+
+@pytest.mark.parametrize("name", sorted(PROFILES))
+def test_sample_trace_draws_like_choice_and_exponential(name):
+    # sample_trace draws phases by CDF search and dwells by scaled
+    # standard exponentials: the steps numpy's ``choice(p=)`` and
+    # ``exponential(scale)`` take.  A numpy whose internals change
+    # fails here, before any telemetry digest does.
+    profile = PROFILES[name]
+    for n_samples in (1, 2, 37, 600, 5000):
+        for n_streams in (1, 4):
+            for seed in range(20):
+                got_rng = np.random.default_rng(seed)
+                want_rng = np.random.default_rng(seed)
+                got = profile.sample_trace(
+                    n_samples, 15.0, rng=got_rng, n_streams=n_streams
+                )
+                want = _reference_trace(
+                    profile, n_samples, 15.0, want_rng, n_streams
+                )
+                case = (n_samples, n_streams, seed)
+                assert got.tobytes() == want.tobytes(), case
+                assert got_rng.random() == want_rng.random(), case
+
+
 def _segment_oracle(edges, t):
     """Active segment of every tick by one search per tick and stream."""
     seg = np.stack([np.searchsorted(e, t, side="right") for e in edges])
