@@ -12,9 +12,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import signal
 
 from ..errors import TelemetryError
+
+#: Values scaled per pass of :meth:`StreamingHistogram.bin_into`.
+_BIN_BLOCK = 1 << 15
 
 
 class StreamingHistogram:
@@ -65,15 +67,32 @@ class StreamingHistogram:
         :meth:`add`; a caller that folds the same values into several
         histograms computes it once and passes it as ``bins=``.
         """
-        scaled = np.subtract(values, self.lo, dtype=np.float64)
-        scaled /= self.bin_width
-        idx = scaled.astype(np.int64)
+        values = np.asarray(values)
+        idx = np.empty(values.shape, dtype=np.int64)
+        return idx, self.bin_into(values, idx)
+
+    def bin_into(self, values: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """:meth:`bin_index` of ``values`` written into the int64 ``out``.
+
+        Returns the ``clipped`` flags.  Values are scaled in blocks of
+        ``_BIN_BLOCK``, so the float64 scratch is one block whatever the
+        input size; a bin is elementwise, so blocking changes no bin.
+        """
+        flat_v = np.asarray(values).reshape(-1)
+        flat_out = out.reshape(-1)
+        for start in range(0, len(flat_v), _BIN_BLOCK):
+            stop = start + _BIN_BLOCK
+            scaled = np.subtract(
+                flat_v[start:stop], self.lo, dtype=np.float64
+            )
+            scaled /= self.bin_width
+            flat_out[start:stop] = scaled   # truncates, as astype does
         # As unsigned, a negative index is huge: one compare flags both
         # idx < 0 and idx >= n_bins.
-        clipped = idx.view(np.uint64) >= self.n_bins
+        clipped = out.view(np.uint64) >= self.n_bins
         if clipped.any():
-            np.clip(idx, 0, self.n_bins - 1, out=idx)
-        return idx, clipped
+            np.clip(out, 0, self.n_bins - 1, out=out)
+        return clipped
 
     def add(
         self,
@@ -168,8 +187,12 @@ def find_power_modes(
     """Locate the modes (local maxima) of a power distribution.
 
     The paper reads these peaks off the Fig 8/9 distributions to identify
-    the prevalent zones of operation.
+    the prevalent zones of operation.  ``scipy.signal`` is imported
+    here, not at module level: this is the package's only use of it, and
+    every process that folds telemetry would otherwise load it.
     """
+    from scipy import signal
+
     dens = hist.smoothed_density(sigma_bins=sigma_bins)
     prominence = min_prominence_frac * dens.max()
     peaks, props = signal.find_peaks(dens, prominence=prominence)

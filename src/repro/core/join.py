@@ -55,11 +55,17 @@ def region_index(power_w: np.ndarray) -> np.ndarray:
     Samples are finite (telemetry chunks reject NaN).
     """
     power_w = np.asarray(power_w)
-    reg = np.empty(power_w.shape, dtype=np.int64)
-    np.greater_equal(power_w, REGION_BOUNDS[0], out=reg, casting="unsafe")
+    return _region_index_into(
+        power_w, np.empty(power_w.shape, dtype=np.int64)
+    )
+
+
+def _region_index_into(power_w: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """:func:`region_index` of ``power_w`` written into the int64 ``out``."""
+    np.greater_equal(power_w, REGION_BOUNDS[0], out=out, casting="unsafe")
     for bound in REGION_BOUNDS[1:]:
-        reg += power_w >= bound
-    return reg
+        out += power_w >= bound
+    return out
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:
@@ -75,8 +81,9 @@ class DerivedWindow(TelemetryChunk):
     flight-recorder record and incident attribution share one
     derivation; the quantities live on the window and go with it, so
     no per-row array outlives its window.  Each is derived on first
-    use: a bare engine never pays for the node positions or row
-    energies only the window sinks read.  The columns are the
+    use: a bare engine never pays for the node positions, regions or
+    row energies only the window sinks read (the join writes its
+    regions straight into its key buffer).  The columns are the
     wrapped chunk's own arrays (no copy); the derived arrays are
     read-only, since every later reader of the window shares them.
     """
@@ -400,23 +407,28 @@ class CampaignAccumulator:
         # Label each row with (domain, class) via the scheduler log.
         jid = window.job_ids
         d_row = self._dom_of_job[jid]
-        c_row = self._cls_of_job[jid]
-
-        power = chunk.gpu_power_w  # (n, gpus)
-        # Accumulate the 3-D cube with one bincount over composite keys.
         n_d, n_c = len(self.domains), len(self.classes)
-        key = (
-            (d_row[:, None] * n_c + c_row[:, None]) * 4 + window.regions
-        ).reshape(-1)
+        # Every per-sample key below is written in place into this one
+        # buffer, shaped like the GPU power: beside the window's float64
+        # samples and the clipped flags, the fold makes no other
+        # per-sample array.
+        key = _region_index_into(
+            chunk.gpu_power_w,
+            np.empty(chunk.gpu_power_w.shape, dtype=np.int64),
+        )
+        flat_key = key.reshape(-1)
+
+        # The 3-D cube: one bincount of each kind over composite keys.
+        key += ((d_row * n_c + self._cls_of_job[jid]) * 4)[:, None]
         flat_p = window.samples
         minlength = n_d * n_c * 4
         self.energy_j += (
-            np.bincount(key, weights=flat_p, minlength=minlength).reshape(
+            np.bincount(flat_key, weights=flat_p, minlength=minlength).reshape(
                 n_d, n_c, 4
             )
             * interval
         )
-        self.gpu_hours += np.bincount(key, minlength=minlength).reshape(
+        self.gpu_hours += np.bincount(flat_key, minlength=minlength).reshape(
             n_d, n_c, 4
         ) * (interval / 3600.0)
 
@@ -424,22 +436,21 @@ class CampaignAccumulator:
         # the per-domain rows take one composite-key (domain major, bin
         # minor) bincount of each kind.  ``bincount`` adds in array
         # order, the order each domain's subset would see, so the rows
-        # are bitwise what per-domain adds would give.  The repeat
-        # aligns row labels with the row-major sample flattening.
-        bins, clipped = self.histogram.bin_index(flat_p)
-        self.histogram.add(flat_p, bins=(bins, clipped))
+        # are bitwise what per-domain adds would give.
+        clipped = self.histogram.bin_into(flat_p, flat_key)
+        self.histogram.add(flat_p, bins=(flat_key, clipped))
         n_bins = self.histogram.n_bins
-        d_sample = np.repeat(d_row, power.shape[1])
-        key = d_sample * n_bins
-        key += bins
+        key += (d_row * n_bins)[:, None]
         minlength = n_d * n_bins
         self._hist_counts[1:] += np.bincount(
-            key, minlength=minlength
+            flat_key, minlength=minlength
         ).reshape(n_d, n_bins)
         self._hist_weights[1:] += np.bincount(
-            key, weights=flat_p, minlength=minlength
+            flat_key, weights=flat_p, minlength=minlength
         ).reshape(n_d, n_bins)
         if clipped.any():
+            # The repeat aligns row labels with the sample flattening.
+            d_sample = np.repeat(d_row, key.shape[1])
             n_clip = np.bincount(d_sample[clipped], minlength=n_d)
             for name, n in zip(self.domains, n_clip):
                 self.domain_histograms[name].n_clipped += int(n)

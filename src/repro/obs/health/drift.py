@@ -26,6 +26,7 @@ ruleset).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Sequence, Tuple
@@ -102,10 +103,19 @@ class DriftReference:
             raise HealthError(
                 f"cannot read drift reference {path}: {exc}"
             ) from exc
-        if "gpu_hours_pct" not in doc:
+        if not isinstance(doc, dict) or "gpu_hours_pct" not in doc:
             raise HealthError(f"{path} is not a drift reference")
+        shares = doc["gpu_hours_pct"]
+        if not isinstance(shares, list) or not all(
+            isinstance(x, (int, float)) and not isinstance(x, bool)
+            and math.isfinite(x)
+            for x in shares
+        ):
+            raise HealthError(
+                f"{path}: gpu_hours_pct must be a list of finite numbers"
+            )
         return cls(
-            gpu_hours_pct=tuple(float(x) for x in doc["gpu_hours_pct"]),
+            gpu_hours_pct=tuple(float(x) for x in shares),
             label=str(doc.get("label", path.name)),
         )
 

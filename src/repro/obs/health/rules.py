@@ -111,8 +111,13 @@ class RuleSpec:
 
 def parse_rules(doc: Mapping) -> List[RuleSpec]:
     """Parse a rules document: ``{"rules": [{...}, ...]}``."""
-    if not isinstance(doc, Mapping) or "rules" not in doc:
+    if (
+        not isinstance(doc, Mapping)
+        or not isinstance(doc.get("rules"), list)
+    ):
         raise HealthError("rules document needs a top-level 'rules' list")
+    if not all(isinstance(spec, Mapping) for spec in doc["rules"]):
+        raise HealthError("every alert rule must be an object")
     rules = [RuleSpec.from_dict(spec) for spec in doc["rules"]]
     names = [r.name for r in rules]
     dupes = {n for n in names if names.count(n) > 1}

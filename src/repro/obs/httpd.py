@@ -138,6 +138,10 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
     #: so a hostile client cannot make the server buffer a gigabyte).
     max_body_bytes = 1 << 20
 
+    #: The body a route composed for the current request; the service
+    #: writes it (see :meth:`HttpService.answer`).
+    payload = b""
+
     def do_GET(self) -> None:  # noqa: N802 - http.server API
         self.server.service.answer(self)
 
@@ -177,7 +181,9 @@ class JsonRequestHandler(BaseHTTPRequestHandler):
             # oversized body the unread bytes make reuse unsafe).
             self.send_header("Connection", "close")
         self.end_headers()
-        self.wfile.write(payload)
+        # Held back until the service has counted the request: see
+        # HttpService.answer, which writes it.
+        self.payload = payload
         return status
 
     def _send(self, status: int, content_type: str, body: str) -> int:
@@ -247,27 +253,37 @@ class HttpService:
         """Answer from :attr:`routes`: (route, status).  :attr:`error_class`
         answers 400, other exceptions 500, as does a dropped connection.
 
-        The response is flushed before this returns, so a caller timing
-        the answer times the socket write too, whatever the body size
-        (the buffered ``wfile`` would otherwise hold a small body until
-        the base handler's flush after ``do_GET``).
+        :meth:`on_answer` sees the status before any byte of the response
+        reaches the client: the route only composes it (the headers stay
+        in the buffered ``wfile``, the body on the handler), and the body
+        is written after.  The response is flushed before this returns,
+        so a caller timing the answer times the socket write too,
+        whatever the body size.
         """
         match = self.routes.match(handler.command, handler.path)
         route = match.route
+        handler.payload = b""
         try:
             status = route.answer(handler, self, match)
         except (BrokenPipeError, ConnectionResetError):
+            self.on_answer(route, 500)
             return route, 500
         except self.error_class as exc:
             status = handler._send_json(400, {"error": str(exc)})
         except Exception as exc:
             handler._send_error_500(exc)
             status = 500
+        self.on_answer(route, status)
         try:
+            handler.wfile.write(handler.payload)
             handler.wfile.flush()
         except OSError:
             return route, 500
         return route, status
+
+    def on_answer(self, route: Route, status: int) -> None:
+        """Count an answered request, before its response is sent (none
+        by default)."""
 
     def on_handler_error(self, exc: BaseException) -> None:
         """Count an unexpected handler exception (none by default)."""

@@ -17,6 +17,7 @@ tolerance) — the substance of ``repro obs diff``.
 from __future__ import annotations
 
 import hashlib
+import importlib.metadata
 import json
 import math
 import platform
@@ -38,6 +39,11 @@ _TRACKED_PACKAGES = ("numpy", "scipy", "networkx")
 
 
 def _package_versions() -> Dict[str, str]:
+    """Interpreter, repro and tracked package versions.
+
+    Read from the installed distributions' metadata, so recording a
+    version never imports the package itself.
+    """
     versions = {
         "python": platform.python_version(),
     }
@@ -49,9 +55,8 @@ def _package_versions() -> Dict[str, str]:
         pass
     for name in _TRACKED_PACKAGES:
         try:
-            module = __import__(name)
-            versions[name] = str(getattr(module, "__version__", "unknown"))
-        except Exception:
+            versions[name] = importlib.metadata.version(name)
+        except importlib.metadata.PackageNotFoundError:
             versions[name] = "absent"
     return versions
 

@@ -53,7 +53,7 @@ def load_budget(path) -> dict:
         raise ObservabilityError(
             f"cannot read perf budget {path}: {exc}"
         ) from exc
-    budgets = doc.get("budgets")
+    budgets = doc.get("budgets") if isinstance(doc, dict) else None
     if not isinstance(budgets, dict) or not budgets:
         raise ObservabilityError(
             f"{path} is not a perf budget (no non-empty 'budgets' object)"

@@ -175,7 +175,8 @@ class ControlPlaneServer(HttpService):
         self.monitor = plane.monitor
 
     def answer(self, handler):
-        """Answer from the view current at arrival, then meter the request."""
+        """Answer from the view current at arrival, then time the request
+        (its flush included)."""
         t0 = time.perf_counter()
         view = handler.view = self.plane.cache.view
         route, status = super().answer(handler)
@@ -183,6 +184,9 @@ class ControlPlaneServer(HttpService):
             route.label, status, time.perf_counter() - t0, view
         )
         return route, status
+
+    def on_answer(self, route, status: int) -> None:
+        self.plane.count_request(route.label, status)
 
     def metrics_text(self) -> str:
         # With an event log attached, latency buckets carry OpenMetrics

@@ -428,10 +428,24 @@ class ControlPlane:
         """Serving gauges merged into the engine's metric stream."""
         return _serve_metric_values(self.cache, self.engine.buffer)
 
+    def count_request(self, endpoint: str, status: int) -> None:
+        """Count one HTTP request in ``serve_requests_total``.
+
+        The server counts a request before any byte of its response
+        reaches the client, so a client never reads an answer the
+        counter has not seen; :meth:`observe_request` times it after.
+        """
+        with self.metrics_lock:
+            self.registry.counter(
+                "serve_requests_total",
+                "control-plane HTTP requests served",
+                endpoint=endpoint, status=str(status),
+            ).inc()
+
     def observe_request(
         self, endpoint: str, status: int, elapsed_s: float, view
     ) -> None:
-        """Meter one HTTP request into the shared registry.
+        """Time one answered HTTP request (counted by :meth:`count_request`).
 
         With an event log attached, the latency observation carries an
         OpenMetrics exemplar — the trace id of the request (the active
@@ -461,11 +475,6 @@ class ControlPlane:
                 elapsed_s=float(elapsed_s),
             )
         with self.metrics_lock:
-            self.registry.counter(
-                "serve_requests_total",
-                "control-plane HTTP requests served",
-                endpoint=endpoint, status=str(status),
-            ).inc()
             self.registry.histogram(
                 "serve_request_seconds",
                 "control-plane request latency",

@@ -116,6 +116,28 @@ class TestRuleParsing:
         with pytest.raises(HealthError, match="cannot read"):
             load_rules(tmp_path / "nope.json")
 
+    @pytest.mark.parametrize(
+        "doc", [{"rules": 5}, {"rules": [5]}, {"rules": [None]}, 5, [1]]
+    )
+    def test_hostile_rules_document_raises_health_error(self, tmp_path, doc):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(HealthError):
+            load_rules(path)
+
+    def test_stream_with_hostile_rules_prints_one_line(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "rules.json"
+        path.write_text(json.dumps({"rules": [None]}))
+        code = cli_main([
+            "stream", "--nodes", "2", "--days", "0.05",
+            "--rules", str(path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestAlertEngine:
     def test_threshold_fires_immediately_without_for(self):
@@ -263,6 +285,27 @@ class TestDrift:
             DriftReference(gpu_hours_pct=(50.0, 60.0, -5.0, 1.0))
         ref = DriftReference.paper()
         assert sum(ref.gpu_hours_pct) == pytest.approx(100.0, abs=1.0)
+
+    @pytest.mark.parametrize("doc", [
+        5,
+        [1],
+        {"gpu_hours_pct": 5},
+        {"gpu_hours_pct": [None, 1, 2, 3]},
+        {"gpu_hours_pct": "abc"},
+        {"gpu_hours_pct": "1234"},
+        {"gpu_hours_pct": [float("nan"), 1, 2, 3]},
+    ])
+    def test_hostile_reference_file_raises_health_error(self, tmp_path, doc):
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(HealthError):
+            DriftReference.from_file(path)
+
+    def test_reference_file_round_trips(self, tmp_path):
+        path = tmp_path / "ref.json"
+        ref = DriftReference(gpu_hours_pct=(60.0, 30.0, 9, 1), label="x")
+        path.write_text(json.dumps(ref.to_dict()))
+        assert DriftReference.from_file(path) == ref
 
     def test_rel_err_uses_floor_for_tiny_modes(self):
         # Region 4 holds 0.5 % — below the 1-point floor, so its error is

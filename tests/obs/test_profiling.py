@@ -285,6 +285,13 @@ class TestBudget:
         with pytest.raises(ObservabilityError):
             load_budget(tmp_path / "missing.json")
 
+    @pytest.mark.parametrize("text", ["5", "[1]", "null"])
+    def test_non_object_budget_document_is_rejected(self, tmp_path, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        with pytest.raises(ObservabilityError, match="not a perf budget"):
+            load_budget(bad)
+
 
 class TestArtifacts:
     def test_write_profile_artifacts_round_trips(self, tmp_path):

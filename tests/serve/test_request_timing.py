@@ -1,10 +1,13 @@
-"""``serve_request_seconds`` times the socket write, whatever the body size.
+"""Metering order of a control-plane request, whatever the body size.
 
 The handler's ``wfile`` is buffered (8 KiB), so a small body would sit in
 the buffer until ``http.server`` flushes it after the request was
 metered, while a large one is written through before.  The service
-flushes inside the metered region, so for both sizes the response is
-flushed before the plane meters the request.
+flushes inside the timed region, so for both sizes the response is
+flushed before the plane times the request (``serve_request_seconds``);
+and it counts the request (``serve_requests_total``) before any byte of
+the response reaches the client, so a client never reads an answer the
+counter has not seen.
 """
 
 from __future__ import annotations
@@ -72,3 +75,54 @@ def test_response_is_flushed_before_the_request_is_metered(
     observed = events.index("observe")
     last_write = max(i for i, e in enumerate(events[:observed]) if e == "write")
     assert "flush" in events[last_write:observed]
+
+
+class _CountingSocketWriter(io.RawIOBase):
+    """The socket end of ``wfile``: snapshots the counter per send."""
+
+    def __init__(self, sock, snapshot) -> None:
+        self._sock = sock
+        self._snapshot = snapshot
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        self._snapshot()
+        self._sock.sendall(data)
+        return len(data)
+
+
+def _requests_total(plane) -> float:
+    return sum(
+        value for name, value in plane.registry.counter_values().items()
+        if name.startswith("serve_requests_total{")
+    )
+
+
+@pytest.mark.parametrize("route, big", [
+    ("/v1/policy", False),
+    ("/v1/jobs", True),
+])
+def test_request_is_counted_before_its_response_is_sent(
+    drained_plane, route, big
+):
+    seen: list = []
+
+    class Counting(JsonRequestHandler):
+        def setup(self):
+            super().setup()
+            self.wfile = io.BufferedWriter(_CountingSocketWriter(
+                self.connection,
+                lambda: seen.append(_requests_total(drained_plane)),
+            ))
+
+    server = ControlPlaneServer(drained_plane, port=0)
+    server.handler_class = Counting
+    with server:
+        before = _requests_total(drained_plane)
+        status, body = fetch_url(server.url + route)
+    assert status == 200
+    assert (len(body) > io.DEFAULT_BUFFER_SIZE) == big
+    # Every send of the response saw the request already counted.
+    assert seen and seen == [before + 1] * len(seen)

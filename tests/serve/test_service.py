@@ -152,7 +152,9 @@ class TestServeMetrics:
         plane = build_plane(log, windows)
         view = plane.cache.view
         for _ in range(3):
+            plane.count_request("/v1/fleet/cap", 200)
             plane.observe_request("/v1/fleet/cap", 200, 0.0004, view)
+        plane.count_request("/v1/nope", 404)
         plane.observe_request("/v1/nope", 404, 0.0001, view)
         counter = plane.registry.counter(
             "serve_requests_total", endpoint="/v1/fleet/cap", status="200"
