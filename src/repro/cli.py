@@ -4,7 +4,7 @@
 
     python -m repro list
     python -m repro run fig4
-    python -m repro run all --nodes 128 --days 7 --out results/
+    python -m repro run all --out results/   # the default config writes results/
     python -m repro run table5 --profile
     python -m repro obs profile --check
 """
@@ -1043,7 +1043,15 @@ def _stream(args) -> int:
         )
 
     monitor = server = dashboard = None
-    if args.watch or args.serve is not None or args.rules is not None:
+    # A drift-reference file asks for the drift check as --rules asks
+    # for the rules: either builds the monitor, reading (and so
+    # validating) its file before the run starts.
+    if (
+        args.watch
+        or args.serve is not None
+        or args.rules is not None
+        or args.drift_ref not in ("paper", "off")
+    ):
         monitor = _build_health(args)
         if args.watch:
             from .obs.health import Dashboard

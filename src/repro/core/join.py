@@ -436,15 +436,23 @@ class CampaignAccumulator:
         # the per-domain rows take one composite-key (domain major, bin
         # minor) bincount of each kind.  ``bincount`` adds in array
         # order, the order each domain's subset would see, so the rows
-        # are bitwise what per-domain adds would give.
-        clipped = self.histogram.bin_into(flat_p, flat_key)
-        self.histogram.add(flat_p, bins=(flat_key, clipped))
-        n_bins = self.histogram.n_bins
+        # are bitwise what per-domain adds would give.  The system
+        # counts are the column sums of the per-domain counts (integers,
+        # so exact); only its weight sums take their own bincount.
+        hist = self.histogram
+        clipped = hist.bin_into(flat_p, flat_key)
+        hist.n_clipped += int(np.count_nonzero(clipped))
+        hist.weight_sums += np.bincount(
+            flat_key, weights=flat_p, minlength=hist.n_bins
+        )
+        n_bins = hist.n_bins
         key += (d_row * n_bins)[:, None]
         minlength = n_d * n_bins
-        self._hist_counts[1:] += np.bincount(
-            flat_key, minlength=minlength
-        ).reshape(n_d, n_bins)
+        counts = np.bincount(flat_key, minlength=minlength).reshape(
+            n_d, n_bins
+        )
+        self._hist_counts[0] += counts.sum(axis=0)
+        self._hist_counts[1:] += counts
         self._hist_weights[1:] += np.bincount(
             flat_key, weights=flat_p, minlength=minlength
         ).reshape(n_d, n_bins)
@@ -556,6 +564,9 @@ def join_campaign(
         acc = CampaignAccumulator(log, interval_s=interval)
         for chunk in chunks:
             acc.update(chunk)
+            # Drop it before the next one renders: memory holds one
+            # chunk at a time, not two.
+            del chunk
     if acc.n_chunks == 0:
         raise JoinError("no telemetry chunks to join")
     return acc.cube()

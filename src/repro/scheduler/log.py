@@ -120,37 +120,72 @@ class SchedulerLog:
             a_node[order], a_start[order], a_end[order], a_jid[order]
         )
 
+    @cached_property
+    def _label_events(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(node, time, job id)`` of every label change, built once.
+
+        Node by node in time order: each allocation's start sets its job
+        id, and its end sets 0 unless the node's next allocation starts
+        at or before it (that start takes over, as in
+        :meth:`job_id_grid`, where the last start at or before a time
+        decides).  Allocations that start together keep log order, so
+        the last one wins.  Times are strictly increasing within a node
+        except at such shared starts.
+        """
+        a_node, a_start, a_end, a_jid = self._sorted_alloc_arrays
+        same = a_node[1:] == a_node[:-1]
+        next_start = np.append(np.where(same, a_start[1:], np.inf), np.inf)
+        keep = np.ones((len(a_node), 2), dtype=bool)
+        keep[:, 1] = a_end < next_start
+        keep = keep.reshape(-1)
+        return (
+            np.repeat(a_node, 2)[keep],
+            np.column_stack([a_start, a_end]).reshape(-1)[keep],
+            np.column_stack([a_jid, np.zeros_like(a_jid)]).reshape(-1)[keep],
+        )
+
     def job_id_table(
         self, times_s: np.ndarray, node_ids: np.ndarray
     ) -> np.ndarray:
         """Job id active at each ``(time, node)`` pair (0 = idle).
 
-        The whole-table analogue of :meth:`job_id_grid`: one composite-key
-        ``searchsorted`` over allocations sorted by ``(node, start)``
-        labels every row of a telemetry chunk at once, replacing the
-        per-node lookup loop in the join.  Matches
-        ``[job_id_grid(t, n) ...]`` exactly.
+        The whole-table analogue of :meth:`job_id_grid`, with one
+        composite key ``node * K + time``.  Rows in ``(node, time)``
+        order, as in every node-major chunk, are labelled by searching
+        the label-change events (:attr:`_label_events`) into the rows
+        and repeating each event's job id up to the next one.  Any
+        other row order takes one search per row over the allocations
+        sorted by ``(node, start)``.  Matches ``[job_id_grid(t, n) ...]``
+        exactly either way.
         """
         times_s = np.asarray(times_s, dtype=np.float64)
         node_ids = np.asarray(node_ids, dtype=np.int64)
-        out = np.zeros(len(times_s), dtype=np.int64)
         if not self.allocations or not len(times_s):
-            return out
+            return np.zeros(len(times_s), dtype=np.int64)
         a_node, a_start, a_end, a_jid = self._sorted_alloc_arrays
 
         # Composite key: node major, start/time minor.  K exceeds every
         # time coordinate so keys from different nodes never interleave.
         k = float(max(self.horizon_s, a_end.max(), times_s.max())) + 1.0
+        key_row = node_ids * k
+        key_row += times_s
+        if self._in_node_time_order(times_s, key_row):
+            return self._label_sorted(times_s, node_ids, key_row, k)
+        out = np.zeros(len(times_s), dtype=np.int64)
         key_alloc = a_node * k + a_start
-        key_row = node_ids * k + times_s
         idx = np.searchsorted(key_alloc, key_row, side="right") - 1
-        # Float rounding of the composite sum can tie a time just below a
-        # start with that start's key; step back one allocation there so
-        # the raw-coordinate window test below sees the right candidate.
+        # Float rounding of the composite sum can tie a time just below
+        # starts with those starts' keys; step back past them so the
+        # raw-coordinate window test below sees the right candidate.
         over = (idx >= 0) & (a_node[idx] == node_ids) & (
             times_s < a_start[idx]
         )
-        idx = np.where(over, idx - 1, idx)
+        while over.any():
+            idx -= over
+            over &= (
+                (idx >= 0) & (a_node[idx] == node_ids)
+                & (times_s < a_start[idx])
+            )
         valid = (
             (idx >= 0)
             & (a_node[idx] == node_ids)
@@ -159,6 +194,56 @@ class SchedulerLog:
         )
         out[valid] = a_jid[idx[valid]]
         return out
+
+    def _in_node_time_order(
+        self, times_s: np.ndarray, key_row: np.ndarray
+    ) -> bool:
+        """Whether rows with composite keys ``key_row`` are in
+        ``(node, time)`` order, with no row or allocation time below 0.
+
+        With every time in ``[0, K)`` the keys of one node never reach
+        another's, so the rows are in order when their keys are, and
+        rows whose keys tie (a rounded sum) are in time order.  A
+        time-major window fails at the first compare.
+        """
+        if (key_row[1:] < key_row[:-1]).any():
+            return False
+        ties = np.flatnonzero(key_row[1:] == key_row[:-1])
+        return bool(
+            not (times_s[ties] > times_s[ties + 1]).any()
+            and times_s.min() >= 0
+            and self._label_events[1].min() >= 0
+        )
+
+    def _label_sorted(
+        self,
+        times_s: np.ndarray,
+        node_ids: np.ndarray,
+        key_row: np.ndarray,
+        k: float,
+    ) -> np.ndarray:
+        """:meth:`job_id_table` of rows in ``(node, time)`` order.
+
+        Each event of the rows' nodes labels the rows from the first one
+        at or after it up to the next event's; a node's last event is
+        an end (0), so a node's rows before its first event read 0.
+        """
+        e_node, e_time, e_jid = self._label_events
+        lo = np.searchsorted(e_node, node_ids[0], side="left")
+        hi = np.searchsorted(e_node, node_ids[-1], side="right")
+        e_time, e_jid = e_time[lo:hi], e_jid[lo:hi]
+        key_event = e_node[lo:hi] * k + e_time
+        pos = np.searchsorted(key_row, key_event, side="left")
+        # Rounding can give a row just before an event that event's
+        # key: step past such rows by their raw time.
+        tied = np.searchsorted(key_row, key_event, side="right")
+        behind = pos < tied
+        while behind.any():
+            behind[behind] = times_s[pos[behind]] < e_time[behind]
+            pos += behind
+            behind &= pos < tied
+        counts = np.diff(pos, prepend=0, append=len(key_row))
+        return np.repeat(np.concatenate([[0], e_jid]), counts)
 
     # -- persistence -------------------------------------------------------------
 

@@ -20,6 +20,15 @@ The time-major replay (:meth:`FleetTelemetryGenerator.time_chunks`)
 renders whole chunks a block at a time, within a fixed row budget (one
 chunk when a chunk alone is larger), so its memory is bounded by one
 block and the allocations live in it, not by the horizon.
+
+Every entry point renders through one :class:`_Renderer`, which
+activates allocations in batches of at most :data:`_BLOCK_ROWS` ticks:
+each allocation draws its phase walk and its trace and noise normals
+from its own stream, the normals into scratch the generator owns and
+reuses (two float64 rows of ``4 x _BLOCK_ROWS``, 1 MiB), and the
+phase expansion, noise and clamps run once per batch.  An allocation
+longer than the budget is rendered alone into arrays of its own size,
+as every allocation was before; the scratch itself never grows.
 """
 
 from __future__ import annotations
@@ -50,7 +59,8 @@ _SAMPLES_PER_WINDOW = (
 _IDLE_BLOCK_TICKS = 1024
 
 #: Row budget of one :meth:`FleetTelemetryGenerator.time_chunks` render
-#: (whole chunks; one chunk when a chunk alone is larger).
+#: (whole chunks; one chunk when a chunk alone is larger), and of one
+#: batch of allocation ticks in :class:`_Renderer`.
 _BLOCK_ROWS = 16384
 
 
@@ -90,6 +100,11 @@ class FleetTelemetryGenerator:
                         f"{domain.profile!r}"
                     )
                 self._profiles[job.domain] = PROFILES[domain.profile]
+        # The unit normals of one batch of allocations, trace then noise
+        # (see :class:`_Renderer`): reused by every render, so a batch
+        # costs no fresh trace-sized arrays.  So a generator must render
+        # from one thread at a time.
+        self._scratch = np.empty((2, constants.GPUS_PER_NODE * _BLOCK_ROWS))
 
     # -- per-node rendering --------------------------------------------------------
 
@@ -200,9 +215,9 @@ class _Renderer:
     consecutive ranges yields the same samples bitwise:
 
     * a node's idle noise is the next rows of one persistent
-      ``substream(seed, "idle", node)`` — ``Generator.normal`` consumes
-      its bit stream element by element, so consecutive draws continue
-      the single full-horizon draw (pulled in blocks of
+      ``substream(seed, "idle", node)`` — ``Generator.standard_normal``
+      consumes its bit stream element by element, so consecutive draws
+      continue the single full-horizon draw (pulled in blocks of
       :data:`_IDLE_BLOCK_TICKS` to amortize the per-call cost);
     * an allocation's trace comes from its own
       ``substream(seed, "job", id, "node", id)`` and is rendered whole
@@ -210,6 +225,14 @@ class _Renderer:
     * within a range, live allocations are written in each node's
       start-time order, so a later allocation still overwrites an
       earlier one on a shared tick.
+
+    New allocations are rendered in batches of at most
+    :data:`_BLOCK_ROWS` ticks (an allocation longer than that alone).
+    Each allocation draws its phase walk and its two trace-sized unit
+    normal draws in its own order, the normals straight into slices of
+    the generator's scratch; the expansion by phase, the sensor noise
+    and both clamps then run once over the batch.  Only an allocation
+    that outlives the range is copied out of the scratch, as float32.
     """
 
     def __init__(
@@ -227,7 +250,9 @@ class _Renderer:
         self._idle_rngs = [
             substream(gen.seed, "idle", nid) for nid in self._node_ids
         ]
-        self._idle = np.empty((0, len(self._node_ids), constants.GPUS_PER_NODE))
+        self._idle = np.empty(
+            (len(self._node_ids), 0, constants.GPUS_PER_NODE)
+        )
         self._idle_lo = 0
         # Allocations with at least one tick, in the order their first
         # tick comes up; the stable sort keeps each node's start-time
@@ -248,39 +273,90 @@ class _Renderer:
         self._live: List[tuple] = []
 
     def _idle_rows(self, t_lo: int, t_hi: int) -> np.ndarray:
-        """Idle GPU power of ticks ``[t_lo, t_hi)``, ``(ticks, nodes, 4)``."""
-        have = self._idle_lo + len(self._idle)
+        """Idle GPU power of ticks ``[t_lo, t_hi)``, ``(nodes, ticks, 4)``."""
+        have = self._idle_lo + self._idle.shape[1]
         if t_hi > have:
             stop = min(self._n, max(t_hi, have + _IDLE_BLOCK_TICKS))
-            fresh = np.empty((stop - have,) + self._idle.shape[1:])
+            fresh = np.empty(
+                (len(self._node_ids), stop - have, constants.GPUS_PER_NODE)
+            )
             idle_w = self._gen.node_spec.gpu.idle_w
-            for j, rng in enumerate(self._idle_rngs):
-                noise = rng.normal(
-                    0.0, self._noise, size=(stop - have, constants.GPUS_PER_NODE)
-                )
-                np.add(noise, idle_w, out=fresh[:, j])
-            kept = self._idle[t_lo - self._idle_lo :]
-            self._idle = np.concatenate([kept, fresh]) if len(kept) else fresh
+            for rng, rows in zip(self._idle_rngs, fresh):
+                rng.standard_normal(out=rows)
+                rows *= self._noise
+                rows += idle_w
+            kept = self._idle[:, t_lo - self._idle_lo :]
+            self._idle = (
+                np.concatenate([kept, fresh], axis=1) if kept.shape[1] else fresh
+            )
             self._idle_lo = t_lo
-        return self._idle[t_lo - self._idle_lo : t_hi - self._idle_lo]
+        return self._idle[:, t_lo - self._idle_lo : t_hi - self._idle_lo]
 
-    def _activate(self, lo: int, j: int, hi: int, alloc) -> tuple:
+    def _started(self, t_hi: int) -> Iterator[tuple]:
+        """Entries of the allocations whose first tick is before ``t_hi``.
+
+        Rendered a batch at a time (:meth:`_activate`): the caller must
+        be done with a batch's entries before it asks for the next one.
+        """
+        pending, batch, rows = self._pending, [], 0
+        while self._next < len(pending) and pending[self._next][0] < t_hi:
+            lo, j, hi, alloc = pending[self._next]
+            self._next += 1
+            if batch and rows + hi - lo > _BLOCK_ROWS:
+                yield from self._activate(batch)
+                batch, rows = [], 0
+            batch.append((lo, j, hi, alloc))
+            rows += hi - lo
+        if batch:
+            yield from self._activate(batch)
+
+    def _activate(self, batch: List[tuple]) -> List[tuple]:
+        """Render the pending allocations ``batch`` into the scratch.
+
+        Each allocation draws from its own substream what
+        ``sample_trace`` and the sensor noise draw, in that order: its
+        phase walk, the trace's unit normals, the noise's, and its CPU
+        load.  ``normal(0.0, s)`` is ``s`` times ``standard_normal``, so
+        scaling the batch afterwards leaves every sample bitwise as
+        before.  Returns ``(lo, hi, column, trace, CPU load)`` per
+        allocation, ``trace`` its float64 ``(ticks, 4)`` view of the
+        scratch, valid until the next batch.
+        """
         gen = self._gen
-        node_id = self._node_ids[j]
-        profile = gen._profiles[gen._jobs[alloc.job_id].domain]
-        rng = substream(gen.seed, "job", alloc.job_id, "node", node_id)
-        trace = profile.sample_trace(
-            hi - lo,
-            gen.interval_s,
-            rng=rng,
-            n_streams=constants.GPUS_PER_NODE,
+        gpus = constants.GPUS_PER_NODE
+        size = gpus * sum(hi - lo for lo, _, hi, _ in batch)
+        scratch = (
+            gen._scratch if size <= gen._scratch.shape[1]
+            else np.empty((2, size))
         )
-        trace += rng.normal(0.0, self._noise, size=trace.shape)
+        trace, noise = scratch[0, :size], scratch[1, :size]
+        means, stds, runs, entries = [], [], [], []
+        end = 0
+        for lo, j, hi, alloc in batch:
+            profile = gen._profiles[gen._jobs[alloc.job_id].domain]
+            rng = substream(
+                gen.seed, "job", alloc.job_id, "node", self._node_ids[j]
+            )
+            mean, std, run = profile.segments(
+                hi - lo, gen.interval_s, rng, gpus
+            )
+            means.append(mean)
+            stds.append(std)
+            runs.append(run)
+            # ``sample_trace``'s unit normals, then the sensor noise's.
+            off, end = end, end + gpus * (hi - lo)
+            unit = trace[off:end].reshape(gpus, hi - lo)
+            rng.standard_normal(out=unit)
+            rng.standard_normal(out=noise[off:end].reshape(unit.shape))
+            entries.append((lo, hi, j, unit.T, rng.uniform(0.2, 0.55)))
+        runs = np.concatenate(runs)
+        trace *= np.repeat(np.concatenate(stds), runs)
+        trace += np.repeat(np.concatenate(means), runs)
         np.maximum(trace, 0.0, out=trace)
-        # Cast once, here: every chunk's write is then a same-dtype copy
-        # of contiguous rows, and each sample rounds exactly as before.
-        trace32 = np.ascontiguousarray(trace.T, dtype=np.float32)
-        return lo, hi, j, trace32, rng.uniform(0.2, 0.55)
+        noise *= self._noise
+        trace += noise
+        np.maximum(trace, 0.0, out=trace)
+        return entries
 
     def render(self, t_lo: int, t_hi: int):
         """``(gpu, cpu)`` float32 power of ticks ``[t_lo, t_hi)``.
@@ -291,23 +367,22 @@ class _Renderer:
         with _obs.span(
             "telemetry.render", nodes=len(self._node_ids), ticks=t_hi - t_lo
         ):
-            gpu = self._idle_rows(t_lo, t_hi).astype(np.float32)
+            gpu = self._idle_rows(t_lo, t_hi).transpose(1, 0, 2).astype(
+                np.float32, order="C"
+            )
             cpu_load = np.full(gpu.shape[:2], 0.05)
-            first = self._next
-            pending = self._pending
-            while self._next < len(pending) and pending[self._next][0] < t_hi:
-                self._next += 1
-            # Render new allocations one at a time, so one that ends in
-            # this range is freed before the next is rendered.
-            started = (self._activate(*p) for p in pending[first : self._next])
             live = []
-            for entry in itertools.chain(self._live, started):
+            for entry in itertools.chain(self._live, self._started(t_hi)):
                 lo, hi, j, trace, load = entry
                 a, b = max(lo, t_lo), min(hi, t_hi)
                 gpu[a - t_lo : b - t_lo, j] = trace[a - lo : b - lo]
                 cpu_load[a - t_lo : b - t_lo, j] = load
                 if hi > t_hi:
-                    live.append(entry)
+                    # Cast once, here: every later write is then a
+                    # same-dtype copy of contiguous rows, each sample
+                    # rounded as the first write rounded it.
+                    trace = np.ascontiguousarray(trace, dtype=np.float32)
+                    live.append((lo, hi, j, trace, load))
             self._live = live
             spec = self._gen.node_spec
             cpu = spec.cpu_idle_w + (spec.cpu_max_w - spec.cpu_idle_w) * cpu_load

@@ -85,20 +85,22 @@ class PowerProfile:
         stds = np.array([p.std_w for p in self.phases])
         return cdf, mean_dwell, dwell_means, means, stds
 
-    def sample_trace(
+    def segments(
         self,
         n_samples: int,
         interval_s: float,
         rng: RngLike = None,
         n_streams: int = 1,
-    ) -> np.ndarray:
-        """Generate ``(n_streams, n_samples)`` of per-interval power.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(mean, std, ticks)`` of every dwell segment of the walks.
 
-        Each stream is an independent semi-Markov phase walk: phase
-        indices are drawn by stationary weight, dwell times are
-        exponential, and samples take the active phase's mean plus
-        Gaussian spread.  Fully vectorized: the per-segment mean and
-        spread are expanded by run length (:func:`dwell_runs`).
+        Each of ``n_streams`` streams is an independent semi-Markov
+        phase walk over ``n_samples`` ticks: phase indices are drawn by
+        stationary weight and dwell times are exponential.  The three
+        arrays are flat, stream by stream, so ``np.repeat(mean, ticks)``
+        is every sample's phase mean in ``(n_streams, n_samples)``
+        row-major order.  These are the walk's draws; a trace draws its
+        unit normals after them (:meth:`sample_trace`).
         """
         if n_samples <= 0 or n_streams <= 0:
             raise TelemetryError("need positive n_samples and n_streams")
@@ -118,11 +120,28 @@ class PowerProfile:
         edges[:, -1] = np.maximum(edges[:, -1], total_t + interval_s)
 
         t = (np.arange(n_samples) + 0.5) * interval_s
-        runs = dwell_runs(edges, t).reshape(-1)
         active = phase_idx.reshape(-1)
+        return means[active], stds[active], dwell_runs(edges, t).reshape(-1)
+
+    def sample_trace(
+        self,
+        n_samples: int,
+        interval_s: float,
+        rng: RngLike = None,
+        n_streams: int = 1,
+    ) -> np.ndarray:
+        """Generate ``(n_streams, n_samples)`` of per-interval power.
+
+        Samples take the active phase's mean plus Gaussian spread along
+        the walks of :meth:`segments`.  Fully vectorized: the
+        per-segment mean and spread are expanded by run length
+        (:func:`dwell_runs`).
+        """
+        gen = ensure_rng(rng)
+        means, stds, runs = self.segments(n_samples, interval_s, gen, n_streams)
         out = gen.normal(0.0, 1.0, size=(n_streams, n_samples))
-        out *= np.repeat(stds[active], runs).reshape(out.shape)
-        out += np.repeat(means[active], runs).reshape(out.shape)
+        out *= np.repeat(stds, runs).reshape(out.shape)
+        out += np.repeat(means, runs).reshape(out.shape)
         return np.maximum(out, 0.0, out=out)
 
 

@@ -301,6 +301,36 @@ class TestDrift:
         with pytest.raises(HealthError):
             DriftReference.from_file(path)
 
+    @pytest.mark.parametrize("doc", [5, {"gpu_hours_pct": "abc"}])
+    def test_stream_with_hostile_reference_alone_prints_one_line(
+        self, tmp_path, capsys, doc
+    ):
+        # --drift-ref without --watch/--serve/--rules still reads its file.
+        path = tmp_path / "ref.json"
+        path.write_text(json.dumps(doc))
+        code = cli_main([
+            "stream", "--nodes", "2", "--days", "0.05",
+            "--drift-ref", str(path),
+        ])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("stream FAILED:")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_stream_with_reference_file_alone_checks_drift(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "ref.json"
+        ref = DriftReference(gpu_hours_pct=(60.0, 30.0, 9.0, 1.0), label="x")
+        path.write_text(json.dumps(ref.to_dict()))
+        code = cli_main([
+            "stream", "--nodes", "2", "--days", "0.05",
+            "--drift-ref", str(path),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "\nhealth: " in out
+
     def test_reference_file_round_trips(self, tmp_path):
         path = tmp_path / "ref.json"
         ref = DriftReference(gpu_hours_pct=(60.0, 30.0, 9, 1), label="x")

@@ -261,17 +261,18 @@ def test_resume_inside_a_block_equals_the_continuous_run(
 
 
 def test_generator_replay_renders_each_allocation_once(campaign, monkeypatch):
-    # Structural guard against re-rendering per slab: one sample_trace
-    # call per allocation that covers at least one tick.
+    # Structural guard against re-rendering per slab: one phase walk
+    # (``PowerProfile.segments``) per allocation that covers at least
+    # one tick.
     log, gen, _store = campaign
     calls = []
-    sample_trace = PowerProfile.sample_trace
+    segments = PowerProfile.segments
 
     def counted(self, *args, **kwargs):
         calls.append(1)
-        return sample_trace(self, *args, **kwargs)
+        return segments(self, *args, **kwargs)
 
-    monkeypatch.setattr(PowerProfile, "sample_trace", counted)
+    monkeypatch.setattr(PowerProfile, "segments", counted)
     n = gen.n_samples
     covering = sum(
         min(int(np.ceil(a.end_time_s / gen.interval_s)), n)
