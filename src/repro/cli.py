@@ -970,7 +970,7 @@ def _report_sinks(args, command, monitor, forensics, history, eventlog,
         write()
 
 
-def _campaign(args) -> int:
+def _campaign(args, outputs) -> int:
     """``repro campaign``: the sharded campaign fold."""
     from . import constants
     from .stream.shard import ShardConfig, run_sharded_campaign
@@ -1023,7 +1023,7 @@ def _campaign(args) -> int:
     return 0
 
 
-def _stream(args) -> int:
+def _stream(args, outputs) -> int:
     if args.dup_fraction and not args.shuffle:
         print("--dup-fraction needs --shuffle", file=sys.stderr)
         return 1
@@ -1119,6 +1119,7 @@ def _stream(args) -> int:
 
         if args.checkpoint is not None:
             save_checkpoint(engine, args.checkpoint)
+            outputs.append(args.checkpoint)
             print(f"checkpoint written to {args.checkpoint}\n")
 
         snap = engine.snapshot(
@@ -1144,7 +1145,7 @@ def _stream(args) -> int:
     return 0
 
 
-def _serve(args) -> int:
+def _serve(args, outputs) -> int:
     """``repro serve``: the closed-loop control-plane service."""
     from .serve import ControlPlane
 
@@ -1666,10 +1667,6 @@ def _obs_profile(args) -> int:
         ExactProfiler,
         check_budget,
         load_budget,
-        render_attribution,
-        render_hot_stacks,
-        render_memory_sites,
-        write_profile_artifacts,
     )
 
     config = ExperimentConfig(
@@ -1691,28 +1688,11 @@ def _obs_profile(args) -> int:
         finally:
             if exact is not None:
                 exact.stop()
-        profiler = obs_runtime.stop_profiling()
-        spans = obs_runtime.state().tracer.finished
-        paths = write_profile_artifacts(
-            args.out, spans=spans, profiler=profiler, command=command,
+        spans = _finish_profile(
+            command, args.out,
+            f"===== profile: {args.experiment} ({result.title}) =====",
+            top=args.top, hot_stacks=True, exact=exact,
         )
-        print(f"===== profile: {args.experiment} ({result.title}) =====")
-        print(render_attribution(spans, top=args.top))
-        if profiler.samples:
-            print()
-            print("hottest sampled stacks:")
-            print(render_hot_stacks(profiler.samples))
-        if profiler.memory_sites:
-            print()
-            print("top allocation sites (tracemalloc):")
-            print(render_memory_sites(profiler.memory_sites))
-        if exact is not None:
-            print()
-            print(_render_exact(exact, top=args.top))
-        print()
-        print(f"collapsed stacks : {paths['collapsed']}")
-        print(f"chrome trace     : {paths['chrome_trace']}")
-        print(f"span timings     : {paths['timings']}")
         if args.check or args.budget is not None:
             budget = load_budget(args.budget or DEFAULT_BUDGET_PATH)
             verdict = check_budget(spans, budget)
@@ -1760,49 +1740,108 @@ _OBS_COMMANDS = {
     "summary": _obs_summary,
 }
 
-#: The run commands sharing ``main``'s observability wrapper: each
-#: one's handler, the flags its manifest records as ``config``, and the
-#: flags naming files it lists as outputs.
+
+def _run_config(args) -> dict:
+    """``repro run``'s experiment config, as its manifest records it."""
+    return {
+        "fleet_nodes": args.nodes, "days": args.days, "seed": args.seed,
+        "graph_scale": args.graph_scale, "out_dir": args.out,
+    }
+
+
+def _experiments(args, outputs) -> int:
+    """``repro run``: each experiment's text, one FAILED line per error."""
+    config = ExperimentConfig(**_run_config(args))
+    targets = (
+        list(EXPERIMENT_IDS)
+        if args.experiment == "all"
+        else [args.experiment]
+    )
+    status = 0
+    for exp_id in targets:
+        t0 = time.time()
+        try:
+            result = run(exp_id, config)
+        except ReproError as exc:
+            print(f"[{exp_id}] FAILED: {exc}", file=sys.stderr)
+            status = 1
+            continue
+        elapsed = time.time() - t0
+        if args.out:
+            outputs.append(f"{args.out}/{exp_id}.txt")
+            if args.csv:
+                from .experiments.export import export_csv
+
+                export_csv(result, args.out)
+        print(f"===== {exp_id}: {result.title} ({elapsed:.1f} s) =====")
+        print(result.text)
+        print()
+    return status
+
+
+def _flags(*keys):
+    """A manifest ``config`` of the named flags' values."""
+    return lambda args: {key: getattr(args, key) for key in keys}
+
+
+#: The run commands sharing ``_run_command``'s observability wrapper:
+#: each one's handler and the ``config`` its manifest records.  A
+#: handler appends the files it wrote to the manifest's ``outputs``.
 _RUN_COMMANDS = {
-    "campaign": (_campaign, (
+    "run": (_experiments, _run_config),
+    "campaign": (_campaign, _flags(
         "nodes", "days", "seed", "shards", "workers", "unit_nodes",
         "window_s", "lateness_s", "shuffle_s", "dup_fraction",
-    ), ()),
-    "stream": (_stream, (
+    )),
+    "stream": (_stream, _flags(
         "nodes", "days", "seed", "window_s", "lateness_s", "shuffle",
         "dup_fraction",
-    ), ("checkpoint",)),
-    "serve": (_serve, (
+    )),
+    "serve": (_serve, _flags(
         "nodes", "days", "seed", "window_s", "lateness_s", "objective",
         "max_slowdown",
-    ), ()),
+    )),
 }
 
 
 def _run_command(args) -> int:
-    """Run one ``_RUN_COMMANDS`` entry; with --obs, write its manifest."""
+    """Run one ``_RUN_COMMANDS`` entry under its observability flags.
+
+    ``--obs`` writes the run's manifest and ``--profile`` (``repro run``
+    only) its profile artifacts, whether the handler returns or raises.
+    Both default to ``--out`` where the command has one.
+    """
     from .obs import runtime as obs_runtime
 
-    handler, config_keys, output_keys = _RUN_COMMANDS[args.command]
-    outputs = [getattr(args, key) for key in output_keys]
+    handler, config = _RUN_COMMANDS[args.command]
+    command = f"repro {args.command}"
+    if args.command == "run":
+        command += f" {args.experiment}"
+    out = getattr(args, "out", None)
+    profile = getattr(args, "profile", False)
     if args.obs:
         obs_runtime.enable()
+    if profile:
+        # Implies observability: samples are tagged with tracer spans.
+        obs_runtime.start_profiling()
+    outputs = []
     wall0, cpu0 = time.perf_counter(), time.process_time()
     try:
-        return handler(args)
-    except (ReproError, OSError) as exc:
-        print(f"{args.command} FAILED: {exc}", file=sys.stderr)
-        return 1
+        return handler(args, outputs)
     finally:
-        if args.obs and obs_runtime.enabled():
-            _finish_obs(
-                f"repro {args.command}",
-                {key: getattr(args, key) for key in config_keys},
-                [path for path in outputs if path],
-                args.obs_dir or "obs",
-                wall0, cpu0,
-            )
-            obs_runtime.disable()
+        try:
+            if profile:
+                _finish_profile(
+                    command, args.profile_dir or out or "profile-artifacts",
+                )
+            if args.obs:
+                _finish_obs(
+                    command, config(args), outputs,
+                    args.obs_dir or out or "obs", wall0, cpu0,
+                )
+        finally:
+            if args.obs or profile:
+                obs_runtime.disable()
 
 
 def _finish_obs(command: str, config: dict, outputs, obs_dir,
@@ -1823,143 +1862,95 @@ def _finish_obs(command: str, config: dict, outputs, obs_dir,
     print(obs_manifest.summarize_manifest(doc))
 
 
-def _finish_profile(command: str, profile_dir) -> None:
-    """Stop the profiler, write its artifacts, print the hot spans."""
+def _finish_profile(command: str, profile_dir, header=None, *, top=20,
+                    hot_stacks=False, exact=None) -> list:
+    """Stop the profiler, write its artifacts, print the hot spans.
+
+    Prints ``header`` (by default ``===== profile (DIR) =====``), the
+    span attribution table, the top allocation sites and the artifact
+    paths; ``repro obs profile`` adds the hottest sampled stacks after
+    the table and its ``exact`` cProfile table after the sites.
+    Returns the finished spans.
+    """
     from .obs import runtime as obs_runtime
     from .obs.profiling import (
         render_attribution,
+        render_hot_stacks,
         render_memory_sites,
         write_profile_artifacts,
     )
 
     profiler = obs_runtime.stop_profiling()
-    st = obs_runtime.state()
-    if profiler is None or st is None:
-        return
-    spans = st.tracer.finished
+    spans = obs_runtime.state().tracer.finished
     paths = write_profile_artifacts(
         profile_dir, spans=spans, profiler=profiler, command=command,
     )
-    print(f"===== profile ({profile_dir}) =====")
-    print(render_attribution(spans))
+    print(header or f"===== profile ({profile_dir}) =====")
+    print(render_attribution(spans, top=top))
+    if hot_stacks and profiler.samples:
+        print()
+        print("hottest sampled stacks:")
+        print(render_hot_stacks(profiler.samples))
     if profiler.memory_sites:
         print()
         print("top allocation sites (tracemalloc):")
         print(render_memory_sites(profiler.memory_sites))
+    if exact is not None:
+        print()
+        print(_render_exact(exact, top=top))
     print()
     print(f"collapsed stacks : {paths['collapsed']}")
     print(f"chrome trace     : {paths['chrome_trace']}")
     print(f"span timings     : {paths['timings']}")
+    return spans
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    args = _build_parser().parse_args(argv)
+def _list(args) -> int:
+    for exp_id in EXPERIMENT_IDS:
+        print(exp_id)
+    return 0
 
-    if args.command == "list":
-        for exp_id in EXPERIMENT_IDS:
-            print(exp_id)
-        return 0
 
-    if args.command == "obs":
-        try:
-            return _OBS_COMMANDS[args.obs_command](args)
-        except _UsageError as exc:
-            print(exc, file=sys.stderr)
-            return 2
-        except ReproError as exc:
-            print(f"obs FAILED: {exc}", file=sys.stderr)
-            return 1
-
-    if args.command == "advise":
-        try:
-            return _advise(args)
-        except (ReproError, OSError) as exc:
-            print(f"advise FAILED: {exc}", file=sys.stderr)
-            return 1
-
-    if args.command in _RUN_COMMANDS:
-        return _run_command(args)
-
-    if args.command == "report":
-        from .experiments.bundle import write_report
-
-        config = ExperimentConfig(
-            fleet_nodes=args.nodes,
-            days=args.days,
-            seed=args.seed,
-            graph_scale=args.graph_scale,
-        )
-        try:
-            path = write_report(
-                args.out, config,
-                include_extensions=not args.no_extensions,
-            )
-        except ReproError as exc:
-            print(f"report FAILED: {exc}", file=sys.stderr)
-            return 1
-        print(f"report written to {path}")
-        return 0
+def _report(args) -> int:
+    from .experiments.bundle import write_report
 
     config = ExperimentConfig(
         fleet_nodes=args.nodes,
         days=args.days,
         seed=args.seed,
         graph_scale=args.graph_scale,
-        out_dir=args.out,
     )
-    targets = (
-        list(EXPERIMENT_IDS)
-        if args.experiment == "all"
-        else [args.experiment]
+    path = write_report(
+        args.out, config, include_extensions=not args.no_extensions,
     )
-    from .obs import runtime as obs_runtime
+    print(f"report written to {path}")
+    return 0
 
-    if args.obs:
-        obs_runtime.enable()
-    if args.profile:
-        # Implies observability: samples are tagged with tracer spans.
-        obs_runtime.start_profiling()
-    wall0, cpu0 = time.perf_counter(), time.process_time()
-    status = 0
-    outputs = []
-    for exp_id in targets:
-        t0 = time.time()
-        try:
-            result = run(exp_id, config)
-        except ReproError as exc:
-            print(f"[{exp_id}] FAILED: {exc}", file=sys.stderr)
-            status = 1
-            continue
-        elapsed = time.time() - t0
-        if args.out:
-            outputs.append(f"{args.out}/{exp_id}.txt")
-        if getattr(args, "csv", False) and args.out:
-            from .experiments.export import export_csv
 
-            export_csv(result, args.out)
-        print(f"===== {exp_id}: {result.title} ({elapsed:.1f} s) =====")
-        print(result.text)
-        print()
-    if args.profile and obs_runtime.enabled():
-        _finish_profile(
-            f"repro run {args.experiment}",
-            args.profile_dir or args.out or "profile-artifacts",
-        )
-    if args.obs and obs_runtime.enabled():
-        _finish_obs(
-            f"repro run {args.experiment}",
-            {
-                "fleet_nodes": args.nodes, "days": args.days,
-                "seed": args.seed, "graph_scale": args.graph_scale,
-                "out_dir": args.out,
-            },
-            outputs,
-            args.obs_dir or args.out or "obs",
-            wall0, cpu0,
-        )
-    if (args.obs or args.profile) and obs_runtime.enabled():
-        obs_runtime.disable()
-    return status
+def _obs(args) -> int:
+    return _OBS_COMMANDS[args.obs_command](args)
+
+
+#: Every subcommand's handler; ``main`` is their one error boundary.
+_COMMANDS = {
+    "advise": _advise,
+    "list": _list,
+    "obs": _obs,
+    "report": _report,
+    **dict.fromkeys(_RUN_COMMANDS, _run_command),
+}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    args = _build_parser().parse_args(argv)
+    try:
+        return _COMMANDS[args.command](args)
+    except _UsageError as exc:
+        print(exc, file=sys.stderr)
+        return 2
+    except (ReproError, OSError) as exc:
+        print(f"{args.command} FAILED: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover

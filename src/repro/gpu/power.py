@@ -111,20 +111,6 @@ def steady_power_batch(
     return np.minimum(p, spec.tdp_w)
 
 
-def metered_power_batch(
-    spec: MI250XSpec, profile: BatchProfile, f_core_hz: np.ndarray
-) -> np.ndarray:
-    """Vectorized :func:`metered_power` (the power-cap controller's meter)."""
-    return metered_power_from_activities(
-        spec,
-        f_core_hz,
-        profile.core_activity,
-        profile.hbm_activity,
-        profile.l2_activity,
-        profile.stall_activity,
-    )
-
-
 def metered_power_from_activities(
     spec: MI250XSpec,
     f_core_hz: np.ndarray,

@@ -2,8 +2,8 @@
 
 The :class:`EventLog` is the third pillar of the observability triad:
 a bounded ring of schema'd event records that every layer of the system
-emits into — window seals, cap decisions, policy mutations, checkpoint
-writes, alert transitions, incident lifecycles.  Records are plain
+emits into — window seals, cap decisions, policy mutations, alert
+transitions, incident lifecycles.  Records are plain
 dicts (JSON- and pickle-ready) carrying correlation ids that join the
 log back to the other pillars: ``trace_id``/``span_id`` from the active
 :class:`~repro.obs.trace.Tracer` span, ``window`` for the event-time
@@ -16,7 +16,7 @@ Every record gets a global ``seq`` (emission order) and a per-event
 occurrence id ``{event}:{n}``.  Window-correlated events (window seals,
 detector findings, incident open/resolve) occur once per window in fold
 order, so their ids — and therefore the log slice a forensic bundle
-embeds — are invariant under rerun, re-chunking, and worker count.
+embeds — are invariant under rerun and re-chunking.
 Cadence-driven events (snapshot publishes, requests) are not, which is
 why bundle slices select only records carrying a ``window`` id.
 
@@ -236,46 +236,6 @@ class EventLog:
         self.emitted += 1
         if self.store is not None:
             self.store.append(record)
-
-    # -- worker folding -----------------------------------------------
-
-    def export_config(self) -> dict:
-        """Picklable constructor kwargs for a worker-side sibling log."""
-        return {
-            "capacity": self.capacity,
-            "level": self.level,
-            "rate_limits": dict(self._limits),
-            "sample": dict(self._sample),
-        }
-
-    def drain(self) -> List[dict]:
-        """Worker side: hand over (and clear) the ring for the payload."""
-        with self._lock:
-            records = list(self._ring)
-            self._ring.clear()
-            return records
-
-    def absorb(self, records) -> None:
-        """Fold worker records in, re-sequencing in canonical fold order.
-
-        ``seq`` and the per-event occurrence id are re-assigned from
-        this log's counters so that — because
-        :func:`repro.parallel.chunked_map` absorbs payloads in chunk
-        order — the folded stream is worker-count invariant.  Sampling
-        and rate limiting were already applied worker-side and are not
-        re-applied.
-        """
-        if not records:
-            return
-        with self._lock:
-            for rec in records:
-                rec = dict(rec)
-                event = rec.get("event", "")
-                attempt = self._attempts.get(event, 0) + 1
-                self._attempts[event] = attempt
-                rec["seq"] = self._seq
-                rec["id"] = f"{event}:{attempt}"
-                self._append(rec)
 
     # -- engine facade ------------------------------------------------
 

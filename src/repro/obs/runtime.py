@@ -32,9 +32,9 @@ from .trace import _CURRENT, NOOP_SPAN, Tracer
 
 
 class ObsState:
-    """The enabled bundle: one registry + one tracer (+ profiler, log)."""
+    """The enabled bundle: one registry + one tracer (+ profiler)."""
 
-    __slots__ = ("registry", "tracer", "profiler", "eventlog")
+    __slots__ = ("registry", "tracer", "profiler")
 
     def __init__(self, registry: MetricsRegistry, tracer: Tracer) -> None:
         self.registry = registry
@@ -42,31 +42,19 @@ class ObsState:
         #: Optional :class:`repro.obs.profiling.SamplingProfiler`,
         #: attached by :func:`start_profiling`.
         self.profiler = None
-        #: Optional :class:`repro.obs.log.EventLog` — the sink
-        #: :func:`log_event` emits into; workers fold theirs back
-        #: through the :func:`run_traced` payload.
-        self.eventlog = None
 
 
 _STATE: Optional[ObsState] = None
 
 
 def enable(*, root_parent: Optional[str] = None,
-           max_spans: int = 100_000, log=None) -> ObsState:
-    """Turn observability on with fresh state; returns the state.
-
-    ``log`` optionally attaches an :class:`repro.obs.log.EventLog` so
-    instrumentation sites using :func:`log_event` (shard checkpoints,
-    worker fold units) have somewhere to emit; worker processes get a
-    sibling log built from its exported config and their records fold
-    back in canonical chunk order.
-    """
+           max_spans: int = 100_000) -> ObsState:
+    """Turn observability on with fresh state; returns the state."""
     global _STATE
     _STATE = ObsState(
         MetricsRegistry(),
         Tracer(root_parent=root_parent, max_spans=max_spans),
     )
-    _STATE.eventlog = log
     return _STATE
 
 
@@ -148,18 +136,6 @@ def observe(name: str, value: float, **labels) -> None:
         st.registry.histogram(name, **labels).observe(value)
 
 
-def log_event(severity: str, event: str, msg: str = "", **kwargs) -> None:
-    """Emit a structured log record when an event log is attached.
-
-    The disabled path is one module-global read and an attribute check
-    — the same zero-cost-when-off contract as :func:`span`, so call
-    sites on warm paths need no extra guard.
-    """
-    st = _STATE
-    if st is not None and st.eventlog is not None:
-        st.eventlog.emit(severity, event, msg, **kwargs)
-
-
 # -- cross-process propagation ---------------------------------------------------
 
 
@@ -171,8 +147,6 @@ def export_context() -> Optional[dict]:
     context: dict = {"parent_span_id": st.tracer.current_id()}
     if st.profiler is not None:
         context["profile"] = st.profiler.export_config()
-    if st.eventlog is not None:
-        context["log"] = st.eventlog.export_config()
     return context
 
 
@@ -194,11 +168,6 @@ def run_traced(fn, args: Sequence, context: dict,
         st.profiler = SamplingProfiler(
             tracer=st.tracer, **profile_config
         ).start()
-    log_config = context.get("log")
-    if log_config is not None:
-        from .log import EventLog
-
-        st.eventlog = EventLog(**log_config)
     # Forked pool workers inherit the parent's context variables; clear
     # the current-span slot so parentage comes from the exported context.
     token = _CURRENT.set(None)
@@ -212,8 +181,6 @@ def run_traced(fn, args: Sequence, context: dict,
         }
         if st.profiler is not None:
             payload["profile"] = st.profiler.stop().state_dict()
-        if st.eventlog is not None:
-            payload["logs"] = st.eventlog.drain()
     finally:
         _CURRENT.reset(token)
         disable()
@@ -230,6 +197,3 @@ def absorb(payload: Optional[dict]) -> None:
     profile_state = payload.get("profile")
     if profile_state is not None and st.profiler is not None:
         st.profiler.absorb_state(profile_state)
-    log_records = payload.get("logs")
-    if log_records and st.eventlog is not None:
-        st.eventlog.absorb(log_records)

@@ -317,13 +317,6 @@ def _shard_task(
             seed=seed,
         )
     start = len(states)
-    if start:
-        _obs.log_event(
-            "info", "shard.checkpoint_resume",
-            f"resumed {start}/{len(units)} fold units from checkpoint",
-            t_s=float(counters[-1][-1]) if counters else 0.0,
-            unit=start - 1, units_done=start,
-        )
     stop = len(units) if max_units is None else min(len(units), max_units)
     dirty = 0
     for j in range(start, stop):
@@ -345,12 +338,6 @@ def _shard_task(
                 seed=seed,
                 states=states,
                 counters=counters,
-            )
-            _obs.log_event(
-                "info", "shard.checkpoint_write",
-                f"checkpointed {len(states)}/{len(units)} fold units",
-                t_s=float(counters[-1][-1]),
-                unit=j, node=int(lo), units_done=len(states),
             )
             dirty = 0
     return states, counters

@@ -2,21 +2,12 @@
 
 Wraps one (possibly very large) :class:`TelemetryChunk` with the query
 operations the analysis layer needs — time/node filtering, flattened
-per-GPU views, energy integration — plus persistence in two formats
-behind one :meth:`TelemetryStore.load`:
-
-* ``.npz`` (:meth:`save`) — a single compressed archive, loaded fully
-  into memory;
-* a **columnar directory** (:meth:`save_columnar`) — one ``.npy`` per
-  column plus ``meta.json``, reopened with ``np.load(mmap_mode="r")``
-  so columns page in lazily and a larger-than-RAM campaign can be
-  replayed without materializing it.
+per-GPU views, energy integration — plus persistence as a single
+compressed ``.npz`` archive (:meth:`TelemetryStore.save`/:meth:`load`).
 """
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
@@ -110,58 +101,9 @@ class TelemetryStore:
             interval_s=np.array([self.interval_s]),
         )
 
-    _COLUMNS = ("time_s", "node_id", "gpu_power_w", "cpu_power_w")
-
-    def save_columnar(self, dir_path) -> None:
-        """Write one ``.npy`` per column + ``meta.json`` into a directory.
-
-        The out-of-core twin of :meth:`save`: :meth:`load` reopens the
-        columns as read-only memmaps, so nothing is resident until a
-        query touches it.
-        """
-        path = Path(dir_path)
-        path.mkdir(parents=True, exist_ok=True)
-        for name in self._COLUMNS:
-            np.save(path / f"{name}.npy", getattr(self.chunk, name))
-        meta = {
-            "format": "telemetry-columnar",
-            "version": 1,
-            "interval_s": self.interval_s,
-            "rows": len(self),
-        }
-        (path / "meta.json").write_text(
-            json.dumps(meta, sort_keys=True, indent=2) + "\n"
-        )
-
     @staticmethod
     def load(path) -> "TelemetryStore":
-        """Open a saved store: ``.npz`` archive or columnar directory.
-
-        Directory stores come back memmapped (``mmap_mode="r"``): the
-        same interface, but columns stay on disk until sliced.
-        """
-        path = Path(path)
-        if path.is_dir():
-            meta_path = path / "meta.json"
-            if not meta_path.is_file():
-                raise TelemetryError(
-                    f"{path} is not a columnar telemetry store "
-                    "(missing meta.json)"
-                )
-            meta = json.loads(meta_path.read_text())
-            if meta.get("format") != "telemetry-columnar":
-                raise TelemetryError(
-                    f"{meta_path} has unknown format "
-                    f"{meta.get('format')!r}"
-                )
-            cols = {
-                name: np.load(path / f"{name}.npy", mmap_mode="r")
-                for name in TelemetryStore._COLUMNS
-            }
-            return TelemetryStore(
-                TelemetryChunk(**cols),
-                interval_s=float(meta["interval_s"]),
-            )
+        """Open a store saved by :meth:`save`."""
         with np.load(path, allow_pickle=False) as data:
             chunk = TelemetryChunk(
                 time_s=data["time_s"],

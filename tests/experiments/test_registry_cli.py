@@ -95,3 +95,19 @@ class TestCLI:
         code = main(["run", "nope"])
         assert code == 1
         assert "FAILED" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "table1", "--out", "sub"],
+        ["report", "--out", "r.md"],
+    ])
+    def test_out_under_a_file_fails_in_one_line(self, tmp_path, capsys,
+                                                argv):
+        # --out names a path below a regular file, so creating it raises
+        # an OSError: one FAILED line, no traceback.
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        *head, out = argv
+        assert main([*head, str(blocker / out)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1, lines
+        assert lines[0].startswith(f"{argv[0]} FAILED: ")

@@ -155,30 +155,6 @@ class TestEmission:
         assert view.emitted == 1
         assert len(log.records()) == 2
 
-    def test_absorb_resequences_in_fold_order(self):
-        # Two workers vs one: records folded in canonical chunk order
-        # must produce identical seqs and occurrence ids.
-        def worker(config, events):
-            log = EventLog(**config)
-            for name, t in events:
-                log.emit("info", name, t_s=t)
-            return log.drain()
-
-        events = [("unit.fold", float(i)) for i in range(6)]
-
-        one = EventLog(capacity=64)
-        one.absorb(worker(one.export_config(), events))
-
-        two = EventLog(capacity=64)
-        config = two.export_config()
-        two.absorb(worker(config, events[:3]))
-        two.absorb(worker(config, events[3:]))
-
-        assert one.records() == two.records()
-        assert [r["id"] for r in two.records()] == [
-            f"unit.fold:{n}" for n in range(1, 7)
-        ]
-
     def test_concurrent_emitters_keep_seqs_dense(self):
         # 8-way hammer: the lock must keep the global sequence unique
         # and dense, and the counters consistent.

@@ -138,40 +138,6 @@ def test_filtered_view_roundtrips_through_save_load(tmp_path):
     assert loaded.interval_s == view.interval_s
 
 
-class TestColumnarDirectory:
-    def test_roundtrip_is_memmapped_and_equal(self, tmp_path):
-        store = TelemetryStore(
-            mk_chunk([0.0, DT, 2 * DT], [0, 1, 2], gpu=240.0, cpu=110.0)
-        )
-        store.save_columnar(tmp_path / "cols")
-        loaded = TelemetryStore.load(tmp_path / "cols")
-        assert isinstance(loaded.chunk.time_s, np.memmap)
-        np.testing.assert_array_equal(
-            loaded.chunk.gpu_power_w, store.chunk.gpu_power_w
-        )
-        assert loaded.gpu_energy_j() == store.gpu_energy_j()
-        assert loaded.interval_s == store.interval_s
-
-    def test_filters_work_on_memmapped_columns(self, tmp_path):
-        store = TelemetryStore(mk_chunk([0.0, DT, 2 * DT], [0, 1, 0]))
-        store.save_columnar(tmp_path / "cols")
-        loaded = TelemetryStore.load(tmp_path / "cols")
-        assert len(loaded.filter_nodes([0])) == 2
-        assert len(loaded.filter_time(0.0, DT)) == 1
-
-    def test_directory_without_meta_rejected(self, tmp_path):
-        (tmp_path / "cols").mkdir()
-        with pytest.raises(TelemetryError, match="missing meta.json"):
-            TelemetryStore.load(tmp_path / "cols")
-
-    def test_unknown_format_rejected(self, tmp_path):
-        d = tmp_path / "cols"
-        d.mkdir()
-        (d / "meta.json").write_text('{"format": "something-else"}')
-        with pytest.raises(TelemetryError, match="unknown format"):
-            TelemetryStore.load(d)
-
-
 def test_invalid_interval_rejected():
     with pytest.raises(TelemetryError):
         TelemetryStore(empty_chunk(), interval_s=0.0)

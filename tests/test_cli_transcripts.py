@@ -6,7 +6,10 @@ wrote and over a live control plane's ``/v1`` routes.  Each command's
 stdout and exit code — with tmp paths, ephemeral ports and wall-clock
 figures masked — and each artifact (manifest ``config``,
 ``health.json``, ``incidents.json`` without its provenance, history and
-event-log segment bytes) hash to the SHA-256 digests pinned below.  The
+event-log segment bytes) hash to the SHA-256 digests pinned below.
+The two profile printers (``repro run --profile`` and ``repro obs
+profile``) are pinned to their skeleton: figures and sampled-stack
+lines masked, sections, span names and artifact paths kept.  The
 option strings of every subcommand are pinned too, so no flag is added,
 removed or renamed by accident.
 """
@@ -70,6 +73,9 @@ DIGESTS = {
     "stdout:obs-incidents-url": (
         "10374cac797ef2ff32ee4b0a5c14671ea7eaa2699ecf3060a6fcaa84cf23882a"
     ),
+    "stdout:obs-profile": (
+        "a88b83a584128d8f1afabe0e43d30bd3f1d45ecda9575da84373ff3964ee9b80"
+    ),
     "stdout:obs-logs-check": (
         "c130b754ac6adf4c72c374d074017a678bf9f8feaf0355174a0fd889bf16b784"
     ),
@@ -90,6 +96,9 @@ DIGESTS = {
     ),
     "stdout:obs-query-url-series": (
         "fdc895749dc449f69ad10c63ae5ad36b0127ce8e4d3e5be93e4f95371abeb773"
+    ),
+    "stdout:run-profile": (
+        "6764e911ce389d9c83dc1ac1d13a2396f8646334f0c23f611b6f5b0e6f1ee134"
     ),
     "stdout:serve": (
         "3bb2d24da6c79856b59b212a3707c8325f6b21a215fed11cc34b615acab20f9f"
@@ -169,11 +178,21 @@ def _mask(text: str, root: Path) -> str:
     )
 
 
-def _run(argv, root: Path) -> str:
+def _skeleton(text: str) -> str:
+    # A profile's figures and sampled stacks vary run to run; its
+    # sections, span names and artifact paths do not.
+    text = re.sub(r"\nhottest sampled stacks:\n(?:  .*\n)+", "", text)
+    return re.sub(r"\d+(?:\.\d+)?", "#", text)
+
+
+def _run(argv, root: Path, *, skeleton: bool = False) -> str:
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         rc = main([str(a) for a in argv])
-    return f"{_mask(out.getvalue(), root)}rc={rc}\n"
+    text = _mask(out.getvalue(), root)
+    if skeleton:
+        text = _skeleton(text)
+    return f"{text}rc={rc}\n"
 
 
 def _mask_trace_ids(text: str) -> str:
@@ -226,6 +245,17 @@ def _transcripts(root: Path) -> dict:
     }
     for name, argv in commands.items():
         out[f"stdout:{name}"] = _run(argv, root)
+    profiles = {
+        "run-profile": [
+            "run", "table1", "--obs", "--profile", "--out", root / "rp",
+        ],
+        "obs-profile": [
+            "obs", "profile", "table1", "--nodes", "4", "--days", "0.1",
+            "--out", root / "op",
+        ],
+    }
+    for name, argv in profiles.items():
+        out[f"stdout:{name}"] = _run(argv, root, skeleton=True)
     for name, d in (("stream", root / "sh"), ("serve", v), ("campaign", c)):
         doc = json.loads((d / "manifest.json").read_text())
         out[f"config:{name}"] = json.dumps(doc["config"], sort_keys=True)
